@@ -1,7 +1,7 @@
 """Desk-scale solver for ground epistemic logic programs."""
 
 from .config import DEFAULT_LIMITS, SolverLimits, resolve_limits
-from .engine import compute_world_views
+from .engine import brute_force_world_views, compute_world_views
 from .errors import (
     CapacityError,
     ElpError,
@@ -23,7 +23,6 @@ from .objective import (
 )
 from .semantics import (
     SemanticsId,
-    brute_force_world_views,
     s17_world_views,
     semantics_reduct,
     world_views,

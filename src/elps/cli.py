@@ -17,18 +17,13 @@ import sys
 from pathlib import Path
 
 from .config import resolve_limits
-from .eht import equilibrium_countermodel, equilibrium_eht_models
-from .engine import compute_world_views
+from .eht import total_model_countermodels
+from .engine import REGISTRY, compute_world_views
 from .errors import ElpError
 from .foundedness import is_founded, unfounded_certificate
-from .harness import FixtureMismatch, build_property_matrix, run_fixture_checks
+from .harness import FixtureMismatch, build_property_matrix
 from .modal import world_views_to_json, wv_key
-from .planning import (
-    SPLITTING_SEMANTICS,
-    generate_conformant_world_views,
-    is_conformant_plan,
-    plan_of_world_view,
-)
+from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId, world_views
 from .splitting import (
     enumerate_epistemic_splitting_sets,
@@ -36,7 +31,7 @@ from .splitting import (
     epistemic_solutions,
     top_simplification,
 )
-from .syntax import Program, eliminate_m, load_program, parse_atom
+from .syntax import Program, eliminate_m, interp_key, load_program, parse_atom
 
 
 def _load(path: str, args) -> Program:
@@ -44,10 +39,6 @@ def _load(path: str, args) -> Program:
     if getattr(args, "eliminate_m", False):
         program = eliminate_m(program)
     return program
-
-
-def _wv_text(wv) -> str:
-    return "[" + ",".join("[" + ",".join(sorted(str(a) for a in i)) + "]" for i in wv.sorted_interps) + "]"
 
 
 def _parse_atom_set(text: str):
@@ -74,24 +65,21 @@ def cmd_solve(args) -> int:
                 )
         payload["unfounded_certificates"] = certificates
     if args.trace_eht:
-        traces = []
-        for wv in sorted(equilibrium_eht_models(program, limits), key=wv_key):
-            traces.append({"world_view": wv.as_lists(), "equilibrium": True})
+        candidates = total_model_countermodels(program, limits)
+        traces = [
+            {"world_view": wv.as_lists(), "equilibrium": True}
+            for wv in sorted((wv for wv, h in candidates if h is None), key=wv_key)
+        ]
         # candidates rejected by a smaller "here" model, with the countermodel
-        from .eht import _candidate_views, _model_at_point
-
-        for wv in _candidate_views(program):
-            if not all(_model_at_point(wv, None, i, program, total=True) for i in wv.interps):
-                continue
-            h = equilibrium_countermodel(program, wv)
+        for wv, h in candidates:
             if h is not None:
                 traces.append(
                     {
                         "world_view": wv.as_lists(),
                         "equilibrium": False,
                         "countermodel": {
-                            "[" + ",".join(sorted(map(str, i))) + "]": sorted(map(str, here))
-                            for i, here in sorted(h.items(), key=lambda kv: sorted(map(str, kv[0])))
+                            "[" + ",".join(interp_key(i)) + "]": list(interp_key(here))
+                            for i, here in sorted(h.items(), key=lambda kv: interp_key(kv[0]))
                         },
                     }
                 )
@@ -100,7 +88,7 @@ def cmd_solve(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for wv in wvs:
-            print(_wv_text(wv))
+            print(wv)
         if args.explain_unfounded:
             for cert in payload.get("unfounded_certificates", []):
                 print(f"unfounded {cert['world_view']}:")
@@ -206,7 +194,7 @@ def cmd_properties(args) -> int:
                 "ok": r.ok,
                 "provenance": r.provenance,
             }
-            for r in run_fixture_checks(limits, corpus_dir)
+            for r in matrix.fixtures
         ]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -226,7 +214,7 @@ def cmd_properties(args) -> int:
 def cmd_conformant(args) -> int:
     limits = resolve_limits(args.max_atoms)
     semantics = SemanticsId.from_string(args.semantics)
-    if semantics not in SPLITTING_SEMANTICS:
+    if not REGISTRY[semantics].splitting:
         print(
             f"warning: {semantics} does not satisfy epistemic splitting; "
             "conformant encodings may behave non-modularly",
@@ -252,7 +240,7 @@ def cmd_conformant(args) -> int:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             for wv, plan in zip(surviving, payload["plans"]):
-                print(f"plan {{{','.join(plan)}}}: {_wv_text(wv)}")
+                print(f"plan {{{','.join(plan)}}}: {wv}")
             if not surviving:
                 print("no conformant plan")
         return 0 if surviving else 1

@@ -8,9 +8,7 @@ Equilibrium models are total models admitting no smaller "here" model; F15
 world views are the equilibrium models that survive the ⊂ / ≤ comparison.
 
 The ordering ≤ quantifies over interpretations that belong to *some*
-equilibrium model; the comparison_domain flag switches to quantifying only
-over the two compared views (for experimentation, no fidelity claim either
-way).
+equilibrium model.
 """
 
 from __future__ import annotations
@@ -19,10 +17,20 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_LIMITS, SolverLimits
-from .errors import CapacityError
-from .modal import WorldView
+from .modal import WorldView, candidate_world_views
 from .objective import Interpretation
-from .syntax import Atom, ObjLit, Program, Rule, SubjLit, atom_key, const_truth, interp_key
+from .syntax import (
+    Atom,
+    ObjLit,
+    Program,
+    Rule,
+    SubjLit,
+    atom_key,
+    capped_atoms,
+    const_truth,
+    interp_key,
+    subsets,
+)
 
 
 class EHTInterpretation:
@@ -38,16 +46,6 @@ class EHTInterpretation:
     @classmethod
     def total(cls, wv: WorldView) -> "EHTInterpretation":
         return cls(wv, {i: i for i in wv.interps})
-
-    def total_on(self, interps) -> bool:
-        return all(self.h[i] == i for i in interps)
-
-    def is_total(self) -> bool:
-        return self.total_on(self.wv.interps)
-
-
-def _truth(base, atom_set) -> bool:
-    return base in atom_set
 
 
 def _lit_truth(wv: WorldView, h, point: Interpretation, lit, total: bool) -> bool:
@@ -104,37 +102,17 @@ def _h_maps(wv: WorldView, free: Iterable[Interpretation]):
     """
     free = sorted(free, key=interp_key)
     fixed = {i: i for i in wv.interps if i not in free}
-    choice_lists = []
-    for i in free:
-        members = sorted(i, key=atom_key)
-        subsets = []
-        for m in range(1 << len(members)):
-            subsets.append(frozenset(a for k, a in enumerate(members) if m & (1 << k)))
-        choice_lists.append(subsets)
+    choice_lists = [list(subsets(sorted(i, key=atom_key))) for i in free]
     for choices in product(*choice_lists):
         h = dict(fixed)
         h.update(zip(free, choices))
         yield h
 
 
-def _check_cap(program: Program, limits: SolverLimits):
-    n = len(program.atom_universe)
-    if n > limits.f15_max_atoms:
-        raise CapacityError(f"{n} atoms exceed the EHT cap of {limits.f15_max_atoms}")
-
-
-def _candidate_views(program: Program):
-    atoms = sorted(program.atom_universe, key=atom_key)
-    interps = [
-        frozenset(a for i, a in enumerate(atoms) if m & (1 << i)) for m in range(1 << len(atoms))
-    ]
-    for mask in range(1, 1 << len(interps)):
-        yield WorldView.of(interps[i] for i in range(len(interps)) if mask & (1 << i))
-
-
-def equilibrium_countermodel(program: Program, wv: WorldView):
-    """A non-total h that models the program at all points, or None."""
-    for h in _h_maps(wv, wv.interps):
+def _countermodel(program: Program, wv: WorldView, free):
+    """A non-total h, total outside `free`, that models the program at all
+    points, or None."""
+    for h in _h_maps(wv, free):
         if all(h[i] == i for i in wv.interps):
             continue
         if all(_model_at_point(wv, h, i, program, total=False) for i in wv.interps):
@@ -142,19 +120,31 @@ def equilibrium_countermodel(program: Program, wv: WorldView):
     return None
 
 
+def equilibrium_countermodel(program: Program, wv: WorldView):
+    """A non-total h that models the program at all points, or None."""
+    return _countermodel(program, wv, wv.interps)
+
+
+def total_model_countermodels(
+    program: Program,
+    limits: SolverLimits = DEFAULT_LIMITS,
+) -> list[tuple[WorldView, dict | None]]:
+    """Every candidate world view that is a total EHT model, in enumeration
+    order, paired with its equilibrium countermodel (None for an equilibrium)."""
+    atoms = capped_atoms(program, limits.f15_max_atoms, "EHT")
+    return [
+        (wv, equilibrium_countermodel(program, wv))
+        for wv in candidate_world_views(atoms)
+        if all(_model_at_point(wv, None, i, program, total=True) for i in wv.interps)
+    ]
+
+
 def equilibrium_eht_models(
     program: Program,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
     """Total EHT models with no strictly smaller "here" model."""
-    _check_cap(program, limits)
-    found = []
-    for wv in _candidate_views(program):
-        if not all(_model_at_point(wv, None, i, program, total=True) for i in wv.interps):
-            continue
-        if equilibrium_countermodel(program, wv) is None:
-            found.append(wv)
-    return frozenset(found)
+    return frozenset(wv for wv, h in total_model_countermodels(program, limits) if h is None)
 
 
 def models_star(wv: WorldView, X, program: Program) -> bool:
@@ -170,28 +160,15 @@ def models_star(wv: WorldView, X, program: Program) -> bool:
         raise ValueError("X must be a subset of the world view")
     if not all(_model_at_point(wv, None, i, program, total=True) for i in X):
         return False
-    for h in _h_maps(wv, X):
-        if all(h[i] == i for i in wv.interps):
-            continue
-        if all(_model_at_point(wv, h, i, program, total=False) for i in wv.interps):
-            return False
-    return True
+    return _countermodel(program, wv, X) is None
 
 
-def f15_world_views(
-    program: Program,
-    limits: SolverLimits = DEFAULT_LIMITS,
-    comparison_domain: str = "global",
-) -> frozenset[WorldView]:
+def f15_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
     """Equilibrium models not dominated by a ⊃-larger or ≤-greater one."""
-    if comparison_domain not in ("global", "pair"):
-        raise ValueError(f"comparison_domain must be 'global' or 'pair', got {comparison_domain!r}")
     equilibria = sorted(equilibrium_eht_models(program, limits), key=str)
     if not equilibria:
         return frozenset()
-    global_domain = sorted(
-        {i for wv in equilibria for i in wv.interps}, key=interp_key
-    )
+    domain = sorted({i for wv in equilibria for i in wv.interps}, key=interp_key)
     star_cache: dict[tuple, bool] = {}
 
     def star(interps: frozenset, X: frozenset) -> bool:
@@ -200,28 +177,15 @@ def f15_world_views(
             star_cache[key] = models_star(WorldView(interps), X, program)
         return star_cache[key]
 
-    def less_equal(w1: WorldView, w2: WorldView, domain) -> bool:
+    def less_equal(w1: WorldView, w2: WorldView) -> bool:
         for i in domain:
             if star(w1.interps | {i}, w1.interps) and not star(w2.interps | {i}, w2.interps):
                 return False
         return True
 
-    surviving = []
-    for wv in equilibria:
-        dominated = False
-        for other in equilibria:
-            if other == wv:
-                continue
-            if wv.interps < other.interps:
-                dominated = True
-                break
-            if comparison_domain == "global":
-                domain = global_domain
-            else:
-                domain = sorted(wv.interps | other.interps, key=interp_key)
-            if less_equal(wv, other, domain) and not less_equal(other, wv, domain):
-                dominated = True
-                break
-        if not dominated:
-            surviving.append(wv)
-    return frozenset(surviving)
+    def dominates(other: WorldView, wv: WorldView) -> bool:
+        return wv.interps < other.interps or (less_equal(wv, other) and not less_equal(other, wv))
+
+    return frozenset(
+        wv for wv in equilibria if not any(dominates(o, wv) for o in equilibria if o != wv)
+    )

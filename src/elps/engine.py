@@ -1,13 +1,70 @@
-"""Single entry point mapping a semantics id to its world-view computation."""
+"""The semantics registry: for each semantics, its solver, its brute-force
+oracle, whether it satisfies epistemic splitting, and the random programs the
+property matrix samples for it.  No other module chooses these by semantics.
+
+Entries call the solvers through their modules' attributes at call time, so
+a function rebound on its module (for tracing, say) is the one that runs.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
+from . import eht, foundedness, semantics
 from .config import DEFAULT_LIMITS, SolverLimits
-from .eht import f15_world_views
-from .foundedness import c19_world_views
+from .generators import GeneratorShape
 from .modal import WorldView
-from .semantics import SemanticsId, s17_world_views, world_views
+from .semantics import SemanticsId
 from .syntax import Program
+
+Solver = Callable[[Program, SolverLimits], frozenset[WorldView]]
+
+
+@dataclass(frozen=True)
+class SemanticsEntry:
+    solve: Solver
+    oracle: Solver  # independent brute-force route the differential tests compare against
+    splitting: bool  # satisfies epistemic splitting (the source paper's table)
+    shape: GeneratorShape  # random programs the property matrix samples
+
+
+def _reduct_based(sem: SemanticsId, splitting: bool, shape: GeneratorShape) -> SemanticsEntry:
+    return SemanticsEntry(
+        solve=lambda p, limits: semantics.world_views(p, sem, limits),
+        oracle=lambda p, limits: semantics.brute_world_views(p, sem, limits),
+        splitting=splitting,
+        shape=shape,
+    )
+
+
+_M_SHAPE = GeneratorShape(n_atoms=4, max_rules=4, subjective_prob=0.45, m_prob=0.2)
+_K_SHAPE = GeneratorShape(n_atoms=4, max_rules=4, subjective_prob=0.45)  # K-only semantics
+
+REGISTRY: dict[SemanticsId, SemanticsEntry] = {
+    SemanticsId.G91: _reduct_based(SemanticsId.G91, splitting=True, shape=_M_SHAPE),
+    SemanticsId.G11: _reduct_based(SemanticsId.G11, splitting=False, shape=_K_SHAPE),
+    SemanticsId.K15: _reduct_based(SemanticsId.K15, splitting=False, shape=_K_SHAPE),
+    SemanticsId.S17: SemanticsEntry(
+        solve=lambda p, limits: semantics.s17_world_views(p, limits),
+        oracle=lambda p, limits: semantics.s17_brute_world_views(p, limits),
+        splitting=False,
+        shape=_K_SHAPE,
+    ),
+    # F15 is definitional enumeration already: its solver is its oracle
+    SemanticsId.F15: SemanticsEntry(
+        solve=lambda p, limits: eht.f15_world_views(p, limits),
+        oracle=lambda p, limits: eht.f15_world_views(p, limits),
+        splitting=False,
+        shape=GeneratorShape(n_atoms=3, max_rules=3, subjective_prob=0.45),  # the EHT atom cap
+    ),
+    SemanticsId.C19: SemanticsEntry(
+        solve=lambda p, limits: foundedness.c19_world_views(p, limits),
+        oracle=lambda p, limits: foundedness.c19_brute_world_views(p, limits),
+        splitting=True,
+        shape=_M_SHAPE,
+    ),
+}
 
 
 def compute_world_views(
@@ -15,12 +72,14 @@ def compute_world_views(
     semantics: SemanticsId,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
-    if semantics in (SemanticsId.G91, SemanticsId.G11, SemanticsId.K15):
-        return world_views(program, semantics, limits)
-    if semantics is SemanticsId.S17:
-        return s17_world_views(program, limits)
-    if semantics is SemanticsId.F15:
-        return f15_world_views(program, limits)
-    if semantics is SemanticsId.C19:
-        return c19_world_views(program, limits)
-    raise ValueError(f"unknown semantics {semantics!r}")
+    return REGISTRY[semantics].solve(program, limits)
+
+
+def brute_force_world_views(
+    program: Program,
+    semantics: SemanticsId,
+    limits: SolverLimits = DEFAULT_LIMITS,
+) -> frozenset[WorldView]:
+    """World views from the semantics' oracle: candidate world views checked
+    against the defining condition, with no guessing."""
+    return REGISTRY[semantics].oracle(program, limits)

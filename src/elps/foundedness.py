@@ -23,8 +23,8 @@ from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError
 from .modal import WorldView, modal_satisfies
 from .objective import Interpretation
-from .semantics import SemanticsId, world_views
-from .syntax import Atom, Program, Rule, atom_key
+from .semantics import SemanticsId, brute_world_views, world_views
+from .syntax import Atom, Program, Rule, capped_atoms, interp_key, subsets
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,7 @@ def has_justifying_rule(program: Program, wv: WorldView, pair: UnfoundedPair, Y)
 
 
 def _masks(program: Program, limits: SolverLimits):
-    atoms = sorted(program.atom_universe, key=atom_key)
-    if len(atoms) > limits.founded_max_atoms:
-        raise CapacityError(
-            f"{len(atoms)} atoms exceed the foundedness cap of {limits.founded_max_atoms}"
-        )
+    atoms = capped_atoms(program, limits.founded_max_atoms, "foundedness")
     index = {a: i for i, a in enumerate(atoms)}
 
     def mask(atom_set) -> int:
@@ -166,19 +162,15 @@ def is_founded_brute(
     an unfounded set iff their X-components cover Y exactly.
     "subsets": literal enumeration of candidate pair sets (tiny inputs only).
     """
-    atoms = sorted(program.atom_universe, key=atom_key)
-    if len(atoms) > limits.founded_max_atoms:
-        raise CapacityError(
-            f"{len(atoms)} atoms exceed the foundedness cap of {limits.founded_max_atoms}"
-        )
+    atoms = capped_atoms(program, limits.founded_max_atoms, "foundedness")
     eligible = [
         UnfoundedPair(x, interp)
         for interp in wv.sorted_interps
-        for x in _subsets(atoms)
-        if x and (x & interp)
+        for x in subsets(atoms)
+        if x & interp
     ]
     if method == "union":
-        for y in _subsets(atoms):
+        for y in subsets(atoms):
             if not y:
                 continue
             surviving = [
@@ -190,18 +182,14 @@ def is_founded_brute(
     if method == "subsets":
         if len(eligible) > 16:
             raise CapacityError(f"{len(eligible)} candidate pairs exceed the subset-search cap")
-        for mask in range(1, 1 << len(eligible)):
-            chosen = [eligible[i] for i in range(len(eligible)) if mask & (1 << i)]
+        for chosen in subsets(eligible):
+            if not chosen:
+                continue
             y = frozenset().union(*(p.X for p in chosen))
             if all(not has_justifying_rule(program, wv, p, y) for p in chosen):
                 return False
         return True
     raise ValueError(f"unknown method {method!r}")
-
-
-def _subsets(atoms):
-    for m in range(1 << len(atoms)):
-        yield frozenset(a for i, a in enumerate(atoms) if m & (1 << i))
 
 
 def c19_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
@@ -211,17 +199,22 @@ def c19_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> 
     )
 
 
+def c19_brute_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+    """Oracle for C19: brute-forced G91 views kept by the brute-force foundedness search."""
+    return frozenset(
+        wv
+        for wv in brute_world_views(program, SemanticsId.G91, limits)
+        if is_founded_brute(program, wv, limits)
+    )
+
+
 def unfounded_certificate(program: Program, wv: WorldView, limits: SolverLimits = DEFAULT_LIMITS):
     """JSON-friendly dump of the greatest unfounded set (the rejection witness)."""
     pairs = greatest_unfounded_set(program, wv, limits)
     return [
         {
-            "X": sorted(str(a) for a in p.X),
-            "I": sorted(str(a) for a in p.interp),
+            "X": list(interp_key(p.X)),
+            "I": list(interp_key(p.interp)),
         }
-        for p in sorted(pairs, key=lambda p: (tuple(sorted(map(str, p.X))), interp_sort(p.interp)))
+        for p in sorted(pairs, key=lambda p: (interp_key(p.X), interp_key(p.interp)))
     ]
-
-
-def interp_sort(interp):
-    return tuple(sorted(str(a) for a in interp))

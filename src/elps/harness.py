@@ -15,11 +15,10 @@ from importlib import resources
 from pathlib import Path
 
 from .config import DEFAULT_LIMITS, SolverLimits
-from .engine import compute_world_views
-from .errors import CapacityError, UnsupportedMLiteral
+from .engine import REGISTRY, compute_world_views
+from .errors import CapacityError, NotObjectiveError, UnsupportedMLiteral
 from .foundedness import is_founded
 from .generators import (
-    GeneratorShape,
     random_epistemic_program,
     random_objective_program,
     random_subjective_constraint,
@@ -246,6 +245,7 @@ class PropertyMatrix:
     foundness: dict  # semantics value -> MatrixCell
     seed: int
     count: int
+    fixtures: list[FixtureResult] = field(default_factory=list)  # the replayed expectations
 
     def cell(self, prop: str, semantics: SemanticsId) -> MatrixCell:
         return self.cells[(prop, semantics.value)]
@@ -292,16 +292,6 @@ class PropertyMatrix:
         return "\n".join(lines)
 
 
-def _semantics_shape(semantics: SemanticsId, limits: SolverLimits) -> GeneratorShape:
-    if semantics is SemanticsId.F15:
-        return GeneratorShape(
-            n_atoms=min(3, limits.f15_max_atoms), max_rules=3, subjective_prob=0.45
-        )
-    if semantics in (SemanticsId.G91, SemanticsId.C19):
-        return GeneratorShape(n_atoms=4, max_rules=4, subjective_prob=0.45, m_prob=0.2)
-    return GeneratorShape(n_atoms=4, max_rules=4, subjective_prob=0.45)  # K-only
-
-
 def _checked_world_views(program, semantics, limits):
     try:
         return compute_world_views(program, semantics, limits)
@@ -326,7 +316,8 @@ def _supra_s5_report(program: Program, semantics: SemanticsId, limits, seed=None
 
 
 def _supra_asp_report(program: Program, semantics: SemanticsId, limits, seed=None):
-    assert is_objective(program)
+    if not is_objective(program):
+        raise NotObjectiveError(f"supra-ASP needs an objective program, got {program}")
     wvs = _checked_world_views(program, semantics, limits)
     if wvs is None:
         return None
@@ -356,13 +347,13 @@ def build_property_matrix(
     corpus_dir: Path | None = None,
 ) -> PropertyMatrix:
     """Fixture expectations first, then `count` random programs per cell."""
-    require_fixtures(limits, corpus_dir)
+    fixtures = require_fixtures(limits, corpus_dir)
     corpus = {case.name: load_fixture(case.name, corpus_dir) for case in FIXTURE_CASES}
     cells = {(prop, s.value): MatrixCell() for prop in PROPERTY_ROWS for s in SEMANTICS_COLUMNS}
     foundness = {s.value: MatrixCell() for s in SEMANTICS_COLUMNS}
 
     for semantics in semantics_list:
-        shape = _semantics_shape(semantics, limits)
+        shape = REGISTRY[semantics].shape
         rng = random.Random((seed, semantics.value).__repr__())
 
         # --- supra-S5
@@ -445,4 +436,4 @@ def build_property_matrix(
         cell.finish()
     for cell in foundness.values():
         cell.finish()
-    return PropertyMatrix(cells, foundness, seed, count)
+    return PropertyMatrix(cells, foundness, seed, count, fixtures)

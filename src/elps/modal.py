@@ -20,6 +20,7 @@ from .syntax import (
     Rule,
     SubjLit,
     interp_key,
+    subsets,
 )
 
 
@@ -58,6 +59,13 @@ class WorldView:
 
 def wv_key(wv: WorldView) -> tuple:
     return tuple(interp_key(i) for i in wv.sorted_interps)
+
+
+def candidate_world_views(atoms) -> Iterator[WorldView]:
+    """Every world view over `atoms`: the non-empty sets of their subsets."""
+    for interps in subsets(list(subsets(atoms))):
+        if interps:
+            yield WorldView(interps)
 
 
 def world_views_to_json(wvs: Iterable[WorldView]) -> list[list[list[str]]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, SolverLimits
-from .errors import CapacityError, NotASplittingSet, NotObjectiveError
+from .errors import NotASplittingSet, NotObjectiveError
 from .syntax import (
     BOT,
     TOP,
@@ -22,9 +22,10 @@ from .syntax import (
     Program,
     Rule,
     SubjLit,
-    atom_key,
     atoms_of,
+    capped_atoms,
     const_truth,
+    subsets,
 )
 
 Interpretation = frozenset  # of Atom
@@ -103,11 +104,7 @@ def _compile(program: Program, index: dict[Atom, int]):
 
 def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:
     """All ⊆-minimal models I of the reduct w.r.t. I, over the atom universe."""
-    atoms = sorted(program.atom_universe, key=atom_key)
-    if len(atoms) > limits.max_atoms:
-        raise CapacityError(
-            f"{len(atoms)} atoms exceed the exhaustive-search cap of {limits.max_atoms}"
-        )
+    atoms = capped_atoms(program, limits.max_atoms, "exhaustive-search")
     index = {a: i for i, a in enumerate(atoms)}
     compiled = _compile(program, index)
     models = []
@@ -137,16 +134,12 @@ def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> fr
 
 def stable_models_ref(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:
     """Independent oracle path: minimal models taken over all subsets."""
-    atoms = sorted(program.atom_universe, key=atom_key)
-    if len(atoms) > limits.max_atoms:
-        raise CapacityError(
-            f"{len(atoms)} atoms exceed the exhaustive-search cap of {limits.max_atoms}"
-        )
-    subsets = [frozenset(a for i, a in enumerate(atoms) if m & (1 << i)) for m in range(1 << len(atoms))]
+    atoms = capped_atoms(program, limits.max_atoms, "exhaustive-search")
+    interps = list(subsets(atoms))
     result = []
-    for candidate in subsets:
+    for candidate in interps:
         reduct = objective_reduct(program, candidate)
-        all_models = [i for i in subsets if classical_satisfies(i, reduct)]
+        all_models = [i for i in interps if classical_satisfies(i, reduct)]
         minimal = [i for i in all_models if not any(j < i for j in all_models)]
         if candidate in minimal:
             result.append(candidate)

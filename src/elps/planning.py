@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .engine import compute_world_views
+from .errors import ElpError
 from .modal import WorldView
 from .semantics import SemanticsId
 from .syntax import Atom, ObjLit, Program, Rule, SubjLit
-
-SPLITTING_SEMANTICS = (SemanticsId.G91, SemanticsId.C19)
 
 
 def goal_constraint(goal: Atom) -> Rule:
@@ -80,5 +79,6 @@ def plan_of_world_view(wv: WorldView, actions) -> frozenset[Atom]:
     """Action atoms known in the world view (identical across belief sets)."""
     actions = frozenset(actions)
     plans = {frozenset(i & actions) for i in wv.interps}
-    assert len(plans) == 1, "actions differ across belief sets of one world view"
+    if len(plans) != 1:
+        raise ElpError(f"actions differ across the belief sets of the world view {wv}")
     return next(iter(plans))

@@ -1,5 +1,5 @@
-"""World views for the reduct-based semantics G91, G11 and K15, the
-selection-based S17, and a brute-force oracle for all of them.
+"""World views for the reduct-based semantics G91, G11 and K15 and the
+selection-based S17, each with a brute-force oracle.
 
 The fast path guesses a truth value for every distinct subjective-literal
 core, builds the corresponding reduct, and accepts the stable-model set iff
@@ -8,8 +8,8 @@ the reducts only depend on whether the candidate world view satisfies each
 core.  Verification always re-evaluates every core against the computed
 world view; the K-implies-M pruning is an optimisation on top.
 
-The brute-force oracle enumerates candidate world views directly against the
-defining fixpoint (no guessing) and is the provenance source for the
+The brute-force oracles enumerate candidate world views directly against the
+defining fixpoint (no guessing) and are the provenance source for the
 randomized differential tests.
 """
 
@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError, UnsupportedMLiteral
-from .modal import WorldView, modal_satisfies, subjective_reduct
+from .modal import WorldView, candidate_world_views, modal_satisfies, subjective_reduct
 from .objective import stable_models
 from .syntax import (
     BOT,
@@ -29,7 +29,7 @@ from .syntax import (
     Program,
     Rule,
     SubjLit,
-    atom_key,
+    capped_atoms,
     default_negate,
 )
 
@@ -147,69 +147,42 @@ def world_views(
     return frozenset(accepted)
 
 
-def _epistemic_negation_set(program: Program) -> frozenset[SubjLit]:
-    return frozenset(SubjLit("K", core.inner, neg=True) for core in subjective_cores(program))
-
-
-def _phi(wv: WorldView, e_pi: frozenset[SubjLit]) -> frozenset[SubjLit]:
-    return frozenset(l for l in e_pi if modal_satisfies(wv, frozenset(), l))
+def _maximal_epistemic_negation(program: Program, base: frozenset[WorldView]) -> frozenset[WorldView]:
+    """The S17 selection: the views of `base` whose set of satisfied epistemic
+    negations `not K l` (one per subjective core) is ⊆-maximal."""
+    e_pi = [SubjLit("K", core.inner, neg=True) for core in subjective_cores(program)]
+    phis = {wv: frozenset(l for l in e_pi if modal_satisfies(wv, frozenset(), l)) for wv in base}
+    return frozenset(wv for wv in base if not any(phis[other] > phis[wv] for other in base))
 
 
 def s17_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
     """K15 world views whose satisfied epistemic-negation set is ⊆-maximal."""
     require_m_free(program, SemanticsId.S17)
-    base = world_views(program, SemanticsId.K15, limits)
-    e_pi = _epistemic_negation_set(program)
-    phis = {wv: _phi(wv, e_pi) for wv in base}
-    return frozenset(wv for wv in base if not any(phis[other] > phis[wv] for other in base))
+    return _maximal_epistemic_negation(program, world_views(program, SemanticsId.K15, limits))
 
 
-def _candidate_world_views(program: Program, limits: SolverLimits):
-    atoms = sorted(program.atom_universe, key=atom_key)
-    if len(atoms) > limits.brute_max_atoms:
-        raise CapacityError(
-            f"{len(atoms)} atoms exceed the brute-force cap of {limits.brute_max_atoms}"
-        )
-    interps = [
-        frozenset(a for i, a in enumerate(atoms) if m & (1 << i)) for m in range(1 << len(atoms))
-    ]
-    for mask in range(1, 1 << len(interps)):
-        yield WorldView.of(interps[i] for i in range(len(interps)) if mask & (1 << i))
-
-
-def brute_force_world_views(
+def brute_world_views(
     program: Program,
     semantics: SemanticsId,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
-    """Enumerate every non-empty candidate world view against the defining
-    condition, with no guessing.  Selection-based semantics filter the
-    brute-forced base sets."""
-    if semantics is SemanticsId.G91:
-        found = set()
-        for wv in _candidate_world_views(program, limits):
-            if stable_models(subjective_reduct(program, wv), limits) == wv.interps:
-                found.add(wv)
-        return frozenset(found)
-    if semantics in (SemanticsId.G11, SemanticsId.K15):
+    """Oracle for G91/G11/K15: every non-empty candidate world view checked
+    against the defining fixpoint, with no guessing.  G91 takes the subjective
+    reduct of the candidate, G11/K15 their reduct under its core values."""
+    if semantics is not SemanticsId.G91:
         require_m_free(program, semantics)
-        found = set()
-        for wv in _candidate_world_views(program, limits):
+    atoms = capped_atoms(program, limits.brute_max_atoms, "brute-force")
+    found = set()
+    for wv in candidate_world_views(atoms):
+        if semantics is SemanticsId.G91:
+            reduct = subjective_reduct(program, wv)
+        else:
             reduct = semantics_reduct(program, evaluate_cores(program, wv), semantics)
-            if stable_models(reduct, limits) == wv.interps:
-                found.add(wv)
-        return frozenset(found)
-    if semantics is SemanticsId.S17:
-        base = brute_force_world_views(program, SemanticsId.K15, limits)
-        e_pi = _epistemic_negation_set(program)
-        phis = {wv: _phi(wv, e_pi) for wv in base}
-        return frozenset(wv for wv in base if not any(phis[o] > phis[wv] for o in base))
-    if semantics is SemanticsId.C19:
-        from .foundedness import is_founded_brute
+        if stable_models(reduct, limits) == wv.interps:
+            found.add(wv)
+    return frozenset(found)
 
-        base = brute_force_world_views(program, SemanticsId.G91, limits)
-        return frozenset(wv for wv in base if is_founded_brute(program, wv, limits))
-    # F15 is definitional enumeration already; there is no second route
-    from .eht import f15_world_views
 
-    return f15_world_views(program, limits)
+def s17_brute_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+    """Oracle for S17: the maximality selection over the brute-forced K15 views."""
+    return _maximal_epistemic_negation(program, brute_world_views(program, SemanticsId.K15, limits))

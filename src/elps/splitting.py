@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .engine import compute_world_views
-from .errors import CapacityError, NotAnEpistemicSplittingSet, NotStratified
+from .errors import ElpError, NotAnEpistemicSplittingSet, NotObjectiveError, NotStratified
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
 from .objective import stable_models
 from .semantics import SemanticsId
-from .syntax import Atom, Program, Rule, atom_key, atoms_of, is_objective
+from .syntax import Atom, Program, Rule, atom_key, atoms_of, capped_atoms, is_objective, subsets
 
 
 def dep_relation(program: Program) -> frozenset[tuple[Atom, Atom]]:
@@ -112,14 +112,11 @@ def enumerate_epistemic_splitting_sets(
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[frozenset[Atom]]:
     """All proper non-empty U that split the program."""
-    atoms = sorted(program.atom_universe, key=atom_key)
-    if len(atoms) > limits.split_enum_max_atoms:
-        raise CapacityError(
-            f"{len(atoms)} atoms exceed the split-enumeration cap of {limits.split_enum_max_atoms}"
-        )
+    atoms = capped_atoms(program, limits.split_enum_max_atoms, "split-enumeration")
     found = []
-    for mask in range(1, (1 << len(atoms)) - 1):
-        U = frozenset(a for i, a in enumerate(atoms) if mask & (1 << i))
+    for U in subsets(atoms):
+        if not U or len(U) == len(atoms):
+            continue
         try:
             epistemic_split(program, U)
         except NotAnEpistemicSplittingSet:
@@ -321,7 +318,7 @@ def layered_world_view(
 ) -> WorldView | None:
     """Bottom-up evaluation of a stratified program, one objective layer at a
     time; None when some layer has no stable model.  With check=True the
-    result is asserted against the direct computation."""
+    result is checked against the direct computation (ElpError if they differ)."""
     strat = stratify(program)
     values = sorted(set(strat.layers.values()))
     layer_index = {v: i for i, v in enumerate(values)}
@@ -331,7 +328,8 @@ def layered_world_view(
         nonsub = _nonsubjective_atoms(rule)
         if nonsub:
             indices = {layer_index[strat.layers[a]] for a in nonsub}
-            assert len(indices) == 1, f"rule {rule} spans layers {indices}"
+            if len(indices) != 1:
+                raise NotStratified(f"rule {rule} spans layers {sorted(indices)}", witness=rule)
             return indices.pop()
         sub_atoms = atoms_of(rule)
         if not sub_atoms:
@@ -357,7 +355,8 @@ def layered_world_view(
             simplified = layer_program
         else:
             simplified = subjective_reduct(layer_program, result, frozenset(settled))
-        assert is_objective(simplified), f"layer {i} is not objective after simplification"
+        if not is_objective(simplified):
+            raise NotObjectiveError(f"layer {i} is not objective after simplification")
         models = stable_models(simplified, limits)
         if not models:
             result = None
@@ -369,8 +368,9 @@ def layered_world_view(
     if check:
         direct = compute_world_views(program, semantics, limits)
         expected = frozenset() if result is None else frozenset([result])
-        assert direct == expected, (
-            f"layered evaluation disagrees with {semantics}: "
-            f"layered={world_views_to_json(expected)} direct={world_views_to_json(direct)}"
-        )
+        if direct != expected:
+            raise ElpError(
+                f"layered evaluation disagrees with {semantics}: "
+                f"layered={world_views_to_json(expected)} direct={world_views_to_json(direct)}"
+            )
     return result

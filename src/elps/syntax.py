@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Union
 
-from .errors import GroundingError, ParseError
+from .errors import CapacityError, GroundingError, ParseError
 
 
 class TruthConst(enum.Enum):
@@ -224,6 +224,22 @@ def atom_key(a: Atom) -> str:
 
 def interp_key(interp: frozenset[Atom]) -> tuple[str, ...]:
     return tuple(sorted(str(a) for a in interp))
+
+
+def capped_atoms(program: Program, cap: int, search: str) -> list[Atom]:
+    """The program's atoms in canonical order; CapacityError past the cap."""
+    atoms = sorted(program.atom_universe, key=atom_key)
+    if len(atoms) > cap:
+        raise CapacityError(f"{len(atoms)} atoms exceed the {search} cap of {cap}")
+    return atoms
+
+
+def subsets(items: Iterable) -> Iterator[frozenset]:
+    """Every subset of `items`, in binary-counter order over their sequence
+    (the empty set first, the full set last)."""
+    items = tuple(items)
+    for mask in range(1 << len(items)):
+        yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
 
 
 def is_objective(construct) -> bool:

@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from elps.engine import compute_world_views
+from elps.engine import REGISTRY, brute_force_world_views, compute_world_views
 from elps.eht import equilibrium_eht_models, f15_world_views
 from elps.errors import NotASplittingSet
 from elps.foundedness import (
@@ -30,7 +30,6 @@ from elps.objective import objective_solutions, stable_models
 from elps.planning import generate_conformant_world_views, is_conformant_plan
 from elps.semantics import (
     SemanticsId,
-    brute_force_world_views,
     s17_world_views,
     world_views,
 )
@@ -226,6 +225,10 @@ def test_criterion_10_property_matrix():
                     assert cell.violations and all(
                         v.witness() is not None for v in cell.violations
                     )
+        # the registry's splitting claims are the row this matrix reproduces
+        assert set(REGISTRY) == set(SemanticsId)
+        claimed = [REGISTRY[s].splitting for s in SEMANTICS_COLUMNS]
+        assert claimed == [v == "holds" for v in expected["epistemic_splitting"]]
 
 
 def test_criterion_11_conformant_planning(corpus):

@@ -144,14 +144,6 @@ def test_f15_simple_programs():
     assert f15_world_views(pi4) == {wv_of("a", "b")}
 
 
-def test_f15_comparison_domain_flag():
-    for program in (parse_program("a | b."), parse_program("a | b. :- not K a.")):
-        default = f15_world_views(program)
-        assert f15_world_views(program, comparison_domain="pair") == default
-    with pytest.raises(ValueError):
-        f15_world_views(parse_program("a."), comparison_domain="bogus")
-
-
 def test_f15_capacity():
     program = parse_program("a :- b, c, d.")
     with pytest.raises(CapacityError):

@@ -1,4 +1,7 @@
+import pytest
+
 from elps.engine import compute_world_views
+from elps.errors import ElpError
 from elps.modal import WorldView
 from elps.planning import (
     choice_rules,
@@ -67,6 +70,11 @@ def test_generate_define_test_surviving_world_view(corpus):
     assert surviving == {W0_PRIME}
     (wv,) = surviving
     assert plan_of_world_view(wv, [T1, T2]) == frozenset([T1])
+
+
+def test_plan_of_world_view_rejects_actions_that_differ_across_belief_sets():
+    with pytest.raises(ElpError, match="actions differ"):
+        plan_of_world_view(wv_of("toggle(l1) light", "toggle(l2)"), [T1, T2])
 
 
 def test_generate_define_test_under_c19(corpus):

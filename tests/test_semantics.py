@@ -3,14 +3,13 @@ import random
 import pytest
 
 from elps.config import SolverLimits
-from elps.engine import compute_world_views
+from elps.engine import brute_force_world_views, compute_world_views
 from elps.errors import CapacityError, UnsupportedMLiteral
 from elps.generators import GeneratorShape, random_epistemic_program, random_objective_program
 from elps.modal import WorldView, is_s5_model, world_views_to_json
 from elps.objective import stable_models
 from elps.semantics import (
     SemanticsId,
-    brute_force_world_views,
     s17_world_views,
     semantics_reduct,
     subjective_cores,
