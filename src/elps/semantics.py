@@ -98,9 +98,8 @@ def semantics_reduct(program: Program, guess: ModalGuess, semantics: SemanticsId
                 # false K l becomes ⊥ everywhere, also under `not`
                 body.append(ObjLit(BOT, 1 if lit.neg else 0))
             elif semantics is SemanticsId.G11:
-                if not lit.neg:
-                    body.append(lit.inner)
-                # a remaining `not K l` occurrence is removed from the body
+                # a true K l becomes l; `not K l` is then unsatisfied, so its rule goes
+                body.append(ObjLit(BOT) if lit.neg else lit.inner)
             else:  # K15: remaining K l becomes l, an outer `not` keeps wrapping
                 body.append(default_negate(lit.inner) if lit.neg else lit.inner)
         rules.append(Rule(rule.head, tuple(body)))

@@ -50,14 +50,18 @@ def test_g11_reduct_examples():
 
 
 def test_g11_removes_true_negated_k():
-    from elps.syntax import Rule
-
     program = parse_program(":- not K a. b :- not K a.")
     core = subjective_cores(program)[0]
     reduct = semantics_reduct(program, {core: True}, SemanticsId.G11)
-    # the whole literal disappears, leaving an empty (always-true) body
-    assert set(reduct.rules) == {Rule(frozenset(), ()), parse_rule("b.")}
-    assert stable_models(reduct) == frozenset()
+    # `not K a` is unsatisfied when K a is true: each rule gets a ⊥ body
+    assert set(reduct.rules) == {parse_rule(":- ⊥."), parse_rule("b :- ⊥.")}
+    assert stable_models(reduct) == {frozenset()}
+
+
+def test_g11_constraint_on_true_k_is_satisfied():
+    program = parse_program("d. :- K d, not K d.")
+    assert compute_world_views(program, SemanticsId.G11) == {wv_of("d")}
+    assert brute_force_world_views(program, SemanticsId.G11) == {wv_of("d")}
 
 
 def test_k15_reduct_keeps_outer_negation():
