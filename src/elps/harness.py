@@ -245,7 +245,7 @@ class PropertyMatrix:
     foundness: dict  # semantics value -> MatrixCell
     seed: int
     count: int
-    fixtures: list[FixtureResult] = field(default_factory=list)  # the replayed expectations
+    fixtures: list[FixtureResult]  # the fixture expectations replayed before sampling
 
     def cell(self, prop: str, semantics: SemanticsId) -> MatrixCell:
         return self.cells[(prop, semantics.value)]
