@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import resolve_limits
 from .eht import total_model_countermodels
 from .engine import REGISTRY, compute_world_views
-from .errors import ElpError
+from .errors import CapacityError, ElpError
 from .foundedness import is_founded, unfounded_certificate
 from .harness import FixtureMismatch, build_property_matrix
 from .modal import world_views_to_json, wv_key
@@ -46,6 +46,28 @@ def _parse_atom_set(text: str):
     return frozenset(parse_atom(part.strip()) for part in text.split(",") if part.strip())
 
 
+def _eht_traces(candidates) -> list[dict]:
+    """Equilibria first (sorted), then the candidates rejected by a smaller
+    "here" model, with the countermodel, in enumeration order."""
+    traces = [
+        {"world_view": wv.as_lists(), "equilibrium": True}
+        for wv in sorted((wv for wv, h in candidates if h is None), key=wv_key)
+    ]
+    for wv, h in candidates:
+        if h is not None:
+            traces.append(
+                {
+                    "world_view": wv.as_lists(),
+                    "equilibrium": False,
+                    "countermodel": {
+                        "[" + ",".join(interp_key(i)) + "]": list(interp_key(here))
+                        for i, here in sorted(h.items(), key=lambda kv: interp_key(kv[0]))
+                    },
+                }
+            )
+    return traces
+
+
 def cmd_solve(args) -> int:
     limits = resolve_limits(args.max_atoms)
     semantics = SemanticsId.from_string(args.semantics)
@@ -65,25 +87,15 @@ def cmd_solve(args) -> int:
                 )
         payload["unfounded_certificates"] = certificates
     if args.trace_eht:
-        candidates = total_model_countermodels(program, limits)
-        traces = [
-            {"world_view": wv.as_lists(), "equilibrium": True}
-            for wv in sorted((wv for wv, h in candidates if h is None), key=wv_key)
-        ]
-        # candidates rejected by a smaller "here" model, with the countermodel
-        for wv, h in candidates:
-            if h is not None:
-                traces.append(
-                    {
-                        "world_view": wv.as_lists(),
-                        "equilibrium": False,
-                        "countermodel": {
-                            "[" + ",".join(interp_key(i)) + "]": list(interp_key(here))
-                            for i, here in sorted(h.items(), key=lambda kv: interp_key(kv[0]))
-                        },
-                    }
-                )
-        payload["eht_traces"] = traces
+        try:
+            candidates = total_model_countermodels(program, limits)
+        except CapacityError as exc:
+            # the world views above stand; only the trace is out of reach
+            print(f"eht trace skipped: {exc}", file=sys.stderr)
+            payload["eht_traces"] = None
+            payload["eht_trace_skipped"] = str(exc)
+        else:
+            payload["eht_traces"] = _eht_traces(candidates)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -95,7 +107,7 @@ def cmd_solve(args) -> int:
                 for pair in cert["pairs"]:
                     print(f"  X={pair['X']} I={pair['I']}")
         if args.trace_eht:
-            for trace in payload.get("eht_traces", []):
+            for trace in payload["eht_traces"] or []:
                 if trace["equilibrium"]:
                     print(f"equilibrium: {trace['world_view']}")
                 else:

@@ -9,11 +9,22 @@ world views are the equilibrium models that survive the ⊂ / ≤ comparison.
 
 The ordering ≤ quantifies over interpretations that belong to *some*
 equilibrium model.
+
+Countermodels (`equilibrium_countermodel`, and `models_star` with X ⊊ wv)
+are found by a depth-first search over the free points in `interp_key`
+order, trying each point's "here" values in `subsets` order, so the first
+one found is the first of the full product of those choices.  A point not
+yet decided reads as ∅, and a branch is dropped as soon as a rule fails at a
+decided point.  That is sound because a rule body is monotone in h: atoms
+and K/M over a positive inner literal read "here" values, while negated
+literals, `not K`/`not M` and K/M over a negated inner literal read the
+total "there" valuation.  A body true with ∅ at the undecided points stays
+true however they are decided, and the head at a decided point is fixed, so
+no completion of the branch repairs the rule.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Mapping
 
 from .config import DEFAULT_LIMITS, SolverLimits
@@ -94,30 +105,32 @@ def is_eht_model(eht: EHTInterpretation, program: Program) -> bool:
     return all(_model_at_point(eht.wv, eht.h, i, program, total=False) for i in eht.wv.interps)
 
 
-def _h_maps(wv: WorldView, free: Iterable[Interpretation]):
-    """All h maps that are total outside `free`; yields plain dicts.
-
-    Enumeration order is canonical so that the first countermodel found is
-    identical across runs.
-    """
-    free = sorted(free, key=interp_key)
-    fixed = {i: i for i in wv.interps if i not in free}
-    choice_lists = [list(subsets(sorted(i, key=atom_key))) for i in free]
-    for choices in product(*choice_lists):
-        h = dict(fixed)
-        h.update(zip(free, choices))
-        yield h
-
-
 def _countermodel(program: Program, wv: WorldView, free):
-    """A non-total h, total outside `free`, that models the program at all
-    points, or None."""
-    for h in _h_maps(wv, free):
-        if all(h[i] == i for i in wv.interps):
-            continue
-        if all(_model_at_point(wv, h, i, program, total=False) for i in wv.interps):
-            return h
-    return None
+    """The first non-total h, total outside `free`, that models the program at
+    all points, or None; the pruned search of the module docstring."""
+    free = sorted(free, key=interp_key)
+    h = {i: i for i in wv.interps if i not in free}
+    fixed = list(h)
+    h.update((i, frozenset()) for i in free)
+    # rules whose truth at one point can change with h at another point
+    modal = [r for r in program.rules if any(isinstance(l, SubjLit) and not l.neg for l in r.body)]
+
+    def holds(points, rules) -> bool:
+        return all(_rule_at_point(wv, h, p, r, total=False) for p in points for r in rules)
+
+    def search(k: int, non_total: bool) -> bool:
+        if k == len(free):
+            return non_total
+        point, decided = free[k], fixed + free[:k]
+        for here in subsets(sorted(point, key=atom_key)):
+            h[point] = here
+            if holds((point,), program.rules) and holds(decided, modal):
+                if search(k + 1, non_total or here != point):
+                    return True
+        h[point] = frozenset()
+        return False
+
+    return dict(h) if holds(fixed, program.rules) and search(0, False) else None
 
 
 def equilibrium_countermodel(program: Program, wv: WorldView):

@@ -64,14 +64,17 @@ def subjective_cores(program: Program) -> tuple[SubjLit, ...]:
     return tuple(sorted(cores, key=str))
 
 
+def _m_literal_error(lit: SubjLit, semantics: SemanticsId) -> UnsupportedMLiteral:
+    return UnsupportedMLiteral(
+        f"{semantics} is defined for K-literals only; found {lit} (rewrite with eliminate_m first)"
+    )
+
+
 def require_m_free(program: Program, semantics: SemanticsId):
     for rule in program.rules:
         for lit in rule.body_sub:
             if lit.modality == "M":
-                raise UnsupportedMLiteral(
-                    f"{semantics} is defined for K-literals only; found {lit} "
-                    f"(rewrite with eliminate_m first)"
-                )
+                raise _m_literal_error(lit, semantics)
 
 
 def evaluate_cores(program: Program, wv: WorldView) -> dict[SubjLit, bool]:
@@ -79,11 +82,15 @@ def evaluate_cores(program: Program, wv: WorldView) -> dict[SubjLit, bool]:
 
 
 def semantics_reduct(program: Program, guess: ModalGuess, semantics: SemanticsId) -> Program:
-    """Reduct of the program under a guessed truth value per subjective core."""
+    """Reduct of the program under a guessed truth value per subjective core.
+
+    Under G11 and K15 an M literal raises UnsupportedMLiteral when this pass
+    reaches it; a separate scan of the program would be repeated for every
+    guess of `world_views`.
+    """
     if semantics not in _REDUCT_SEMANTICS:
         raise ValueError(f"no reduct is defined for {semantics}")
-    if semantics is not SemanticsId.G91:
-        require_m_free(program, semantics)
+    g91 = semantics is SemanticsId.G91
     rules = []
     for rule in program.rules:
         body = []
@@ -91,8 +98,10 @@ def semantics_reduct(program: Program, guess: ModalGuess, semantics: SemanticsId
             if not isinstance(lit, SubjLit):
                 body.append(lit)
                 continue
+            if not g91 and lit.modality == "M":
+                raise _m_literal_error(lit, semantics)
             value = guess[lit.core()]
-            if semantics is SemanticsId.G91:
+            if g91:
                 body.append(ObjLit(TOP if value else BOT, 1 if lit.neg else 0))
             elif not value:
                 # false K l becomes ⊥ everywhere, also under `not`

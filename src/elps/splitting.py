@@ -22,7 +22,7 @@ from .errors import ElpError, NotAnEpistemicSplittingSet, NotObjectiveError, Not
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
 from .objective import stable_models
 from .semantics import SemanticsId
-from .syntax import Atom, Program, Rule, atom_key, atoms_of, capped_atoms, is_objective, subsets
+from .syntax import Atom, Program, Rule, atom_key, atoms_of, capped_atoms, is_objective
 
 
 def dep_relation(program: Program) -> frozenset[tuple[Atom, Atom]]:
@@ -111,18 +111,25 @@ def enumerate_epistemic_splitting_sets(
     program: Program,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[frozenset[Atom]]:
-    """All proper non-empty U that split the program."""
+    """All proper non-empty U that split the program.
+
+    Each rule is compiled once to two atom bitmasks, its atoms and its
+    objective atoms (head and objective body); U splits iff every rule has
+    all its atoms in U or no objective atom in U (the test of
+    `epistemic_split`).
+    """
     atoms = capped_atoms(program, limits.split_enum_max_atoms, "split-enumeration")
-    found = []
-    for U in subsets(atoms):
-        if not U or len(U) == len(atoms):
-            continue
-        try:
-            epistemic_split(program, U)
-        except NotAnEpistemicSplittingSet:
-            continue
-        found.append(U)
-    return frozenset(found)
+    bit = {a: 1 << k for k, a in enumerate(atoms)}
+
+    def mask(xs) -> int:
+        return sum(bit[a] for a in xs)
+
+    rules = {(mask(atoms_of(r)), mask(atoms_of(r.body_obj) | r.head)) for r in program.rules}
+    return frozenset(
+        frozenset(a for a in atoms if bit[a] & u)
+        for u in range(1, (1 << len(atoms)) - 1)
+        if all(not (every & ~u) or not (objective & u) for every, objective in rules)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,52 @@ def test_trace_eht(capsys, fx):
     rejected = [t for t in payload["eht_traces"] if not t["equilibrium"]]
     assert any(t["world_view"] == [["a", "b"]] for t in rejected)
     assert all("countermodel" in t for t in rejected)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        (
+            f"solve_{name}_f15_trace_eht.json",
+            ["solve", f"{name}.elp", "--semantics", "f15", "--trace-eht", "--json"],
+        )
+        for name in ("ab", "ka", "ce1a")
+    ]
+    + [("split_college_enumerate.json", ["split", "college.elp", "--enumerate-splits", "--json"])],
+)
+def test_cli_output_matches_golden(capsys, monkeypatch, corpus_dir, golden, argv):
+    # run from the corpus directory so the "file" field is the bare name
+    monkeypatch.chdir(corpus_dir)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_trace_eht_over_the_cap_still_solves(capsys, fx):
+    code, out, err = run(capsys, "solve", fx("pi1"), "--trace-eht")
+    assert code == 0
+    assert out.strip() == "[[a,d],[b,c],[b,d]]"
+    assert err == "eht trace skipped: 4 atoms exceed the EHT cap of 3\n"
+
+
+def test_trace_eht_over_the_cap_json(capsys, fx):
+    code, out, err = run(capsys, "solve", fx("pi1"), "--trace-eht", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["world_views"] == [[["a", "d"], ["b", "c"], ["b", "d"]]]
+    assert payload["eht_traces"] is None
+    assert payload["eht_trace_skipped"] == "4 atoms exceed the EHT cap of 3"
+    assert err == "eht trace skipped: 4 atoms exceed the EHT cap of 3\n"
+
+
+def test_trace_eht_over_the_cap_f15_refuses(capsys, fx):
+    code, out, err = run(capsys, "solve", fx("pi1"), "--semantics", "f15", "--trace-eht")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 4 atoms exceed the EHT cap of 3\n"
 
 
 def test_split_college_match(capsys, fx):

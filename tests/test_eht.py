@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from elps.config import SolverLimits
 from elps.eht import (
     EHTInterpretation,
+    _countermodel,
     eht_satisfies,
     equilibrium_countermodel,
     equilibrium_eht_models,
@@ -15,7 +17,17 @@ from elps.eht import (
 from elps.errors import CapacityError
 from elps.generators import GeneratorShape, random_epistemic_program
 from elps.modal import WorldView, is_s5_model, modal_satisfies
-from elps.syntax import Atom, ObjLit, SubjLit, parse_atom, parse_program, parse_rule
+from elps.syntax import (
+    Atom,
+    ObjLit,
+    SubjLit,
+    atom_key,
+    interp_key,
+    parse_atom,
+    parse_program,
+    parse_rule,
+    subsets,
+)
 
 A, B = Atom("a"), Atom("b")
 
@@ -161,3 +173,46 @@ def test_supra_chain_randomized():
         assert selected <= equilibria
         for wv in equilibria:
             assert is_s5_model(wv, program), str(program)
+
+
+def _h_maps_ref(wv, free):
+    """Reference: every h total outside `free`, as the product of each free
+    point's subsets (points by interp_key, subsets in `subsets` order)."""
+    free = sorted(free, key=interp_key)
+    fixed = {i: i for i in wv.interps if i not in free}
+    choice_lists = [list(subsets(sorted(i, key=atom_key))) for i in free]
+    for choices in product(*choice_lists):
+        h = dict(fixed)
+        h.update(zip(free, choices))
+        yield h
+
+
+def _countermodel_ref(program, wv, free):
+    """Reference: the first non-total model in the full product walk."""
+    for h in _h_maps_ref(wv, free):
+        if all(h[i] == i for i in wv.interps):
+            continue
+        if is_eht_model(EHTInterpretation(wv, h), program):
+            return h
+    return None
+
+
+def test_countermodel_search_matches_product_walk():
+    rng = random.Random(83)
+    shape = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.25)
+    interps = _all_interps([A, B, parse_atom("c")])
+    found = none = strict = 0
+    for _ in range(2400):
+        program = random_epistemic_program(rng, shape)
+        wv = WorldView(frozenset(rng.sample(interps, rng.randint(1, 5))))
+        points = sorted(wv.interps, key=interp_key)
+        free = frozenset(p for p in points if rng.random() < 0.7) if rng.random() < 0.4 else wv.interps
+        strict += free < wv.interps
+        expected = _countermodel_ref(program, wv, free)
+        got = _countermodel(program, wv, free)
+        assert got == expected, (str(program), str(wv), sorted(map(interp_key, free)))
+        if free == wv.interps:
+            assert equilibrium_countermodel(program, wv) == expected
+        found += expected is not None
+        none += expected is None
+    assert found > 400 and none > 400 and strict > 500

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from elps import semantics as semantics_module
 from elps.config import SolverLimits
 from elps.engine import brute_force_world_views, compute_world_views
 from elps.errors import CapacityError, UnsupportedMLiteral
@@ -96,6 +97,28 @@ def test_m_literal_rejected_by_g11_k15_s17():
         s17_world_views(program)
     # after elimination the K-only pipeline accepts it
     assert world_views(eliminate_m(program), SemanticsId.K15) is not None
+
+
+def test_world_views_checks_the_program_once(monkeypatch):
+    # the M literal sits in the last rule, so the scan must reach it
+    program = parse_program("a :- K b. b :- not K c. c :- K a. d :- M a.")
+    guess = {core: True for core in subjective_cores(program)}
+    with pytest.raises(UnsupportedMLiteral):
+        semantics_reduct(program, guess, SemanticsId.G11)
+    with pytest.raises(UnsupportedMLiteral):
+        world_views(program, SemanticsId.G11)
+    with pytest.raises(ValueError):
+        semantics_reduct(program, guess, SemanticsId.F15)
+    # one scan per world_views call, not one per guess
+    scans = []
+    original = semantics_module.require_m_free
+    monkeypatch.setattr(
+        semantics_module, "require_m_free", lambda *args: scans.append(args) or original(*args)
+    )
+    k_only = eliminate_m(program)
+    assert len(subjective_cores(k_only)) >= 3
+    world_views(k_only, SemanticsId.G11)
+    assert len(scans) == 1
 
 
 def test_world_views_counterexample_fixtures():

@@ -24,7 +24,7 @@ from elps.splitting import (
     stratify,
     top_simplification,
 )
-from elps.syntax import Atom, parse_atom, parse_program, parse_rule
+from elps.syntax import Atom, Program, atom_key, parse_atom, parse_program, parse_rule, subsets
 
 A, B, C, D = (Atom(x) for x in "abcd")
 CE1A = parse_program("a | b. c :- K a.")
@@ -212,6 +212,48 @@ def test_enumerate_epistemic_splitting_sets_examples():
     assert enumerate_epistemic_splitting_sets(parse_program("a | b.")) == frozenset()
 
 
+def _splitting_sets_ref(program):
+    """Reference: every proper non-empty U that `epistemic_split` accepts."""
+    atoms = sorted(program.atom_universe, key=atom_key)
+    found = set()
+    for u in subsets(atoms):
+        if not u or len(u) == len(atoms):
+            continue
+        try:
+            epistemic_split(program, u)
+        except NotAnEpistemicSplittingSet:
+            continue
+        found.add(u)
+    return found
+
+
+def test_enumerate_epistemic_splitting_sets_matches_epistemic_split():
+    rng = random.Random(75)
+    spare = [Atom(x) for x in ("x", "y")]
+    total = with_extra = with_constraint = 0
+    for _ in range(300):
+        n_atoms = rng.randint(2, 6)
+        shape = GeneratorShape(
+            n_atoms=n_atoms,
+            max_rules=rng.randint(1, 5),
+            subjective_prob=0.5,
+            m_prob=0.2,
+            constraint_prob=0.3,
+        )
+        program = random_epistemic_program(rng, shape)
+        rules = list(program.rules)
+        if rng.random() < 0.3:
+            rules.append(random_subjective_constraint(rng, program, shape))
+        extra = frozenset(rng.sample(spare, rng.randint(0, 2)))
+        program = Program.of(rules, extra)
+        expected = _splitting_sets_ref(program)
+        assert enumerate_epistemic_splitting_sets(program) == expected, str(program)
+        total += len(expected)
+        with_extra += bool(extra)
+        with_constraint += any(not r.head for r in program.rules)
+    assert total > 300 and with_extra > 50 and with_constraint > 50
+
+
 def test_placement_indifference_for_g91_c19():
     rng = random.Random(71)
     shape = GeneratorShape(n_atoms=4, max_rules=4, subjective_prob=0.5, m_prob=0.2)
@@ -232,8 +274,6 @@ def test_splitting_implies_constraint_monotonicity_instancewise():
     # holds, the monotonicity check for that constraint must hold too
     rng = random.Random(72)
     shape = GeneratorShape(n_atoms=3, max_rules=3, subjective_prob=0.5)
-    from elps.syntax import Program
-
     confirmed = 0
     for _ in range(60):
         program = random_epistemic_program(rng, shape)
