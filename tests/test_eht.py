@@ -199,6 +199,7 @@ def _countermodel_ref(program, wv, free):
 
 def test_countermodel_search_matches_product_walk():
     rng = random.Random(83)
+    # the F15 matrix shape (3 atoms, the EHT cap), with M literals as well
     shape = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.25)
     interps = _all_interps([A, B, parse_atom("c")])
     found = none = strict = 0
