@@ -44,6 +44,12 @@ from elps.splitting import (
 from elps.syntax import eliminate_m
 
 
+def check(ok: bool, program, *context) -> None:
+    """Raise with the offending program; unlike `assert`, `python -O` keeps it."""
+    if not ok:
+        raise RuntimeError(f"stress sweep violation {context}:\n{program}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=987654)
@@ -59,23 +65,24 @@ def main():
         program = random_epistemic_program(rng, shape4)
         stats["mixed"] += 1
         g91 = world_views(program, SemanticsId.G91)
-        assert compute_world_views(program, SemanticsId.C19) <= g91
+        check(compute_world_views(program, SemanticsId.C19) <= g91, program, "C19 within G91")
         for wv in g91:
-            assert is_s5_model(wv, program), str(program)
+            check(is_s5_model(wv, program), program, "supra-S5", str(wv))
         try:
-            assert s17_world_views(program) <= world_views(program, SemanticsId.K15)
+            s17_in_k15 = s17_world_views(program) <= world_views(program, SemanticsId.K15)
         except UnsupportedMLiteral:
             rewritten = eliminate_m(program)
-            assert s17_world_views(rewritten) <= world_views(rewritten, SemanticsId.K15)
+            s17_in_k15 = s17_world_views(rewritten) <= world_views(rewritten, SemanticsId.K15)
+        check(s17_in_k15, program, "S17 within K15")
         for u in enumerate_epistemic_splitting_sets(program):
             for semantics in (SemanticsId.G91, SemanticsId.C19):
                 report = check_epistemic_splitting(program, u, semantics)
-                assert report.verdict == "holds", (str(program), report.U, semantics)
+                check(report.holds, program, "epistemic splitting", report.U, semantics.value)
                 stats["splitting"] += 1
         constraint = random_subjective_constraint(rng, program, shape4)
         for semantics in (SemanticsId.G91, SemanticsId.C19):
             report = check_constraint_monotonicity(program, constraint, semantics)
-            assert report.verdict == "holds", (str(program), str(constraint), semantics)
+            check(report.holds, program, "monotonicity", str(constraint), semantics.value)
             stats["scm"] += 1
 
     shape3 = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.3)
@@ -83,20 +90,20 @@ def main():
         program = random_epistemic_program(rng, shape3)
         stats["f15"] += 1
         equilibria = equilibrium_eht_models(program)
-        assert f15_world_views(program) <= equilibria, str(program)
+        check(f15_world_views(program) <= equilibria, program, "F15 within equilibria")
         for wv in equilibria:
-            assert is_s5_model(wv, program), str(program)
+            check(is_s5_model(wv, program), program, "equilibrium supra-S5", str(wv))
 
     shape_k = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5)
     for _ in range(args.trials):
         program = random_epistemic_program(rng, shape_k)
         stats["oracle"] += 1
         for semantics in (SemanticsId.G91, SemanticsId.G11, SemanticsId.K15):
-            assert world_views(program, semantics) == brute_force_world_views(
-                program, semantics
-            ), str(program)
+            same = world_views(program, semantics) == brute_force_world_views(program, semantics)
+            check(same, program, "oracle", semantics.value)
         for wv in world_views(program, SemanticsId.G91):
-            assert is_founded(program, wv) == is_founded_brute(program, wv), str(program)
+            same = is_founded(program, wv) == is_founded_brute(program, wv)
+            check(same, program, "foundedness oracle", str(wv))
 
     shape_s = GeneratorShape(n_atoms=6, max_rules=6, subjective_prob=0.5, m_prob=0.25)
     for _ in range(args.trials):
@@ -104,8 +111,9 @@ def main():
         stats["stratified"] += 1
         stratify(program)
         for semantics in (SemanticsId.G91, SemanticsId.C19):
-            assert len(compute_world_views(program, semantics)) <= 1, str(program)
-            layered_world_view(program, semantics)  # asserts agreement internally
+            unique = len(compute_world_views(program, semantics)) <= 1
+            check(unique, program, "stratified uniqueness", semantics.value)
+            layered_world_view(program, semantics)  # raises ElpError on disagreement
 
     print(f"stress sweep clean: {stats} in {time.time() - t0:.1f}s (seed={args.seed})")
 

@@ -78,31 +78,32 @@ def cmd_solve(args) -> int:
         "semantics": semantics.value,
         "world_views": world_views_to_json(wvs),
     }
+    # the world views above stand when a cap puts a certificate or trace out of reach
     if args.explain_unfounded:
-        certificates = []
-        for wv in sorted(world_views(program, SemanticsId.G91, limits), key=wv_key):
-            if not is_founded(program, wv, limits):
-                certificates.append(
-                    {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv, limits)}
-                )
-        payload["unfounded_certificates"] = certificates
+        try:
+            payload["unfounded_certificates"] = [
+                {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv, limits)}
+                for wv in sorted(world_views(program, SemanticsId.G91, limits), key=wv_key)
+                if not is_founded(program, wv, limits)
+            ]
+        except CapacityError as exc:
+            print(f"unfounded certificates skipped: {exc}", file=sys.stderr)
+            payload["unfounded_certificates"] = None
+            payload["unfounded_certificates_skipped"] = str(exc)
     if args.trace_eht:
         try:
-            candidates = total_model_countermodels(program, limits)
+            payload["eht_traces"] = _eht_traces(total_model_countermodels(program, limits))
         except CapacityError as exc:
-            # the world views above stand; only the trace is out of reach
             print(f"eht trace skipped: {exc}", file=sys.stderr)
             payload["eht_traces"] = None
             payload["eht_trace_skipped"] = str(exc)
-        else:
-            payload["eht_traces"] = _eht_traces(candidates)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for wv in wvs:
             print(wv)
         if args.explain_unfounded:
-            for cert in payload.get("unfounded_certificates", []):
+            for cert in payload["unfounded_certificates"] or []:
                 print(f"unfounded {cert['world_view']}:")
                 for pair in cert["pairs"]:
                     print(f"  X={pair['X']} I={pair['I']}")

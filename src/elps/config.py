@@ -30,13 +30,14 @@ DEFAULT_LIMITS = SolverLimits()
 
 
 def resolve_limits(max_atoms: int | None = None) -> SolverLimits:
-    """Build limits for the CLI: ELP_MAX_ATOMS env var overrides the cap."""
+    """Build limits for the CLI: an explicit --max-atoms sets the cap, else
+    the ELP_MAX_ATOMS env var does, else the default stands."""
+    if max_atoms is not None:
+        return DEFAULT_LIMITS.with_max_atoms(max_atoms)
     env = os.environ.get(ENV_MAX_ATOMS)
     if env is not None:
         try:
             return DEFAULT_LIMITS.with_max_atoms(int(env))
         except ValueError as exc:
             raise ValueError(f"{ENV_MAX_ATOMS} must be an integer, got {env!r}") from exc
-    if max_atoms is not None:
-        return DEFAULT_LIMITS.with_max_atoms(max_atoms)
     return DEFAULT_LIMITS

@@ -147,16 +147,18 @@ def stable_models_ref(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -
 
 
 @dataclass
-class ObjectiveSplit:
+class Split:
     U: frozenset[Atom]
     bottom: Program
     top: Program
     placement: dict[Rule, str]
 
 
-def objective_split(program: Program, U, placement: str = "bottom") -> ObjectiveSplit:
-    """Partition per the splitting-set conditions; `placement` decides where
-    rules satisfying both conditions (constraints on U) go."""
+def partition(program: Program, U, placement: str, top_atoms, error: type) -> Split:
+    """Split the rules on U: a bottom rule has all its atoms in U, a top rule
+    has none of `top_atoms(rule)` in U.  `placement` decides where rules
+    satisfying both (constraints on U) go; rules satisfying neither are
+    raised as `error`."""
     if placement not in ("bottom", "top"):
         raise ValueError(f"placement must be 'bottom' or 'top', got {placement!r}")
     U = frozenset(U)
@@ -165,21 +167,22 @@ def objective_split(program: Program, U, placement: str = "bottom") -> Objective
     violators = []
     for rule in program.rules:
         cond_i = atoms_of(rule) <= U
-        cond_ii = not (rule.head & U)
-        if cond_i and cond_ii:
-            record[rule] = placement
-            (bottom if placement == "bottom" else top).append(rule)
-        elif cond_i:
-            record[rule] = "bottom"
-            bottom.append(rule)
-        elif cond_ii:
-            record[rule] = "top"
-            top.append(rule)
-        else:
+        cond_ii = not (top_atoms(rule) & U)
+        if not (cond_i or cond_ii):
             violators.append(rule)
+            continue
+        side = placement if cond_i and cond_ii else "bottom" if cond_i else "top"
+        record[rule] = side
+        (bottom if side == "bottom" else top).append(rule)
     if violators:
-        raise NotASplittingSet(violators)
-    return ObjectiveSplit(U, Program.of(bottom), Program.of(top), record)
+        raise error(violators)
+    return Split(U, Program.of(bottom), Program.of(top), record)
+
+
+def objective_split(program: Program, U, placement: str = "bottom") -> Split:
+    """Splitting set (Lifschitz & Turner): the top may read U through any
+    body literal but must not define it."""
+    return partition(program, U, placement, lambda rule: rule.head, NotASplittingSet)
 
 
 def simplify_top(top: Program, U, interp: Interpretation) -> Program:

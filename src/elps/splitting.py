@@ -7,9 +7,10 @@ constraints on U satisfy both conditions and are placed per policy.  Solving
 then proceeds bottom-up: world views of the bottom simplify the top's
 subjective literals to truth constants, and solutions compose with ⊔.
 
-Stratified programs (modal dependencies strictly decrease layers) admit a
-layered evaluation that mirrors the uniqueness argument: each layer, after
-simplification against the accumulated world view, is an objective program.
+Stratified programs (modal dependencies strictly decrease levels) are
+evaluated by iterated splitting: the lowest level splits off as an objective
+bottom, its stable models form its world view, and the rest is simplified
+against it before the next level splits off.
 """
 
 from __future__ import annotations
@@ -18,11 +19,16 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .engine import compute_world_views
-from .errors import ElpError, NotAnEpistemicSplittingSet, NotObjectiveError, NotStratified
+from .errors import ElpError, NotAnEpistemicSplittingSet, NotStratified
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
-from .objective import stable_models
+from .objective import Split, partition, stable_models
 from .semantics import SemanticsId
-from .syntax import Atom, Program, Rule, atom_key, atoms_of, capped_atoms, is_objective
+from .syntax import Atom, Program, Rule, atom_key, atoms_of, capped_atoms
+
+
+def objective_atoms(rule: Rule) -> frozenset[Atom]:
+    """Head plus objective body: the atoms a rule mentions outside K/M literals."""
+    return rule.head | atoms_of(rule.body_obj)
 
 
 def dep_relation(program: Program) -> frozenset[tuple[Atom, Atom]]:
@@ -32,47 +38,18 @@ def dep_relation(program: Program) -> frozenset[tuple[Atom, Atom]]:
         sub_atoms = {l.atom for l in rule.body_sub}
         if not sub_atoms:
             continue
-        for a in rule.head | atoms_of(rule.body_obj):
+        for a in objective_atoms(rule):
             for b in sub_atoms:
                 deps.add((a, b))
     return frozenset(deps)
 
 
-@dataclass
-class EpistemicSplit:
-    U: frozenset[Atom]
-    bottom: Program
-    top: Program
-    placement: dict[Rule, str]
+def epistemic_split(program: Program, U, placement: str = "bottom") -> Split:
+    """Epistemic splitting set: the top may read U only through subjective literals."""
+    return partition(program, U, placement, objective_atoms, NotAnEpistemicSplittingSet)
 
 
-def epistemic_split(program: Program, U, placement: str = "bottom") -> EpistemicSplit:
-    if placement not in ("bottom", "top"):
-        raise ValueError(f"placement must be 'bottom' or 'top', got {placement!r}")
-    U = frozenset(U)
-    bottom, top = [], []
-    record: dict[Rule, str] = {}
-    violators = []
-    for rule in program.rules:
-        cond_i = atoms_of(rule) <= U
-        cond_ii = not ((atoms_of(rule.body_obj) | rule.head) & U)
-        if cond_i and cond_ii:
-            record[rule] = placement
-            (bottom if placement == "bottom" else top).append(rule)
-        elif cond_i:
-            record[rule] = "bottom"
-            bottom.append(rule)
-        elif cond_ii:
-            record[rule] = "top"
-            top.append(rule)
-        else:
-            violators.append(rule)
-    if violators:
-        raise NotAnEpistemicSplittingSet(violators)
-    return EpistemicSplit(U, Program.of(bottom), Program.of(top), record)
-
-
-def top_simplification(split: EpistemicSplit, wv_b: WorldView) -> Program:
+def top_simplification(split: Split, wv_b: WorldView) -> Program:
     """E: subjective reduct of the top w.r.t. the bottom world view, signature U."""
     return subjective_reduct(split.top, wv_b, split.U)
 
@@ -124,7 +101,7 @@ def enumerate_epistemic_splitting_sets(
     def mask(xs) -> int:
         return sum(bit[a] for a in xs)
 
-    rules = {(mask(atoms_of(r)), mask(atoms_of(r.body_obj) | r.head)) for r in program.rules}
+    rules = {(mask(atoms_of(r)), mask(objective_atoms(r))) for r in program.rules}
     return frozenset(
         frozenset(a for a in atoms if bit[a] & u)
         for u in range(1, (1 << len(atoms)) - 1)
@@ -185,10 +162,7 @@ def check_epistemic_splitting(
     """
     U = frozenset(U)
     if placement is None:
-        dual = any(
-            atoms_of(r) <= U and not ((atoms_of(r.body_obj) | r.head) & U)
-            for r in program.rules
-        )
+        dual = any(atoms_of(r) <= U and not (objective_atoms(r) & U) for r in program.rules)
         placements = ("bottom", "top") if dual else ("bottom",)
     else:
         placements = (placement,)
@@ -253,16 +227,11 @@ def check_constraint_monotonicity(
 @dataclass
 class Stratification:
     layers: dict[Atom, int]
-    groups: tuple[frozenset[Atom], ...]
-
-
-def _nonsubjective_atoms(rule: Rule) -> frozenset[Atom]:
-    return atoms_of(rule) - frozenset(l.atom for l in rule.body_sub)
 
 
 def stratify(program: Program) -> Stratification:
     """Layer atoms so modal dependencies strictly decrease; objective
-    co-occurrence (outside subjective bodies) groups atoms on one layer."""
+    co-occurrence (head and objective body) groups atoms on one layer."""
     atoms = sorted(program.atom_universe, key=atom_key)
     parent = {a: a for a in atoms}
 
@@ -278,7 +247,7 @@ def stratify(program: Program) -> Stratification:
             parent[rb] = ra
 
     for rule in program.rules:
-        group = sorted(_nonsubjective_atoms(rule), key=atom_key)
+        group = sorted(objective_atoms(rule), key=atom_key)
         for other in group[1:]:
             union(group[0], other)
 
@@ -309,75 +278,44 @@ def stratify(program: Program) -> Stratification:
         level[g] = value
         return value
 
-    layers = {a: height(find(a)) for a in atoms}
-    groups_by_root: dict[Atom, set[Atom]] = {}
-    for a in atoms:
-        groups_by_root.setdefault(find(a), set()).add(a)
-    groups = tuple(frozenset(g) for _, g in sorted(groups_by_root.items(), key=lambda kv: atom_key(kv[0])))
-    return Stratification(layers, groups)
+    return Stratification({a: height(find(a)) for a in atoms})
 
 
 def layered_world_view(
     program: Program,
     semantics: SemanticsId,
     limits: SolverLimits = DEFAULT_LIMITS,
-    check: bool = True,
 ) -> WorldView | None:
-    """Bottom-up evaluation of a stratified program, one objective layer at a
-    time; None when some layer has no stable model.  With check=True the
-    result is checked against the direct computation (ElpError if they differ)."""
-    strat = stratify(program)
-    values = sorted(set(strat.layers.values()))
-    layer_index = {v: i for i, v in enumerate(values)}
-    n_layers = len(values)
+    """The world view of a stratified program by iterated epistemic
+    splitting, None when it has none.
 
-    def rule_layer(rule: Rule) -> int:
-        nonsub = _nonsubjective_atoms(rule)
-        if nonsub:
-            indices = {layer_index[strat.layers[a]] for a in nonsub}
-            if len(indices) != 1:
-                raise NotStratified(f"rule {rule} spans layers {sorted(indices)}", witness=rule)
-            return indices.pop()
-        sub_atoms = atoms_of(rule)
-        if not sub_atoms:
-            return 0
-        # purely subjective constraint: evaluable once its atoms are settled
-        return max(layer_index[strat.layers[a]] for a in sub_atoms) + 1
-
-    by_layer: dict[int, list[Rule]] = {}
-    for rule in program.rules:
-        by_layer.setdefault(min(rule_layer(rule), n_layers), []).append(rule)
-    total_layers = n_layers + (1 if n_layers in by_layer else 0)
-
-    atoms_at = {
-        i: frozenset(a for a in strat.layers if layer_index[strat.layers[a]] == i)
-        for i in range(n_layers)
-    }
-
+    Each level of the stratification splits off the rest as an objective
+    bottom (constraints on it go to the top); its stable models are its
+    world view, and the top is simplified against them.  What remains after
+    the last level are constraints without atoms.  The result is always
+    checked against the direct computation under `semantics` (ElpError if
+    they differ).
+    """
+    layers = stratify(program).layers
     result: WorldView | None = None
-    settled: set[Atom] = set()
-    for i in range(max(total_layers, 1)):
-        layer_program = Program.of(by_layer.get(i, []))
-        if result is None:
-            simplified = layer_program
-        else:
-            simplified = subjective_reduct(layer_program, result, frozenset(settled))
-        if not is_objective(simplified):
-            raise NotObjectiveError(f"layer {i} is not objective after simplification")
-        models = stable_models(simplified, limits)
+    wv = WorldView(frozenset([frozenset()]))
+    rest = program
+    for level in sorted(set(layers.values())):
+        split = epistemic_split(rest, {a for a in layers if layers[a] == level}, "top")
+        models = stable_models(split.bottom, limits)
         if not models:
-            result = None
             break
-        layer_wv = WorldView(models)
-        result = layer_wv if result is None else combine(result, layer_wv)
-        settled |= atoms_at.get(i, frozenset())
+        bottom = WorldView(models)
+        wv, rest = combine(wv, bottom), top_simplification(split, bottom)
+    else:
+        if stable_models(rest, limits):
+            result = wv
 
-    if check:
-        direct = compute_world_views(program, semantics, limits)
-        expected = frozenset() if result is None else frozenset([result])
-        if direct != expected:
-            raise ElpError(
-                f"layered evaluation disagrees with {semantics}: "
-                f"layered={world_views_to_json(expected)} direct={world_views_to_json(direct)}"
-            )
+    direct = compute_world_views(program, semantics, limits)
+    expected = frozenset() if result is None else frozenset([result])
+    if direct != expected:
+        raise ElpError(
+            f"layered evaluation disagrees with {semantics}: "
+            f"layered={world_views_to_json(expected)} direct={world_views_to_json(direct)}"
+        )
     return result

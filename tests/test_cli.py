@@ -70,6 +70,13 @@ def test_max_atoms_env_overrides(capsys, fx, monkeypatch):
     assert "cap" in err
 
 
+def test_max_atoms_flag_beats_env(capsys, fx, monkeypatch):
+    monkeypatch.setenv("ELP_MAX_ATOMS", "20")
+    code, out, err = run(capsys, "solve", fx("pi1"), "--max-atoms", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: 4 atoms exceed the exhaustive-search cap of 2\n"
+
+
 def test_eliminate_m_flag(capsys, tmp_path):
     path = tmp_path / "m.elp"
     path.write_text("a :- M a.\n", encoding="utf-8")
@@ -87,6 +94,35 @@ def test_explain_unfounded_certificate(capsys, fx):
     assert payload["world_views"] == [[[]]]
     certs = payload["unfounded_certificates"]
     assert certs == [{"world_view": [["a"]], "pairs": [{"X": ["a"], "I": ["a"]}]}]
+
+
+FACTS13 = " ".join(f"a{i}." for i in range(13)) + "\n"
+FACTS13_WV = sorted(f"a{i}" for i in range(13))
+FOUNDEDNESS_CAP = "13 atoms exceed the foundedness cap of 12"
+
+
+def test_explain_unfounded_over_the_cap_still_solves(capsys, tmp_path):
+    path = tmp_path / "facts13.elp"
+    path.write_text(FACTS13, encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), "--explain-unfounded")
+    assert code == 0
+    assert out == "[[" + ",".join(FACTS13_WV) + "]]\n"
+    assert err == f"unfounded certificates skipped: {FOUNDEDNESS_CAP}\n"
+    # C19 needs foundedness to solve at all
+    code, out, err = run(capsys, "solve", str(path), "--explain-unfounded", "--semantics", "c19")
+    assert (code, out, err) == (2, "", f"error: {FOUNDEDNESS_CAP}\n")
+
+
+def test_explain_unfounded_over_the_cap_json(capsys, tmp_path):
+    path = tmp_path / "facts13.elp"
+    path.write_text(FACTS13, encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), "--explain-unfounded", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["world_views"] == [[FACTS13_WV]]
+    assert payload["unfounded_certificates"] is None
+    assert payload["unfounded_certificates_skipped"] == FOUNDEDNESS_CAP
+    assert err == f"unfounded certificates skipped: {FOUNDEDNESS_CAP}\n"
 
 
 def test_trace_eht(capsys, fx):

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from elps.harness import (
@@ -95,3 +99,12 @@ def test_run_fixture_checks_includes_f15_on_tiny_corpus():
     f15_checked = {r.fixture for r in results if r.semantics == "f15"}
     assert {"ab", "ce1a", "ce1b", "ce2", "ka"} <= f15_checked
     assert "college" not in f15_checked  # capacity skip, recorded as such
+
+
+def test_stress_sweep_script_runs_clean():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "stress_sweep.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--trials", "3"], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert "stress sweep clean" in result.stdout

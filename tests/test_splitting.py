@@ -201,6 +201,24 @@ def test_layered_world_view_failing_bottom():
     assert layered_world_view(program, SemanticsId.G91) is None
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", [[]]),
+        (":- #true.", None),
+        (":- #false.", [[]]),
+        ("a. :- not K a.", [["a"]]),
+        ("a | b. c :- K a. :- not K c.", None),
+    ],
+)
+def test_layered_world_view_edge_cases(text, expected):
+    program = parse_program(text)
+    wv = None if expected is None else WorldView.of([Atom(x) for x in interp] for interp in expected)
+    for semantics in (SemanticsId.G91, SemanticsId.C19):
+        assert compute_world_views(program, semantics) == (set() if wv is None else {wv})
+        assert layered_world_view(program, semantics) == wv
+
+
 def test_layered_requires_stratified():
     with pytest.raises(NotStratified):
         layered_world_view(parse_program("a :- K a."), SemanticsId.G91)
@@ -307,8 +325,22 @@ def test_g91_c19_satisfy_epistemic_splitting_randomized():
 def test_stratified_uniqueness_randomized():
     rng = random.Random(74)
     shape = GeneratorShape(n_atoms=5, max_rules=5, subjective_prob=0.5, m_prob=0.2)
+    programs = [random_stratified_program(rng, shape) for _ in range(50)]
+    # many constraints: subjective ones over any atoms keep the program
+    # stratified and may land on either side of every level's split
+    shape = GeneratorShape(n_atoms=5, max_rules=5, subjective_prob=0.5, m_prob=0.2, constraint_prob=0.4)
+    constrained = 0
     for _ in range(50):
-        program = random_stratified_program(rng, shape)
+        program = random_stratified_program(rng, shape, n_layers=rng.randint(1, 4))
+        extra = [
+            random_subjective_constraint(rng, program, shape)
+            for _ in range(shape.max_rules)
+            if rng.random() < shape.constraint_prob
+        ]
+        constrained += bool(extra)
+        programs.append(Program.of(program.rules + tuple(extra)))
+    assert constrained >= 40
+    for program in programs:
         stratify(program)  # generator guarantees stratifiability
         for semantics in (SemanticsId.G91, SemanticsId.C19):
             direct = compute_world_views(program, semantics)
