@@ -21,6 +21,12 @@ literals, `not K`/`not M` and K/M over a negated inner literal read the
 total "there" valuation.  A body true with ∅ at the undecided points stays
 true however they are decided, and the head at a decided point is fixed, so
 no completion of the branch repairs the rule.
+
+A rule with no subjective literal holds or fails at a point in the total
+variant whatever the world view is, so `total_model_countermodels` keeps the
+interpretations that satisfy those rules once and builds candidate world
+views from them alone; only the rules with a subjective literal are checked
+per candidate.  The kept candidates come in the same order as before.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .syntax import (
     capped_atoms,
     const_truth,
     interp_key,
+    is_objective,
     subsets,
 )
 
@@ -145,10 +152,17 @@ def total_model_countermodels(
     """Every candidate world view that is a total EHT model, in enumeration
     order, paired with its equilibrium countermodel (None for an equilibrium)."""
     atoms = capped_atoms(program, limits.f15_max_atoms, "EHT")
+    objective = [r for r in program.rules if is_objective(r)]
+    modal = [r for r in program.rules if not is_objective(r)]
+    points = [
+        i
+        for i in subsets(atoms)
+        if all(_rule_at_point(None, None, i, r, total=True) for r in objective)
+    ]
     return [
         (wv, equilibrium_countermodel(program, wv))
-        for wv in candidate_world_views(atoms)
-        if all(_model_at_point(wv, None, i, program, total=True) for i in wv.interps)
+        for wv in candidate_world_views(points)
+        if all(_rule_at_point(wv, None, i, r, total=True) for i in wv.interps for r in modal)
     ]
 
 

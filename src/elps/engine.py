@@ -4,12 +4,18 @@ property matrix samples for it.  No other module chooses these by semantics.
 
 Entries call the solvers through their modules' attributes at call time, so
 a function rebound on its module (for tracing, say) is the one that runs.
+
+`solve_memo()` opens a memo for the length of a `with` block: inside it,
+`compute_world_views` solves each equal (program, semantics, limits) once and
+answers repeats from memory.  Nothing is memoized outside such a block.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import eht, foundedness, semantics
 from .config import DEFAULT_LIMITS, SolverLimits
@@ -27,6 +33,7 @@ class SemanticsEntry:
     oracle: Solver  # independent brute-force route the differential tests compare against
     splitting: bool  # satisfies epistemic splitting (the source paper's table)
     shape: GeneratorShape  # random programs the property matrix samples
+    founded: bool = False  # every world view is founded by construction
 
 
 def _reduct_based(sem: SemanticsId, splitting: bool, shape: GeneratorShape) -> SemanticsEntry:
@@ -63,8 +70,24 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
         oracle=lambda p, limits: foundedness.c19_brute_world_views(p, limits),
         splitting=True,
         shape=_M_SHAPE,
+        founded=True,
     ),
 }
+
+# (program, semantics, limits) -> world views, while a memo is open; a context
+# variable, so a memo opened in one thread is not seen by another
+_memo: ContextVar[dict | None] = ContextVar("solve_memo", default=None)
+
+
+@contextmanager
+def solve_memo() -> Iterator[None]:
+    """Memoize `compute_world_views` until the block exits, however it exits.
+    Errors are not stored: a call that raised is solved again when repeated."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
 
 
 def compute_world_views(
@@ -72,7 +95,14 @@ def compute_world_views(
     semantics: SemanticsId,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
-    return REGISTRY[semantics].solve(program, limits)
+    memo = _memo.get()
+    if memo is None:
+        return REGISTRY[semantics].solve(program, limits)
+    key = (program, semantics, limits)
+    wvs = memo.get(key)
+    if wvs is None:
+        wvs = memo[key] = REGISTRY[semantics].solve(program, limits)
+    return wvs
 
 
 def brute_force_world_views(

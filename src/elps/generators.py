@@ -45,17 +45,19 @@ def _subjective_literal(rng: random.Random, atoms, shape: GeneratorShape) -> Sub
     return SubjLit(modality, ObjLit(rng.choice(atoms), inner_negs), neg=rng.random() < 0.5)
 
 
-def _rule(rng: random.Random, atoms, shape: GeneratorShape, subjective: bool) -> Rule:
+def _rule(rng: random.Random, atoms, shape: GeneratorShape, modal_atoms=()) -> Rule:
+    """Head and objective body over `atoms`, subjective literals over
+    `modal_atoms` (none when it is empty)."""
     if rng.random() < shape.constraint_prob:
         head = frozenset()
         n_body = rng.randint(1, shape.max_body)
     else:
-        head = frozenset(rng.sample(atoms, rng.randint(1, shape.max_head)))
+        head = frozenset(rng.sample(atoms, min(len(atoms), rng.randint(1, shape.max_head))))
         n_body = rng.randint(0, shape.max_body)
     body = []
     for _ in range(n_body):
-        if subjective and rng.random() < shape.subjective_prob:
-            body.append(_subjective_literal(rng, atoms, shape))
+        if modal_atoms and rng.random() < shape.subjective_prob:
+            body.append(_subjective_literal(rng, modal_atoms, shape))
         else:
             body.append(_objective_literal(rng, atoms, shape))
     if not head and not body:
@@ -66,13 +68,13 @@ def _rule(rng: random.Random, atoms, shape: GeneratorShape, subjective: bool) ->
 def random_objective_program(rng: random.Random, shape: GeneratorShape) -> Program:
     atoms = _atoms(shape)
     n = rng.randint(1, shape.max_rules)
-    return Program.of(_rule(rng, atoms, shape, subjective=False) for _ in range(n))
+    return Program.of(_rule(rng, atoms, shape) for _ in range(n))
 
 
 def random_epistemic_program(rng: random.Random, shape: GeneratorShape) -> Program:
     atoms = _atoms(shape)
     n = rng.randint(1, shape.max_rules)
-    return Program.of(_rule(rng, atoms, shape, subjective=True) for _ in range(n))
+    return Program.of(_rule(rng, atoms, shape, atoms) for _ in range(n))
 
 
 def random_subjective_constraint(rng: random.Random, program: Program, shape: GeneratorShape) -> Rule:
@@ -90,7 +92,8 @@ def random_stratified_program(
 ) -> Program:
     """Head and objective body stay inside one layer, subjective literals only
     query strictly lower layers, so the result is epistemically stratified by
-    construction."""
+    construction.  A rule is a constraint with chance `shape.constraint_prob`,
+    in any layer."""
     atoms = list(_atoms(shape))
     rng.shuffle(atoms)
     n_layers = min(n_layers, len(atoms))
@@ -99,24 +102,8 @@ def random_stratified_program(
         layers[i % n_layers].append(atom)
 
     rules = []
-    n = rng.randint(1, shape.max_rules)
-    for _ in range(n):
+    for _ in range(rng.randint(1, shape.max_rules)):
         layer = rng.randint(0, n_layers - 1)
-        local = layers[layer]
         below = [a for l in layers[:layer] for a in l]
-        if below and rng.random() < 0.2:
-            # purely subjective constraint over settled layers
-            body = tuple(
-                _subjective_literal(rng, below, shape) for _ in range(rng.randint(1, 2))
-            )
-            rules.append(Rule(frozenset(), body))
-            continue
-        head = frozenset(rng.sample(local, min(len(local), rng.randint(1, shape.max_head))))
-        body = []
-        for _ in range(rng.randint(0, shape.max_body)):
-            if below and rng.random() < shape.subjective_prob:
-                body.append(_subjective_literal(rng, below, shape))
-            else:
-                body.append(_objective_literal(rng, local, shape))
-        rules.append(Rule(head, tuple(body)))
+        rules.append(_rule(rng, layers[layer], shape, below))
     return Program.of(rules)

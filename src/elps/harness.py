@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import DEFAULT_LIMITS, SolverLimits
-from .engine import REGISTRY, compute_world_views
+from .engine import REGISTRY, compute_world_views, solve_memo
 from .errors import CapacityError, NotObjectiveError, UnsupportedMLiteral
 from .foundedness import is_founded
 from .generators import (
@@ -339,6 +339,7 @@ _SCM_FIXTURES = (("ab", ":- not K a."), ("ka", ":- K a."), ("ce1a", ":- not K c.
 _OBJECTIVE_FIXTURES = ("pi1", "ab")
 
 
+@solve_memo()
 def build_property_matrix(
     semantics_list=SEMANTICS_COLUMNS,
     seed: int = 2025,
@@ -346,7 +347,11 @@ def build_property_matrix(
     limits: SolverLimits = DEFAULT_LIMITS,
     corpus_dir: Path | None = None,
 ) -> PropertyMatrix:
-    """Fixture expectations first, then `count` random programs per cell."""
+    """Fixture expectations first, then `count` random programs per cell.
+
+    Each call runs in a fresh `engine.solve_memo()`, so a (program,
+    semantics, limits) met twice in one build is solved once; the memo is
+    dropped when the build returns or raises."""
     fixtures = require_fixtures(limits, corpus_dir)
     corpus = {case.name: load_fixture(case.name, corpus_dir) for case in FIXTURE_CASES}
     cells = {(prop, s.value): MatrixCell() for prop in PROPERTY_ROWS for s in SEMANTICS_COLUMNS}
@@ -409,7 +414,7 @@ def build_property_matrix(
                     cell.skip()
 
         # --- foundness column (rendered, not a formal row): a blank needs a
-        # corpus witness; only C19 world views are founded by construction.
+        # corpus witness; only a `founded` semantics backs a pass.
         cell = foundness[semantics.value]
         for program in corpus.values():
             wvs = _checked_world_views(program, semantics, limits)
@@ -427,7 +432,7 @@ def build_property_matrix(
                     rhs=[],
                     seed=seed,
                 )
-                if semantics is SemanticsId.C19 or not founded:
+                if REGISTRY[semantics].founded or not founded:
                     cell.record(report)
                 else:
                     cell.skip()  # a pass here does not back a general claim

@@ -61,9 +61,11 @@ def wv_key(wv: WorldView) -> tuple:
     return tuple(interp_key(i) for i in wv.sorted_interps)
 
 
-def candidate_world_views(atoms) -> Iterator[WorldView]:
-    """Every world view over `atoms`: the non-empty sets of their subsets."""
-    for interps in subsets(list(subsets(atoms))):
+def candidate_world_views(points) -> Iterator[WorldView]:
+    """Every world view made of `points`: their non-empty sets, in `subsets`
+    order.  Over `subsets(atoms)` that is every world view over the atoms; a
+    subsequence of those points yields a subsequence of that order."""
+    for interps in subsets(points):
         if interps:
             yield WorldView(interps)
 

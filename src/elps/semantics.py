@@ -31,6 +31,7 @@ from .syntax import (
     SubjLit,
     capped_atoms,
     default_negate,
+    subsets,
 )
 
 
@@ -181,7 +182,7 @@ def brute_world_views(
         require_m_free(program, semantics)
     atoms = capped_atoms(program, limits.brute_max_atoms, "brute-force")
     found = set()
-    for wv in candidate_world_views(atoms):
+    for wv in candidate_world_views(subsets(atoms)):
         if semantics is SemanticsId.G91:
             reduct = subjective_reduct(program, wv)
         else:

@@ -229,6 +229,8 @@ def test_criterion_10_property_matrix():
         assert set(REGISTRY) == set(SemanticsId)
         claimed = [REGISTRY[s].splitting for s in SEMANTICS_COLUMNS]
         assert claimed == [v == "holds" for v in expected["epistemic_splitting"]]
+        # only C19 world views are founded by construction (the foundness row)
+        assert [s for s in SEMANTICS_COLUMNS if REGISTRY[s].founded] == [SemanticsId.C19]
 
 
 def test_criterion_11_conformant_planning(corpus):

@@ -148,7 +148,8 @@ GOLDEN = Path(__file__).parent / "golden"
         )
         for name in ("ab", "ka", "ce1a")
     ]
-    + [("split_college_enumerate.json", ["split", "college.elp", "--enumerate-splits", "--json"])],
+    + [("split_college_enumerate.json", ["split", "college.elp", "--enumerate-splits", "--json"])]
+    + [("properties_seed7_count3.json", ["properties", "--json", "--seed", "7", "--count", "3"])],
 )
 def test_cli_output_matches_golden(capsys, monkeypatch, corpus_dir, golden, argv):
     # run from the corpus directory so the "file" field is the bare name

@@ -13,6 +13,7 @@ from elps.eht import (
     f15_world_views,
     is_eht_model,
     models_star,
+    total_model_countermodels,
 )
 from elps.errors import CapacityError
 from elps.generators import GeneratorShape, random_epistemic_program
@@ -20,9 +21,13 @@ from elps.modal import WorldView, is_s5_model, modal_satisfies
 from elps.syntax import (
     Atom,
     ObjLit,
+    Program,
     SubjLit,
     atom_key,
+    atoms_of,
+    capped_atoms,
     interp_key,
+    is_objective,
     parse_atom,
     parse_program,
     parse_rule,
@@ -217,3 +222,43 @@ def test_countermodel_search_matches_product_walk():
         found += expected is not None
         none += expected is None
     assert found > 400 and none > 400 and strict > 500
+
+
+def _total_model_countermodels_ref(program, limits=SolverLimits()):
+    """Reference: every candidate world view checked against every rule, with
+    no objective prefilter."""
+    atoms = capped_atoms(program, limits.f15_max_atoms, "EHT")
+    out = []
+    for interps in subsets(list(subsets(atoms))):
+        if not interps:
+            continue
+        wv = WorldView(interps)
+        if is_eht_model(EHTInterpretation.total(wv), program):
+            out.append((wv, equilibrium_countermodel(program, wv)))
+    return out
+
+
+def test_total_model_countermodels_match_unfiltered_enumeration():
+    rng = random.Random(29)
+    pool = [A, B, parse_atom("c")]
+    constrained = with_m = widened = 0
+    for _ in range(300):
+        n_atoms = rng.randint(1, 3)
+        shape = GeneratorShape(
+            n_atoms=n_atoms, max_rules=4, subjective_prob=0.5, m_prob=0.25, constraint_prob=0.3
+        )
+        program = random_epistemic_program(rng, shape)
+        if rng.random() < 0.3:
+            extra = frozenset(rng.sample(pool, rng.randint(1, 3)))
+            program = Program(program.rules, extra)
+            widened += bool(extra - atoms_of(program.rules))
+        constrained += any(not r.head and is_objective(r) for r in program.rules)
+        with_m += "M " in str(program)
+        expected = _total_model_countermodels_ref(program)
+        assert total_model_countermodels(program) == expected, str(program)
+    assert constrained > 30 and with_m > 30 and widened > 10
+    # one program past the default cap: 2^16 - 1 candidates
+    program = parse_program("a | b. c :- not K d, a. d :- M b, not c. :- a, b. :- c, d.")
+    limits = SolverLimits(f15_max_atoms=4)
+    got = total_model_countermodels(program, limits)
+    assert got and got == _total_model_countermodels_ref(program, limits)

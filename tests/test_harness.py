@@ -1,15 +1,23 @@
+import dataclasses
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from elps import engine
+from elps.config import DEFAULT_LIMITS
+from elps.engine import REGISTRY, compute_world_views
 from elps.harness import (
     FIXTURE_CASES,
     FixtureMismatch,
     PROPERTY_ROWS,
     SEMANTICS_COLUMNS,
     build_property_matrix,
+    fixtures_dir,
+    load_fixture,
     require_fixtures,
     run_fixture_checks,
 )
@@ -26,14 +34,17 @@ def test_every_expectation_carries_provenance():
         assert case.provenance.strip()
 
 
-def test_fixture_mismatch_aborts_with_diff(tmp_path):
-    src = __import__("elps.harness", fromlist=["fixtures_dir"]).fixtures_dir()
-    for path in src.glob("*.elp"):
+def _tampered_corpus(tmp_path):
+    """A copy of the fixture corpus in which ka.elp is a plain fact."""
+    for path in fixtures_dir().glob("*.elp"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-    # tamper with one fixture: ka.elp becomes a plain fact
     (tmp_path / "ka.elp").write_text("a.\n", encoding="utf-8")
+    return tmp_path
+
+
+def test_fixture_mismatch_aborts_with_diff(tmp_path):
     with pytest.raises(FixtureMismatch) as exc:
-        require_fixtures(corpus_dir=tmp_path)
+        require_fixtures(corpus_dir=_tampered_corpus(tmp_path))
     assert any(f.fixture == "ka" for f in exc.value.failures)
     assert "expected" in str(exc.value)
 
@@ -108,3 +119,56 @@ def test_stress_sweep_script_runs_clean():
     )
     assert result.returncode == 0, result.stderr
     assert "stress sweep clean" in result.stdout
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Counts the registry solver calls that returned, per (program,
+    semantics, limits); a call that raises is not stored, so not counted."""
+    counts = Counter()
+    for semantics, entry in list(REGISTRY.items()):
+
+        def solve(program, limits, semantics=semantics, inner=entry.solve):
+            wvs = inner(program, limits)
+            counts[program, semantics, limits] += 1
+            return wvs
+
+        monkeypatch.setitem(REGISTRY, semantics, dataclasses.replace(entry, solve=solve))
+    return counts
+
+
+def test_matrix_build_solves_each_pair_once(solved):
+    build_property_matrix(seed=3, count=2)
+    # college3 meets g91 in the fixture replay, supra-S5, every splitting
+    # check and the foundness column
+    assert solved[load_fixture("college3"), SemanticsId.G91, DEFAULT_LIMITS] == 1
+    assert max(solved.values()) == 1
+    first = set(solved)
+    build_property_matrix(seed=3, count=2)
+    assert set(solved) == first and set(solved.values()) == {2}  # nothing kept between builds
+
+
+def test_no_memo_outside_a_build(solved):
+    program = load_fixture("ab")
+    for _ in range(2):
+        compute_world_views(program, SemanticsId.G91)
+    assert solved[program, SemanticsId.G91, DEFAULT_LIMITS] == 2
+    # nor in another thread while this one has a memo open
+    with engine.solve_memo():
+        compute_world_views(program, SemanticsId.G91)
+        worker = threading.Thread(target=compute_world_views, args=(program, SemanticsId.G91))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        compute_world_views(program, SemanticsId.G91)
+    assert solved[program, SemanticsId.G91, DEFAULT_LIMITS] == 4
+
+
+def test_failed_build_leaves_no_memo(solved, tmp_path):
+    with pytest.raises(FixtureMismatch):
+        build_property_matrix(count=1, corpus_dir=_tampered_corpus(tmp_path))
+    assert engine._memo.get() is None
+    key = (load_fixture("ab"), SemanticsId.G91, DEFAULT_LIMITS)
+    assert solved[key] == 1  # solved by the fixture replay before it failed
+    compute_world_views(*key)
+    assert solved[key] == 2

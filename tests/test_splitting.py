@@ -349,6 +349,21 @@ def test_stratified_uniqueness_randomized():
             assert (layered is None) == (not direct)
 
 
+def test_stratified_generator_reads_constraint_prob():
+    rng = random.Random(31)
+    never = GeneratorShape(n_atoms=5, subjective_prob=0.5, constraint_prob=0.0)
+    always = GeneratorShape(n_atoms=5, subjective_prob=0.5, constraint_prob=1.0)
+    for _ in range(100):
+        program = random_stratified_program(rng, never, n_layers=rng.randint(1, 4))
+        assert all(r.head for r in program.rules), str(program)
+        one_layer = random_stratified_program(rng, always, n_layers=1)
+        assert one_layer.rules and not any(r.head for r in one_layer.rules), str(one_layer)
+        layered = random_stratified_program(rng, always, n_layers=rng.randint(2, 4))
+        assert not any(r.head for r in layered.rules), str(layered)
+        stratify(one_layer)
+        stratify(layered)
+
+
 def test_property_report_json_shape():
     report = check_epistemic_splitting(CE1B, {A, B}, SemanticsId.G11, seed=7)
     payload = report.to_json()
