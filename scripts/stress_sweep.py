@@ -9,7 +9,11 @@ Checks, over seeded random programs:
   - guess-based world views match the brute-force oracle, and foundedness
     matches its brute-force search,
   - stratified programs have at most one world view and the layered
-    evaluator agrees with the direct computation.
+    evaluator agrees with the direct computation,
+  - G91 and C19 solved component by component agree with the direct
+    whole-program guess loop on unions of 3-5 random blocks (8-12 atoms)
+    that read each other through subjective literals, beyond the reach of
+    the brute-force oracle.
 
 Any violation raises with the offending program attached.
 """
@@ -25,15 +29,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from elps.eht import equilibrium_eht_models, f15_world_views
 from elps.engine import brute_force_world_views, compute_world_views
 from elps.errors import UnsupportedMLiteral
-from elps.foundedness import is_founded, is_founded_brute
+from elps.foundedness import c19_world_views, is_founded, is_founded_brute
 from elps.generators import (
     GeneratorShape,
+    random_block_union,
     random_epistemic_program,
     random_stratified_program,
     random_subjective_constraint,
 )
 from elps.modal import is_s5_model
-from elps.semantics import SemanticsId, s17_world_views, world_views
+from elps.semantics import SemanticsId, s17_world_views, subjective_cores, world_views
 from elps.splitting import (
     check_constraint_monotonicity,
     check_epistemic_splitting,
@@ -58,7 +63,7 @@ def main():
 
     rng = random.Random(args.seed)
     t0 = time.time()
-    stats = {"mixed": 0, "splitting": 0, "scm": 0, "f15": 0, "oracle": 0, "stratified": 0}
+    stats = {"mixed": 0, "splitting": 0, "scm": 0, "f15": 0, "oracle": 0, "stratified": 0, "split": 0}
 
     shape4 = GeneratorShape(n_atoms=4, max_rules=5, subjective_prob=0.5, m_prob=0.25)
     for _ in range(args.trials):
@@ -114,6 +119,23 @@ def main():
             unique = len(compute_world_views(program, semantics)) <= 1
             check(unique, program, "stratified uniqueness", semantics.value)
             layered_world_view(program, semantics)  # raises ElpError on disagreement
+
+    shape_b = GeneratorShape(max_rules=3, max_body=2, subjective_prob=0.5, m_prob=0.15, constraint_prob=0.2)
+    direct = {
+        SemanticsId.G91: lambda program: world_views(program, SemanticsId.G91),
+        SemanticsId.C19: c19_world_views,
+    }
+    for _ in range(args.trials):
+        while True:  # at most 7 cores keep the direct loop within seconds
+            sizes = [rng.randint(2, 3) for _ in range(rng.randint(3, 5))]
+            if 8 <= sum(sizes) <= 12:
+                program = random_block_union(rng, shape_b, sizes, cross_prob=0.5)
+                if len(subjective_cores(program)) <= 7:
+                    break
+        stats["split"] += 1
+        for semantics, solve in direct.items():
+            same = compute_world_views(program, semantics) == solve(program)
+            check(same, program, "components vs direct loop", semantics.value)
 
     print(f"stress sweep clean: {stats} in {time.time() - t0:.1f}s (seed={args.seed})")
 

@@ -24,7 +24,7 @@ from .foundedness import is_founded, unfounded_certificate
 from .harness import FixtureMismatch, build_property_matrix
 from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
-from .semantics import SemanticsId, world_views
+from .semantics import SemanticsId
 from .splitting import (
     enumerate_epistemic_splitting_sets,
     epistemic_split,
@@ -83,7 +83,7 @@ def cmd_solve(args) -> int:
         try:
             payload["unfounded_certificates"] = [
                 {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv, limits)}
-                for wv in sorted(world_views(program, SemanticsId.G91, limits), key=wv_key)
+                for wv in sorted(compute_world_views(program, SemanticsId.G91, limits), key=wv_key)
                 if not is_founded(program, wv, limits)
             ]
         except CapacityError as exc:

@@ -15,8 +15,14 @@ ENV_MAX_ATOMS = "ELP_MAX_ATOMS"
 
 @dataclass(frozen=True)
 class SolverLimits:
+    """G91 and C19 solve one closed component at a time: there `max_guesses`
+    and `founded_max_atoms` bound each component, `max_atoms` still bounds
+    the whole program (so no world view exceeds 2^max_atoms
+    interpretations), and an answer of more than `max_guesses` world views
+    is refused.  The other semantics apply every cap to the whole program."""
+
     max_atoms: int = 20          # stable-model candidate enumeration (2^n interpretations)
-    max_guesses: int = 4096      # modal-guess space for world-view search (2^#cores)
+    max_guesses: int = 4096      # modal-guess space for world-view search (2^#cores); world views per answer
     brute_max_atoms: int = 4     # direct world-view enumeration over 2^(2^n)
     f15_max_atoms: int = 3       # EHT equilibrium machinery
     founded_max_atoms: int = 12  # unfounded-pair fixpoint

@@ -5,6 +5,13 @@ property matrix samples for it.  No other module chooses these by semantics.
 Entries call the solvers through their modules' attributes at call time, so
 a function rebound on its module (for tracing, say) is the one that runs.
 
+An entry marked `splitting: True` (g91 and c19) decomposes before it
+guesses: `splitting.component_world_views` splits the program into closed
+components, solves each with the semantics' direct whole-program solver and
+assembles the world views with `combine`, which the epistemic splitting
+theorem makes exact.  The other semantics fail splitting on the paper's
+counterexamples, so they solve the whole program with their direct solver.
+
 `solve_memo()` opens a memo for the length of a `with` block: inside it,
 `compute_world_views` solves each equal (program, semantics, limits) once and
 answers repeats from memory.  Nothing is memoized outside such a block.
@@ -17,7 +24,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from . import eht, foundedness, semantics
+from . import eht, foundedness, semantics, splitting
 from .config import DEFAULT_LIMITS, SolverLimits
 from .generators import GeneratorShape
 from .modal import WorldView
@@ -31,16 +38,28 @@ Solver = Callable[[Program, SolverLimits], frozenset[WorldView]]
 class SemanticsEntry:
     solve: Solver
     oracle: Solver  # independent brute-force route the differential tests compare against
-    splitting: bool  # satisfies epistemic splitting (the source paper's table)
+    splitting: bool  # satisfies epistemic splitting (the source paper's table), so `solve` goes by components
     shape: GeneratorShape  # random programs the property matrix samples
     founded: bool = False  # every world view is founded by construction
 
 
-def _reduct_based(sem: SemanticsId, splitting: bool, shape: GeneratorShape) -> SemanticsEntry:
-    return SemanticsEntry(
-        solve=lambda p, limits: semantics.world_views(p, sem, limits),
+def _entry(
+    direct: Solver, oracle: Solver, splits: bool, shape: GeneratorShape, founded: bool = False
+) -> SemanticsEntry:
+    """An entry that solves with `direct`, component by component when it
+    satisfies epistemic splitting."""
+
+    def by_components(program: Program, limits: SolverLimits) -> frozenset[WorldView]:
+        return splitting.component_world_views(program, direct, limits)
+
+    return SemanticsEntry(by_components if splits else direct, oracle, splits, shape, founded)
+
+
+def _reduct_based(sem: SemanticsId, splits: bool, shape: GeneratorShape) -> SemanticsEntry:
+    return _entry(
+        direct=lambda p, limits: semantics.world_views(p, sem, limits),
         oracle=lambda p, limits: semantics.brute_world_views(p, sem, limits),
-        splitting=splitting,
+        splits=splits,
         shape=shape,
     )
 
@@ -49,26 +68,26 @@ _M_SHAPE = GeneratorShape(n_atoms=4, max_rules=4, subjective_prob=0.45, m_prob=0
 _K_SHAPE = GeneratorShape(n_atoms=4, max_rules=4, subjective_prob=0.45)  # K-only semantics
 
 REGISTRY: dict[SemanticsId, SemanticsEntry] = {
-    SemanticsId.G91: _reduct_based(SemanticsId.G91, splitting=True, shape=_M_SHAPE),
-    SemanticsId.G11: _reduct_based(SemanticsId.G11, splitting=False, shape=_K_SHAPE),
-    SemanticsId.K15: _reduct_based(SemanticsId.K15, splitting=False, shape=_K_SHAPE),
-    SemanticsId.S17: SemanticsEntry(
-        solve=lambda p, limits: semantics.s17_world_views(p, limits),
+    SemanticsId.G91: _reduct_based(SemanticsId.G91, splits=True, shape=_M_SHAPE),
+    SemanticsId.G11: _reduct_based(SemanticsId.G11, splits=False, shape=_K_SHAPE),
+    SemanticsId.K15: _reduct_based(SemanticsId.K15, splits=False, shape=_K_SHAPE),
+    SemanticsId.S17: _entry(
+        direct=lambda p, limits: semantics.s17_world_views(p, limits),
         oracle=lambda p, limits: semantics.s17_brute_world_views(p, limits),
-        splitting=False,
+        splits=False,
         shape=_K_SHAPE,
     ),
     # F15 is definitional enumeration already: its solver is its oracle
-    SemanticsId.F15: SemanticsEntry(
-        solve=lambda p, limits: eht.f15_world_views(p, limits),
+    SemanticsId.F15: _entry(
+        direct=lambda p, limits: eht.f15_world_views(p, limits),
         oracle=lambda p, limits: eht.f15_world_views(p, limits),
-        splitting=False,
+        splits=False,
         shape=GeneratorShape(n_atoms=3, max_rules=3, subjective_prob=0.45),  # the EHT atom cap
     ),
-    SemanticsId.C19: SemanticsEntry(
-        solve=lambda p, limits: foundedness.c19_world_views(p, limits),
+    SemanticsId.C19: _entry(
+        direct=lambda p, limits: foundedness.c19_world_views(p, limits),
         oracle=lambda p, limits: foundedness.c19_brute_world_views(p, limits),
-        splitting=True,
+        splits=True,
         shape=_M_SHAPE,
         founded=True,
     ),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .syntax import Atom, ObjLit, Program, Rule, SubjLit
 
@@ -106,4 +107,38 @@ def random_stratified_program(
         layer = rng.randint(0, n_layers - 1)
         below = [a for l in layers[:layer] for a in l]
         rules.append(_rule(rng, layers[layer], shape, below))
+    return Program.of(rules)
+
+
+def random_block(
+    rng: random.Random,
+    shape: GeneratorShape,
+    atoms: list[Atom],
+    lower: Sequence[Atom] = (),
+    cross_prob: float = 0.0,
+) -> list[Rule]:
+    """1..`shape.max_rules` rules over `atoms`; with chance `cross_prob`, a
+    rule's subjective literals may also read the atoms of `lower`."""
+    rules = []
+    for _ in range(rng.randint(1, shape.max_rules)):
+        modal = [*atoms, *lower] if lower and rng.random() < cross_prob else atoms
+        rules.append(_rule(rng, atoms, shape, modal))
+    return rules
+
+
+def random_block_union(
+    rng: random.Random,
+    shape: GeneratorShape,
+    block_sizes: list[int],
+    cross_prob: float = 0.0,
+) -> Program:
+    """One `random_block` per size, over atoms a0, b0, ... of block 0, a1,
+    b1, ... of block 1 and so on; each block may read the blocks before it
+    with `cross_prob`, so without it the program is a disjoint union."""
+    rules: list[Rule] = []
+    lower: list[Atom] = []
+    for j, size in enumerate(block_sizes):
+        atoms = [Atom(f"{chr(ord('a') + i)}{j}") for i in range(size)]
+        rules += random_block(rng, shape, atoms, lower, cross_prob)
+        lower += atoms
     return Program.of(rules)

@@ -7,6 +7,9 @@ constraints on U satisfy both conditions and are placed per policy.  Solving
 then proceeds bottom-up: world views of the bottom simplify the top's
 subjective literals to truth constants, and solutions compose with ⊔.
 
+G91 and C19 satisfy epistemic splitting, so `component_world_views` solves
+them one closed component at a time and composes the world views.
+
 Stratified programs (modal dependencies strictly decrease levels) are
 evaluated by iterated splitting: the lowest level splits off as an objective
 bottom, its stable models form its world view, and the rest is simplified
@@ -17,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
-from .engine import compute_world_views
-from .errors import ElpError, NotAnEpistemicSplittingSet, NotStratified
+from .errors import CapacityError, ElpError, NotAnEpistemicSplittingSet, NotStratified
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
 from .objective import Split, partition, stable_models
 from .semantics import SemanticsId
@@ -77,11 +80,108 @@ def epistemic_solutions(
 ) -> frozenset[EpistemicSolution]:
     split = epistemic_split(program, U, placement)
     solutions = []
-    for wv_b in compute_world_views(split.bottom, semantics, limits):
+    for wv_b in engine.compute_world_views(split.bottom, semantics, limits):
         simplified = top_simplification(split, wv_b)
-        for wv_t in compute_world_views(simplified, semantics, limits):
+        for wv_t in engine.compute_world_views(simplified, semantics, limits):
             solutions.append(EpistemicSolution(wv_b, wv_t))
     return frozenset(solutions)
+
+
+# ---------------------------------------------------------------------------
+# solving component by component
+
+
+def _classes(atoms: list[Atom], linked) -> list[frozenset[Atom]]:
+    """The finest partition of `atoms` that keeps each set of `linked` in one
+    class, in the order of each class's first atom."""
+    cls = {a: frozenset([a]) for a in atoms}
+    for group in linked:
+        merged = frozenset().union(*(cls[a] for a in group))
+        for a in merged:
+            cls[a] = merged
+    return list(dict.fromkeys(cls[a] for a in atoms))
+
+
+def closed_component(program: Program) -> tuple[frozenset[Atom], bool] | None:
+    """A splitting set U to split off first and whether the top then does not
+    mention U at all; None when the program is a single component.
+
+    Atoms that a chain of rules connects form a block.  With several blocks,
+    U is the first one, and no rule outside it mentions it.  In one block,
+    atoms sharing the head or objective body of a rule form a group, and
+    dep(a, b) leads from a's group to b's.  The groups reachable from one
+    group make a splitting set; the smallest of these is a minimal one (a
+    sink of the strongly connected components), which the top reads through
+    subjective literals only.
+    """
+    atoms = sorted(atoms_of(program), key=atom_key)
+    blocks = _classes(atoms, (atoms_of(r) for r in program.rules))
+    if len(blocks) > 1:
+        return blocks[0], True
+    groups = _classes(atoms, (objective_atoms(r) for r in program.rules))
+    group_of = {a: g for g in groups for a in g}
+    successors: dict[frozenset[Atom], set[frozenset[Atom]]] = {g: set() for g in groups}
+    for a, b in dep_relation(program):
+        successors[group_of[a]].add(group_of[b])
+
+    def reachable(group: frozenset[Atom]) -> frozenset[Atom]:
+        seen, stack = {group}, [group]
+        while stack:
+            for succ in successors[stack.pop()]:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        return frozenset().union(*seen)
+
+    U = min(map(reachable, groups), key=len, default=frozenset())
+    return (U, False) if len(U) < len(atoms) else None
+
+
+def component_world_views(
+    program: Program,
+    direct: engine.Solver,
+    limits: SolverLimits = DEFAULT_LIMITS,
+) -> frozenset[WorldView]:
+    """World views under a semantics that satisfies epistemic splitting,
+    from `direct`, its whole-program solver, run on one closed component at
+    a time.
+
+    Each step splits `closed_component` U off as the bottom.  When the top
+    does not mention U, bottom and top are solved once each and every pair
+    of their world views is combined.  Otherwise `direct` solves the bottom,
+    and the top is solved again for each bottom world view after
+    `top_simplification`.  A program of one component goes to `direct`
+    whole.
+
+    Caps: `max_atoms` bounds the whole program, so no world view has more
+    than 2^max_atoms interpretations.  `direct` applies the other caps, such
+    as `max_guesses` and `founded_max_atoms`, to one component at a time.
+    An assembled answer of more than `max_guesses` world views raises
+    CapacityError; the whole-program guess loop yields at most one view per
+    guess, so it never returns more.
+    """
+    capped_atoms(program, limits.max_atoms, "exhaustive-search")
+    found = closed_component(program)
+    if found is None:
+        return direct(program, limits)
+    U, independent = found
+    split = epistemic_split(program, U, "bottom")
+    if independent:
+        bottoms = component_world_views(split.bottom, direct, limits)
+        tops = component_world_views(split.top, direct, limits) if bottoms else frozenset()
+        pairs = ((wv_b, wv_t) for wv_b in bottoms for wv_t in tops)
+    else:
+        pairs = (
+            (wv_b, wv_t)
+            for wv_b in direct(split.bottom, limits)
+            for wv_t in component_world_views(top_simplification(split, wv_b), direct, limits)
+        )
+    views = set()
+    for wv_b, wv_t in pairs:
+        views.add(combine(wv_b, wv_t))
+        if len(views) > limits.max_guesses:
+            raise CapacityError(f"the world views exceed the guess cap of {limits.max_guesses}")
+    return frozenset(views)
 
 
 def enumerate_epistemic_splitting_sets(
@@ -166,7 +266,7 @@ def check_epistemic_splitting(
         placements = ("bottom", "top") if dual else ("bottom",)
     else:
         placements = (placement,)
-    lhs = compute_world_views(program, semantics, limits)
+    lhs = engine.compute_world_views(program, semantics, limits)
     verdict = "holds"
     rhs_shown = None
     for place in placements:
@@ -202,10 +302,10 @@ def check_constraint_monotonicity(
     if not constraint.is_subjective_constraint:
         raise ValueError(f"{constraint} is not a subjective constraint")
     extended = Program.of(program.rules + (constraint,), program.extra_atoms)
-    lhs = compute_world_views(extended, semantics, limits)
+    lhs = engine.compute_world_views(extended, semantics, limits)
     rhs = frozenset(
         wv
-        for wv in compute_world_views(program, semantics, limits)
+        for wv in engine.compute_world_views(program, semantics, limits)
         if modal_satisfies(wv, frozenset(), constraint)
     )
     return PropertyReport(
@@ -233,27 +333,13 @@ def stratify(program: Program) -> Stratification:
     """Layer atoms so modal dependencies strictly decrease; objective
     co-occurrence (head and objective body) groups atoms on one layer."""
     atoms = sorted(program.atom_universe, key=atom_key)
-    parent = {a: a for a in atoms}
-
-    def find(a: Atom) -> Atom:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: Atom, b: Atom):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for rule in program.rules:
-        group = sorted(objective_atoms(rule), key=atom_key)
-        for other in group[1:]:
-            union(group[0], other)
+    # each group is named by its first atom
+    groups = _classes(atoms, (objective_atoms(r) for r in program.rules))
+    name = {a: min(g, key=atom_key) for g in groups for a in g}
 
     edges: dict[Atom, set[Atom]] = {}
     for a, b in sorted(dep_relation(program), key=lambda p: (atom_key(p[0]), atom_key(p[1]))):
-        ga, gb = find(a), find(b)
+        ga, gb = name[a], name[b]
         if ga == gb:
             raise NotStratified(
                 f"modal dependency dep({a},{b}) is internal to one layer group",
@@ -278,7 +364,7 @@ def stratify(program: Program) -> Stratification:
         level[g] = value
         return value
 
-    return Stratification({a: height(find(a)) for a in atoms})
+    return Stratification({a: height(name[a]) for a in atoms})
 
 
 def layered_world_view(
@@ -311,7 +397,7 @@ def layered_world_view(
         if stable_models(rest, limits):
             result = wv
 
-    direct = compute_world_views(program, semantics, limits)
+    direct = engine.compute_world_views(program, semantics, limits)
     expected = frozenset() if result is None else frozenset([result])
     if direct != expected:
         raise ElpError(

@@ -98,6 +98,7 @@ def test_explain_unfounded_certificate(capsys, fx):
 
 FACTS13 = " ".join(f"a{i}." for i in range(13)) + "\n"
 FACTS13_WV = sorted(f"a{i}" for i in range(13))
+CHAIN13 = "a0.\n" + "".join(f"a{i + 1} :- a{i}.\n" for i in range(12))
 FOUNDEDNESS_CAP = "13 atoms exceed the foundedness cap of 12"
 
 
@@ -108,9 +109,27 @@ def test_explain_unfounded_over_the_cap_still_solves(capsys, tmp_path):
     assert code == 0
     assert out == "[[" + ",".join(FACTS13_WV) + "]]\n"
     assert err == f"unfounded certificates skipped: {FOUNDEDNESS_CAP}\n"
-    # C19 needs foundedness to solve at all
+    # C19 checks foundedness per component: 13 facts are 13 one-atom components
     code, out, err = run(capsys, "solve", str(path), "--explain-unfounded", "--semantics", "c19")
+    assert code == 0
+    assert out == "[[" + ",".join(FACTS13_WV) + "]]\n"
+    assert err == f"unfounded certificates skipped: {FOUNDEDNESS_CAP}\n"
+    # a 13-atom chain is one component, so C19 needs foundedness over all 13 atoms
+    chain = tmp_path / "chain13.elp"
+    chain.write_text(CHAIN13, encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(chain), "--explain-unfounded", "--semantics", "c19")
     assert (code, out, err) == (2, "", f"error: {FOUNDEDNESS_CAP}\n")
+
+
+def test_explain_unfounded_solves_g91_by_components(capsys, tmp_path):
+    # 16 cores are past the whole-program guess cap; the certificates then
+    # stop at the foundedness cap over all 16 atoms, not at the guess cap
+    path = tmp_path / "blocks8.elp"
+    path.write_text("".join(f"a{i} :- not K b{i}. b{i} :- not K a{i}.\n" for i in range(8)), encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), "--explain-unfounded", "--semantics", "c19")
+    assert code == 0
+    assert len(out.splitlines()) == 256
+    assert err == "unfounded certificates skipped: 16 atoms exceed the foundedness cap of 12\n"
 
 
 def test_explain_unfounded_over_the_cap_json(capsys, tmp_path):

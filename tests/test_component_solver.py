@@ -1,0 +1,195 @@
+"""The component-by-component solver of g91 and c19 against the direct
+whole-program guess loop, and against the brute-force oracle on small
+programs.
+
+Criterion 7 checks epistemic splitting with the component solver on both
+sides of the equation; this differential test keeps its verdicts resting on
+the direct loop.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from elps import semantics as semantics_module
+from elps import splitting
+from elps.config import DEFAULT_LIMITS, SolverLimits
+from elps.engine import REGISTRY, brute_force_world_views, compute_world_views
+from elps.errors import CapacityError
+from elps.foundedness import c19_world_views
+from elps.generators import (
+    GeneratorShape,
+    random_block,
+    random_block_union,
+    random_epistemic_program,
+    random_subjective_constraint,
+)
+from elps.modal import WorldView
+from elps.semantics import SemanticsId, subjective_cores, world_views
+from elps.splitting import closed_component, combine, component_world_views
+from elps.syntax import Atom, Program, atoms_of, load_program, parse_program, parse_rule
+
+SPLITTING = (SemanticsId.G91, SemanticsId.C19)
+DIRECT = {
+    SemanticsId.G91: lambda program, limits=DEFAULT_LIMITS: world_views(program, SemanticsId.G91, limits),
+    SemanticsId.C19: c19_world_views,
+}
+BRUTE_MAX_ATOMS = 3  # the oracle walks 2^(2^n) candidates: about 5 s a program at 4 atoms
+
+
+def assert_same_as_direct(program: Program) -> None:
+    for sem in SPLITTING:
+        views = compute_world_views(program, sem)
+        assert views == DIRECT[sem](program), (sem, str(program))
+        if len(program.atom_universe) <= BRUTE_MAX_ATOMS:
+            assert views == brute_force_world_views(program, sem), (sem, str(program))
+
+
+def test_registry_routes_splitting_semantics_by_components(monkeypatch):
+    calls = []
+    real = semantics_module.world_views
+    monkeypatch.setattr(
+        semantics_module, "world_views", lambda p, sem, limits: calls.append(p) or real(p, sem, limits)
+    )
+    program = parse_program("a :- not K b. b :- not K a. c :- not K d. d :- not K c.")
+    compute_world_views(program, SemanticsId.G91)
+    assert len(calls) == 2 and all(len(p.atom_universe) == 2 for p in calls)
+    calls.clear()
+    compute_world_views(program, SemanticsId.G11)
+    assert calls == [program]  # no splitting claim: the whole program at once
+
+
+def test_random_programs_at_the_matrix_shape():
+    rng = random.Random(4242)
+    for sem in SPLITTING:
+        for _ in range(150):
+            assert_same_as_direct(random_epistemic_program(rng, REGISTRY[sem].shape))
+
+
+def test_criterion_7_sample():
+    rng = random.Random(2026)
+    shape = GeneratorShape(n_atoms=4, max_rules=5, subjective_prob=0.45, m_prob=0.2)
+    for _ in range(500):
+        assert_same_as_direct(random_epistemic_program(rng, shape))
+
+
+# ---------------------------------------------------------------------------
+# unions of small random blocks
+
+
+BLOCK = GeneratorShape(max_rules=3, max_body=2, subjective_prob=0.5, m_prob=0.15, constraint_prob=0.2)
+
+
+def random_union(rng: random.Random, cross: bool) -> Program:
+    """2-4 blocks of 1-3 atoms with at most 6 subjective cores, so the direct
+    loop stays fast.  With `cross`, a block may read earlier blocks through
+    subjective literals, and a subjective constraint may span the blocks.
+    Some unions get a constraint without atoms or an extra atom."""
+    while True:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        program = random_block_union(rng, BLOCK, sizes, cross_prob=0.5 if cross else 0.0)
+        rules = list(program.rules)
+        if cross and rng.random() < 0.2:
+            rules.append(random_subjective_constraint(rng, program, BLOCK))
+        if rng.random() < 0.06:
+            rules.append(parse_rule(":- #true."))
+        extra = [Atom("e")] if rng.random() < 0.1 else []
+        program = Program.of(rules, extra)
+        if len(subjective_cores(program)) <= 6:
+            return program
+
+
+def product(answers) -> set[WorldView]:
+    """World views of a disjoint union from the world views of its parts."""
+    views = {WorldView(frozenset([frozenset()]))}
+    for answer in answers:
+        views = {combine(wv, other) for wv in views for other in answer}
+    return views
+
+
+def _counting(direct, calls: list):
+    def solve(program, limits):
+        calls.append(program)
+        return direct(program, limits)
+
+    return solve
+
+
+def test_unions_of_random_blocks(monkeypatch):
+    splits = []
+    monkeypatch.setattr(
+        splitting, "closed_component", lambda p: splits.append(closed_component(p)) or splits[-1]
+    )
+    rng = random.Random(9090)
+    seen = Counter()
+    for n in range(240):
+        splits.clear()
+        program = random_union(rng, cross=n % 2 == 0)
+        assert_same_as_direct(program)
+        seen["independent split"] += any(found and found[1] for found in splits)
+        seen["dependent split"] += any(found and not found[1] for found in splits)
+        has_views = bool(compute_world_views(program, SemanticsId.G91))
+        seen["world views"] += has_views
+        seen["no world view"] += not has_views
+        seen["extra atoms"] += bool(program.extra_atoms)
+        seen["atomless rule"] += any(not atoms_of(r) for r in program.rules)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_disjoint_blocks_are_solved_once_each():
+    """Without cross-block reads, each block is solved as it is alone: the
+    union's world views are the product of the blocks', for the sum of
+    their direct solves."""
+    rng = random.Random(9191)
+    for _ in range(60):
+        blocks = [
+            Program.of(random_block(rng, BLOCK, [Atom(f"a{j}"), Atom(f"b{j}")]))
+            for j in range(rng.randint(2, 4))
+        ]
+        union = Program.of(r for block in blocks for r in block.rules)
+        for sem in SPLITTING:
+            calls, alone_calls = [], []
+            views = component_world_views(union, _counting(DIRECT[sem], calls))
+            alone = [component_world_views(b, _counting(DIRECT[sem], alone_calls)) for b in blocks]
+            assert views == product(alone), (sem, str(union))
+            assert len(calls) <= len(alone_calls), (sem, str(union))
+
+
+@pytest.mark.parametrize("sem", SPLITTING)
+def test_constraints_on_the_bottom_prune_it_before_the_top_is_solved(sem):
+    """`:- not K a` mentions only the bottom {a, b}, so it stays there and
+    drops the view [[b]]; the top `c :- K a` is solved for [[a]] alone."""
+    program = parse_program("a :- not K b. b :- not K a. :- not K a. c :- K a.")
+    calls = []
+    views = component_world_views(program, _counting(DIRECT[sem], calls))
+    assert views == DIRECT[sem](program) == {WorldView.of([{Atom("a"), Atom("c")}])}
+    assert [len(p.rules) for p in calls] == [3, 1]
+
+
+# ---------------------------------------------------------------------------
+# caps
+
+
+def k_blocks(k: int) -> Program:
+    return load_program("".join(f"a{i} :- not K b{i}. b{i} :- not K a{i}.\n" for i in range(k)))
+
+
+@pytest.mark.parametrize("sem", SPLITTING)
+def test_eight_blocks_under_default_caps(sem):
+    """16 cores are past the whole-program guess cap of 4096; per block there are 2."""
+    views = compute_world_views(k_blocks(8), sem)
+    blocks = [load_program(f"a{i} :- not K b{i}. b{i} :- not K a{i}.\n") for i in range(8)]
+    assert len(views) == 256 and views == product(DIRECT[sem](b) for b in blocks)
+
+
+@pytest.mark.parametrize("sem", SPLITTING)
+def test_assembled_answer_over_the_guess_cap_is_refused(sem):
+    with pytest.raises(CapacityError, match="guess cap of 64"):
+        compute_world_views(k_blocks(8), sem, SolverLimits(max_guesses=64))
+
+
+@pytest.mark.parametrize("sem", SPLITTING)
+def test_whole_program_atom_cap(sem):
+    with pytest.raises(CapacityError, match="22 atoms exceed the exhaustive-search cap of 20"):
+        compute_world_views(k_blocks(11), sem)
