@@ -1,12 +1,22 @@
-"""Epistemic here-and-there machinery: EHT models, equilibrium selection and
-the F15 world views.
+"""Epistemic here-and-there machinery: equilibrium models and the F15 world
+views.
 
 An EHT interpretation pairs a world view ("there") with a function h mapping
-each interpretation to a subset of itself ("here").  Atoms are read from
-h(I); a default-negated literal is always evaluated in the total variant.
+each interpretation to a subset of itself ("here").  This module has one
+literal evaluator, the "here" reading: a positive atom is read from h at the
+point, and K/M over a positive inner literal read h at every point of the
+world view.  Everything else reads the total ("there") valuation and is
+delegated to `modal.modal_satisfies`: truth constants, default-negated
+literals, `not K`/`not M`, and K/M over a negated inner literal.  A rule holds
+at a point when its body fails there or its head meets h at the point.  With
+h the identity the reading is modal satisfaction, so every total check
+(total models, condition (1) of `models_star`) calls `modal_satisfies`
+itself.  The definitional API (an EHT interpretation object, satisfaction of
+a construct at a point, EHT models) lives in `tests/test_eht.py`, where it is
+the reference the evaluator here is tested against.
+
 Equilibrium models are total models admitting no smaller "here" model; F15
 world views are the equilibrium models that survive the ⊂ / ≤ comparison.
-
 The ordering ≤ quantifies over interpretations that belong to *some*
 equilibrium model.
 
@@ -15,15 +25,14 @@ are found by a depth-first search over the free points in `interp_key`
 order, trying each point's "here" values in `subsets` order, so the first
 one found is the first of the full product of those choices.  A point not
 yet decided reads as ∅, and a branch is dropped as soon as a rule fails at a
-decided point.  That is sound because a rule body is monotone in h: atoms
-and K/M over a positive inner literal read "here" values, while negated
-literals, `not K`/`not M` and K/M over a negated inner literal read the
-total "there" valuation.  A body true with ∅ at the undecided points stays
-true however they are decided, and the head at a decided point is fixed, so
-no completion of the branch repairs the rule.
+decided point.  That is sound because a rule body is monotone in h: only
+its "here" literals read h, and the rest read the total valuation.  A body
+true with ∅ at the undecided points stays true however they are decided,
+and the head at a decided point is fixed, so no completion of the branch
+repairs the rule.
 
 A rule with no subjective literal holds or fails at a point in the total
-variant whatever the world view is, so `total_model_countermodels` keeps the
+reading whatever the world view is, so `total_model_countermodels` keeps the
 interpretations that satisfy those rules once and builds candidate world
 views from them alone; only the rules with a subjective literal are checked
 per candidate.  The kept candidates come in the same order as before.
@@ -31,85 +40,37 @@ per candidate.  The kept candidates come in the same order as before.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
-
 from .config import DEFAULT_LIMITS, SolverLimits
-from .modal import WorldView, candidate_world_views
+from .modal import WorldView, candidate_world_views, modal_satisfies
 from .objective import Interpretation
 from .syntax import (
-    Atom,
     ObjLit,
     Program,
     Rule,
     SubjLit,
     atom_key,
     capped_atoms,
-    const_truth,
     interp_key,
     is_objective,
     subsets,
 )
 
 
-class EHTInterpretation:
-    """A world view plus a "here" map h with h(I) ⊆ I for every I."""
-
-    def __init__(self, wv: WorldView, h: Mapping[Interpretation, Iterable[Atom]]):
-        self.wv = wv
-        self.h = {i: frozenset(h[i]) for i in wv.interps}
-        for i, here in self.h.items():
-            if not here <= i:
-                raise ValueError(f"h({set(i)}) = {set(here)} is not a subset")
-
-    @classmethod
-    def total(cls, wv: WorldView) -> "EHTInterpretation":
-        return cls(wv, {i: i for i in wv.interps})
-
-
-def _lit_truth(wv: WorldView, h, point: Interpretation, lit, total: bool) -> bool:
-    """h is ignored when total=True (the id variant)."""
+def _lit_truth(wv: WorldView, h, point: Interpretation, lit) -> bool:
+    """A body literal at `point` in the "here" reading."""
     if isinstance(lit, ObjLit):
-        value = const_truth(lit)
-        if value is not None:
-            return value
-        if lit.negs == 0:
-            return lit.base in (point if total else h[point])
-        # a default-negated literal reads the total ("there") valuation
-        value = lit.base in point
-        return value if lit.negs == 2 else not value
-    # subjective literal
-    if lit.neg:
-        return not _lit_truth(wv, h, point, lit.core(), total=True)
-    inner = lit.inner
-    if lit.modality == "K":
-        return all(_lit_truth(wv, h, i, inner, total) for i in wv.interps)
-    return any(_lit_truth(wv, h, i, inner, total) for i in wv.interps)
+        if lit.negs == 0 and lit.atom is not None:
+            return lit.base in h[point]
+    elif not lit.neg and lit.inner.negs == 0:
+        quantifier = all if lit.modality == "K" else any
+        return quantifier(lit.atom in h[i] for i in wv.interps)
+    return modal_satisfies(wv, point, lit)
 
 
-def eht_satisfies(eht: EHTInterpretation, point: Interpretation, construct) -> bool:
-    point = frozenset(point)
-    if point not in eht.wv.interps:
-        raise ValueError(f"point {set(point)} is not in the world view")
-    if isinstance(construct, (ObjLit, SubjLit)):
-        return _lit_truth(eht.wv, eht.h, point, construct, total=False)
-    if isinstance(construct, Rule):
-        return _rule_at_point(eht.wv, eht.h, point, construct, total=False)
-    raise TypeError(f"unsupported construct {construct!r}")
-
-
-def _rule_at_point(wv, h, point, rule: Rule, total: bool) -> bool:
-    if all(_lit_truth(wv, h, point, l, total) for l in rule.body):
-        here = point if total else h[point]
-        return any(a in here for a in rule.head)
+def _rule_at_point(wv: WorldView, h, point: Interpretation, rule: Rule) -> bool:
+    if all(_lit_truth(wv, h, point, l) for l in rule.body):
+        return any(a in h[point] for a in rule.head)
     return True
-
-
-def _model_at_point(wv, h, point, program: Program, total: bool) -> bool:
-    return all(_rule_at_point(wv, h, point, r, total) for r in program.rules)
-
-
-def is_eht_model(eht: EHTInterpretation, program: Program) -> bool:
-    return all(_model_at_point(eht.wv, eht.h, i, program, total=False) for i in eht.wv.interps)
 
 
 def _countermodel(program: Program, wv: WorldView, free):
@@ -123,7 +84,7 @@ def _countermodel(program: Program, wv: WorldView, free):
     modal = [r for r in program.rules if any(isinstance(l, SubjLit) and not l.neg for l in r.body)]
 
     def holds(points, rules) -> bool:
-        return all(_rule_at_point(wv, h, p, r, total=False) for p in points for r in rules)
+        return all(_rule_at_point(wv, h, p, r) for p in points for r in rules)
 
     def search(k: int, non_total: bool) -> bool:
         if k == len(free):
@@ -154,15 +115,12 @@ def total_model_countermodels(
     atoms = capped_atoms(program, limits.f15_max_atoms, "EHT")
     objective = [r for r in program.rules if is_objective(r)]
     modal = [r for r in program.rules if not is_objective(r)]
-    points = [
-        i
-        for i in subsets(atoms)
-        if all(_rule_at_point(None, None, i, r, total=True) for r in objective)
-    ]
+    # an objective rule never reads the world view
+    points = [i for i in subsets(atoms) if all(modal_satisfies(None, i, r) for r in objective)]
     return [
         (wv, equilibrium_countermodel(program, wv))
         for wv in candidate_world_views(points)
-        if all(_rule_at_point(wv, None, i, r, total=True) for i in wv.interps for r in modal)
+        if all(modal_satisfies(wv, i, r) for i in wv.interps for r in modal)
     ]
 
 
@@ -177,7 +135,7 @@ def equilibrium_eht_models(
 def models_star(wv: WorldView, X, program: Program) -> bool:
     """The auxiliary satisfaction relation behind the F15 ordering.
 
-    (1) the program holds at every point of X in the total variant;
+    (1) the program holds at every point of X in the total reading;
     (2) any EHT-model (all points) that is total outside X must be total.
 
     With X = wv this is exactly the equilibrium condition.
@@ -185,7 +143,7 @@ def models_star(wv: WorldView, X, program: Program) -> bool:
     X = frozenset(frozenset(i) for i in X)
     if not X <= wv.interps:
         raise ValueError("X must be a subset of the world view")
-    if not all(_model_at_point(wv, None, i, program, total=True) for i in X):
+    if not all(modal_satisfies(wv, i, program) for i in X):
         return False
     return _countermodel(program, wv, X) is None
 

@@ -1,6 +1,11 @@
 """The semantics registry: for each semantics, its solver, its brute-force
-oracle, whether it satisfies epistemic splitting, and the random programs the
-property matrix samples for it.  No other module chooses these by semantics.
+oracle, whether it accepts M literals, whether it satisfies epistemic
+splitting, and the random programs the property matrix samples for it.  No
+other module chooses these by semantics.
+
+`compute_world_views` and `brute_force_world_views` scan a program once for
+M literals under a semantics that does not accept them (g11, k15, s17) and
+raise `UnsupportedMLiteral` naming that semantics, before any guess.
 
 Entries call the solvers through their modules' attributes at call time, so
 a function rebound on its module (for tracing, say) is the one that runs.
@@ -38,13 +43,19 @@ Solver = Callable[[Program, SolverLimits], frozenset[WorldView]]
 class SemanticsEntry:
     solve: Solver
     oracle: Solver  # independent brute-force route the differential tests compare against
+    accepts_m: bool  # defined for M literals; the others are for K-literals only
     splitting: bool  # satisfies epistemic splitting (the source paper's table), so `solve` goes by components
     shape: GeneratorShape  # random programs the property matrix samples
     founded: bool = False  # every world view is founded by construction
 
 
 def _entry(
-    direct: Solver, oracle: Solver, splits: bool, shape: GeneratorShape, founded: bool = False
+    direct: Solver,
+    oracle: Solver,
+    accepts_m: bool,
+    splits: bool,
+    shape: GeneratorShape,
+    founded: bool = False,
 ) -> SemanticsEntry:
     """An entry that solves with `direct`, component by component when it
     satisfies epistemic splitting."""
@@ -52,13 +63,15 @@ def _entry(
     def by_components(program: Program, limits: SolverLimits) -> frozenset[WorldView]:
         return splitting.component_world_views(program, direct, limits)
 
-    return SemanticsEntry(by_components if splits else direct, oracle, splits, shape, founded)
+    solve = by_components if splits else direct
+    return SemanticsEntry(solve, oracle, accepts_m, splits, shape, founded)
 
 
 def _reduct_based(sem: SemanticsId, splits: bool, shape: GeneratorShape) -> SemanticsEntry:
     return _entry(
         direct=lambda p, limits: semantics.world_views(p, sem, limits),
         oracle=lambda p, limits: semantics.brute_world_views(p, sem, limits),
+        accepts_m=sem is SemanticsId.G91,
         splits=splits,
         shape=shape,
     )
@@ -74,6 +87,7 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
     SemanticsId.S17: _entry(
         direct=lambda p, limits: semantics.s17_world_views(p, limits),
         oracle=lambda p, limits: semantics.s17_brute_world_views(p, limits),
+        accepts_m=False,
         splits=False,
         shape=_K_SHAPE,
     ),
@@ -81,12 +95,14 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
     SemanticsId.F15: _entry(
         direct=lambda p, limits: eht.f15_world_views(p, limits),
         oracle=lambda p, limits: eht.f15_world_views(p, limits),
+        accepts_m=True,
         splits=False,
         shape=GeneratorShape(n_atoms=3, max_rules=3, subjective_prob=0.45),  # the EHT atom cap
     ),
     SemanticsId.C19: _entry(
         direct=lambda p, limits: foundedness.c19_world_views(p, limits),
         oracle=lambda p, limits: foundedness.c19_brute_world_views(p, limits),
+        accepts_m=True,
         splits=True,
         shape=_M_SHAPE,
         founded=True,
@@ -109,6 +125,14 @@ def solve_memo() -> Iterator[None]:
         _memo.reset(token)
 
 
+def _accepting(program: Program, sem: SemanticsId) -> SemanticsEntry:
+    """The entry of `sem`, once `program` is in its language."""
+    entry = REGISTRY[sem]
+    if not entry.accepts_m:
+        semantics.require_m_free(program, sem)
+    return entry
+
+
 def compute_world_views(
     program: Program,
     semantics: SemanticsId,
@@ -116,11 +140,11 @@ def compute_world_views(
 ) -> frozenset[WorldView]:
     memo = _memo.get()
     if memo is None:
-        return REGISTRY[semantics].solve(program, limits)
+        return _accepting(program, semantics).solve(program, limits)
     key = (program, semantics, limits)
     wvs = memo.get(key)
     if wvs is None:
-        wvs = memo[key] = REGISTRY[semantics].solve(program, limits)
+        wvs = memo[key] = _accepting(program, semantics).solve(program, limits)
     return wvs
 
 
@@ -131,4 +155,4 @@ def brute_force_world_views(
 ) -> frozenset[WorldView]:
     """World views from the semantics' oracle: candidate world views checked
     against the defining condition, with no guessing."""
-    return REGISTRY[semantics].oracle(program, limits)
+    return _accepting(program, semantics).oracle(program, limits)

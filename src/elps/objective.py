@@ -151,7 +151,6 @@ class Split:
     U: frozenset[Atom]
     bottom: Program
     top: Program
-    placement: dict[Rule, str]
 
 
 def partition(program: Program, U, placement: str, top_atoms, error: type) -> Split:
@@ -163,7 +162,6 @@ def partition(program: Program, U, placement: str, top_atoms, error: type) -> Sp
         raise ValueError(f"placement must be 'bottom' or 'top', got {placement!r}")
     U = frozenset(U)
     bottom, top = [], []
-    record: dict[Rule, str] = {}
     violators = []
     for rule in program.rules:
         cond_i = atoms_of(rule) <= U
@@ -172,11 +170,10 @@ def partition(program: Program, U, placement: str, top_atoms, error: type) -> Sp
             violators.append(rule)
             continue
         side = placement if cond_i and cond_ii else "bottom" if cond_i else "top"
-        record[rule] = side
         (bottom if side == "bottom" else top).append(rule)
     if violators:
         raise error(violators)
-    return Split(U, Program.of(bottom), Program.of(top), record)
+    return Split(U, Program.of(bottom), Program.of(top))
 
 
 def objective_split(program: Program, U, placement: str = "bottom") -> Split:

@@ -72,6 +72,8 @@ def _m_literal_error(lit: SubjLit, semantics: SemanticsId) -> UnsupportedMLitera
 
 
 def require_m_free(program: Program, semantics: SemanticsId):
+    """Raise UnsupportedMLiteral on the program's first M literal; the engine
+    calls this once per solve for a semantics that does not accept M."""
     for rule in program.rules:
         for lit in rule.body_sub:
             if lit.modality == "M":
@@ -86,8 +88,9 @@ def semantics_reduct(program: Program, guess: ModalGuess, semantics: SemanticsId
     """Reduct of the program under a guessed truth value per subjective core.
 
     Under G11 and K15 an M literal raises UnsupportedMLiteral when this pass
-    reaches it; a separate scan of the program would be repeated for every
-    guess of `world_views`.
+    reaches it.  The engine has scanned the program once before solving; a
+    direct caller of `world_views` or the oracles gets the error here, since
+    their first guess (or candidate) always reaches this pass.
     """
     if semantics not in _REDUCT_SEMANTICS:
         raise ValueError(f"no reduct is defined for {semantics}")
@@ -134,8 +137,6 @@ def world_views(
     """Guess-and-check world views for the reduct-based semantics."""
     if semantics not in _REDUCT_SEMANTICS:
         raise ValueError(f"world_views handles G91/G11/K15, not {semantics}")
-    if semantics is not SemanticsId.G91:
-        require_m_free(program, semantics)
     cores = subjective_cores(program)
     if 2 ** len(cores) > limits.max_guesses:
         raise CapacityError(
@@ -166,7 +167,6 @@ def _maximal_epistemic_negation(program: Program, base: frozenset[WorldView]) ->
 
 def s17_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
     """K15 world views whose satisfied epistemic-negation set is ⊆-maximal."""
-    require_m_free(program, SemanticsId.S17)
     return _maximal_epistemic_negation(program, world_views(program, SemanticsId.K15, limits))
 
 
@@ -178,8 +178,6 @@ def brute_world_views(
     """Oracle for G91/G11/K15: every non-empty candidate world view checked
     against the defining fixpoint, with no guessing.  G91 takes the subjective
     reduct of the candidate, G11/K15 their reduct under its core values."""
-    if semantics is not SemanticsId.G91:
-        require_m_free(program, semantics)
     atoms = capped_atoms(program, limits.brute_max_atoms, "brute-force")
     found = set()
     for wv in candidate_world_views(subsets(atoms)):

@@ -67,9 +67,6 @@ class Atom:
     def positive(self) -> "Atom":
         return Atom(self.name, self.args, False)
 
-    def negated(self) -> "Atom":
-        return Atom(self.name, self.args, not self.strong_neg)
-
     def substitute(self, binding: dict[str, str]) -> "Atom":
         return Atom(self.name, tuple(binding.get(t, t) for t in self.args), self.strong_neg)
 
@@ -496,10 +493,6 @@ def ground(program: Program) -> Program:
         for values in product(constants, repeat=len(variables)):
             rules.append(_substitute_rule(rule, dict(zip(variables, values))))
     return Program.of(rules, program.extra_atoms)
-
-
-def is_ground(program: Program) -> bool:
-    return all(a.is_ground for a in program.atom_universe)
 
 
 def eliminate_m(program: Program) -> Program:

@@ -168,7 +168,15 @@ GOLDEN = Path(__file__).parent / "golden"
         for name in ("ab", "ka", "ce1a")
     ]
     + [("split_college_enumerate.json", ["split", "college.elp", "--enumerate-splits", "--json"])]
-    + [("properties_seed7_count3.json", ["properties", "--json", "--seed", "7", "--count", "3"])],
+    + [("properties_seed7_count3.json", ["properties", "--json", "--seed", "7", "--count", "3"])]
+    # the fixtures where f15 departs from g91
+    + [
+        (
+            f"solve_{name}_f15_trace_eht.json",
+            ["solve", f"{name}.elp", "--semantics", "f15", "--trace-eht", "--json"],
+        )
+        for name in ("ce1b", "ce2")
+    ],
 )
 def test_cli_output_matches_golden(capsys, monkeypatch, corpus_dir, golden, argv):
     # run from the corpus directory so the "file" field is the bare name

@@ -1,17 +1,17 @@
 import random
 from itertools import product
+from typing import Iterable, Mapping
 
 import pytest
 
 from elps.config import SolverLimits
 from elps.eht import (
-    EHTInterpretation,
     _countermodel,
-    eht_satisfies,
+    _lit_truth,
+    _rule_at_point,
     equilibrium_countermodel,
     equilibrium_eht_models,
     f15_world_views,
-    is_eht_model,
     models_star,
     total_model_countermodels,
 )
@@ -19,13 +19,17 @@ from elps.errors import CapacityError
 from elps.generators import GeneratorShape, random_epistemic_program
 from elps.modal import WorldView, is_s5_model, modal_satisfies
 from elps.syntax import (
+    BOT,
+    TOP,
     Atom,
     ObjLit,
     Program,
+    Rule,
     SubjLit,
     atom_key,
     atoms_of,
     capped_atoms,
+    const_truth,
     interp_key,
     is_objective,
     parse_atom,
@@ -180,6 +184,62 @@ def test_supra_chain_randomized():
             assert is_s5_model(wv, program), str(program)
 
 
+# --- the definitional reference: EHT interpretations and satisfaction as
+# defined, with the total ("there") reading taken as h = identity
+
+
+class EHTInterpretation:
+    """A world view plus a "here" map h with h(I) ⊆ I for every I."""
+
+    def __init__(self, wv: WorldView, h: Mapping[frozenset, Iterable[Atom]]):
+        self.wv = wv
+        self.h = {i: frozenset(h[i]) for i in wv.interps}
+        for i, here in self.h.items():
+            if not here <= i:
+                raise ValueError(f"h({set(i)}) = {set(here)} is not a subset")
+
+    @classmethod
+    def total(cls, wv: WorldView) -> "EHTInterpretation":
+        return cls(wv, {i: i for i in wv.interps})
+
+
+def _lit_truth_ref(wv, h, point, lit) -> bool:
+    if isinstance(lit, ObjLit):
+        value = const_truth(lit)
+        if value is not None:
+            return value
+        if lit.negs == 0:
+            return lit.base in h[point]
+        # a default-negated literal reads the total ("there") valuation
+        value = lit.base in point
+        return value if lit.negs == 2 else not value
+    if lit.neg:
+        return not _lit_truth_ref(wv, {i: i for i in wv.interps}, point, lit.core())
+    quantifier = all if lit.modality == "K" else any
+    return quantifier(_lit_truth_ref(wv, h, i, lit.inner) for i in wv.interps)
+
+
+def _rule_ref(wv, h, point, rule) -> bool:
+    if all(_lit_truth_ref(wv, h, point, l) for l in rule.body):
+        return any(a in h[point] for a in rule.head)
+    return True
+
+
+def eht_satisfies(eht: EHTInterpretation, point, construct) -> bool:
+    point = frozenset(point)
+    if point not in eht.wv.interps:
+        raise ValueError(f"point {set(point)} is not in the world view")
+    if isinstance(construct, (ObjLit, SubjLit)):
+        return _lit_truth_ref(eht.wv, eht.h, point, construct)
+    if isinstance(construct, Rule):
+        return _rule_ref(eht.wv, eht.h, point, construct)
+    raise TypeError(f"unsupported construct {construct!r}")
+
+
+def is_eht_model(eht: EHTInterpretation, program: Program) -> bool:
+    return all(_rule_ref(eht.wv, eht.h, i, r) for i in eht.wv.interps for r in program.rules)
+
+
 def _h_maps_ref(wv, free):
     """Reference: every h total outside `free`, as the product of each free
     point's subsets (points by interp_key, subsets in `subsets` order)."""
@@ -262,3 +322,51 @@ def test_total_model_countermodels_match_unfiltered_enumeration():
     limits = SolverLimits(f15_max_atoms=4)
     got = total_model_countermodels(program, limits)
     assert got and got == _total_model_countermodels_ref(program, limits)
+
+
+def _random_body_literal(rng, atoms):
+    kind = rng.choice(("atom", "const", "subjective"))
+    if kind == "const":
+        return ObjLit(rng.choice((TOP, BOT)), rng.randint(0, 2))
+    inner = ObjLit(rng.choice(atoms), rng.randint(0, 2))
+    if kind == "atom":
+        return inner
+    return SubjLit(rng.choice("KM"), inner, rng.random() < 0.4)
+
+
+def test_here_reading_matches_definitional_satisfaction():
+    # per point, per literal and per rule, on random (program, world view,
+    # h ⊆ I) triples whose literals cover M, inner `not`, `not not` and the
+    # truth constants
+    rng = random.Random(97)
+    pool = [A, B, parse_atom("c")]
+    triples = 0
+    seen = set()
+    for _ in range(1200):
+        atoms = pool[: rng.randint(1, 3)]
+        rules = [
+            Rule(
+                frozenset(rng.sample(atoms, rng.randint(0, min(2, len(atoms))))),
+                tuple(_random_body_literal(rng, atoms) for _ in range(rng.randint(0, 3))),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        interps = _all_interps(atoms)
+        wv = WorldView(frozenset(rng.sample(interps, rng.randint(1, len(interps)))))
+        h = {i: frozenset(a for a in i if rng.random() < 0.5) for i in wv.interps}
+        eht = EHTInterpretation(wv, h)
+        triples += 1
+        for point in wv.interps:
+            for rule in rules:
+                expected = eht_satisfies(eht, point, rule)
+                assert _rule_at_point(wv, h, point, rule) == expected, (str(rule), str(wv), h)
+                for lit in rule.body:
+                    value = eht_satisfies(eht, point, lit)
+                    assert _lit_truth(wv, h, point, lit) == value, (str(lit), str(wv), h)
+                    # the literal shapes whose here and total readings differed
+                    if value != modal_satisfies(wv, point, lit):
+                        inner = lit.inner if isinstance(lit, SubjLit) else lit
+                        seen.add((type(lit).__name__, getattr(lit, "neg", False), inner.negs))
+    assert triples >= 1000
+    # only a positive atom and K/M over one read h
+    assert seen == {("ObjLit", False, 0), ("SubjLit", False, 0)}

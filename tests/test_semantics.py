@@ -109,16 +109,23 @@ def test_world_views_checks_the_program_once(monkeypatch):
         world_views(program, SemanticsId.G11)
     with pytest.raises(ValueError):
         semantics_reduct(program, guess, SemanticsId.F15)
-    # one scan per world_views call, not one per guess
+    # the engine scans once per call, for the semantics that do not accept M
+    # and naming the requested one; the guesses scan nothing
     scans = []
     original = semantics_module.require_m_free
     monkeypatch.setattr(
-        semantics_module, "require_m_free", lambda *args: scans.append(args) or original(*args)
+        semantics_module, "require_m_free", lambda *args: scans.append(args[1]) or original(*args)
     )
+    with pytest.raises(UnsupportedMLiteral, match="^s17 is defined for K-literals only; found M a"):
+        compute_world_views(program, SemanticsId.S17)
+    with pytest.raises(UnsupportedMLiteral, match="^k15 is defined"):
+        brute_force_world_views(program, SemanticsId.K15)
+    compute_world_views(program, SemanticsId.G91)
     k_only = eliminate_m(program)
     assert len(subjective_cores(k_only)) >= 3
+    compute_world_views(k_only, SemanticsId.G11)
     world_views(k_only, SemanticsId.G11)
-    assert len(scans) == 1
+    assert scans == [SemanticsId.S17, SemanticsId.K15, SemanticsId.G11]
 
 
 def test_world_views_counterexample_fixtures():
