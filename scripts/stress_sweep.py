@@ -5,7 +5,10 @@ Checks, over seeded random programs:
   - C19 ⊆ G91 and S17 ⊆ K15; supra-S5 for every returned world view,
   - epistemic splitting and subjective constraint monotonicity hold for
     G91 and C19 on every valid splitting set / random constraint,
-  - F15 selection stays inside the equilibrium models,
+  - F15 selection stays inside the equilibrium models; the EHT total models
+    are exactly the candidate world views that are S5 models, in
+    enumeration order, and every countermodel is a non-total h with
+    h(I) ⊆ I at each point,
   - guess-based world views match the brute-force oracle, and foundedness
     matches its brute-force search,
   - stratified programs have at most one world view and the layered
@@ -26,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from elps.eht import equilibrium_eht_models, f15_world_views
+from elps.eht import f15_world_views, total_model_countermodels
 from elps.engine import brute_force_world_views, compute_world_views
 from elps.errors import UnsupportedMLiteral
 from elps.foundedness import c19_world_views, is_founded, is_founded_brute
@@ -37,7 +40,7 @@ from elps.generators import (
     random_stratified_program,
     random_subjective_constraint,
 )
-from elps.modal import is_s5_model
+from elps.modal import candidate_world_views, is_s5_model
 from elps.semantics import SemanticsId, s17_world_views, subjective_cores, world_views
 from elps.splitting import (
     check_constraint_monotonicity,
@@ -46,7 +49,7 @@ from elps.splitting import (
     layered_world_view,
     stratify,
 )
-from elps.syntax import eliminate_m
+from elps.syntax import atom_key, eliminate_m, subsets
 
 
 def check(ok: bool, program, *context) -> None:
@@ -94,10 +97,16 @@ def main():
     for _ in range(args.trials):
         program = random_epistemic_program(rng, shape3)
         stats["f15"] += 1
-        equilibria = equilibrium_eht_models(program)
+        total = total_model_countermodels(program)
+        atoms = sorted(program.atom_universe, key=atom_key)
+        s5 = [wv for wv in candidate_world_views(subsets(atoms)) if is_s5_model(wv, program)]
+        check([wv for wv, _ in total] == s5, program, "EHT total models are the S5 models")
+        for wv, h in total:
+            if h is not None:
+                sub = set(h) == wv.interps and all(h[i] <= i for i in wv.interps)
+                check(sub and any(h[i] != i for i in wv.interps), program, "countermodel", str(wv))
+        equilibria = {wv for wv, h in total if h is None}
         check(f15_world_views(program) <= equilibria, program, "F15 within equilibria")
-        for wv in equilibria:
-            check(is_s5_model(wv, program), program, "equilibrium supra-S5", str(wv))
 
     shape_k = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5)
     for _ in range(args.trials):

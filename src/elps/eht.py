@@ -2,103 +2,302 @@
 views.
 
 An EHT interpretation pairs a world view ("there") with a function h mapping
-each interpretation to a subset of itself ("here").  This module has one
-literal evaluator, the "here" reading: a positive atom is read from h at the
-point, and K/M over a positive inner literal read h at every point of the
-world view.  Everything else reads the total ("there") valuation and is
-delegated to `modal.modal_satisfies`: truth constants, default-negated
-literals, `not K`/`not M`, and K/M over a negated inner literal.  A rule holds
-at a point when its body fails there or its head meets h at the point.  With
-h the identity the reading is modal satisfaction, so every total check
-(total models, condition (1) of `models_star`) calls `modal_satisfies`
-itself.  The definitional API (an EHT interpretation object, satisfaction of
-a construct at a point, EHT models) lives in `tests/test_eht.py`, where it is
-the reference the evaluator here is tested against.
+each interpretation to a subset of itself ("here").  A positive atom is read
+from h at the point, and K/M over a positive inner literal read h at every
+point of the world view.  Everything else reads the total ("there")
+valuation: truth constants, default-negated literals, `not K`/`not M`, and
+K/M over a negated inner literal.  A rule holds at a point when its body
+fails there or its head meets h at the point.  With h the identity the
+reading is modal satisfaction.  The definitional API (an EHT interpretation
+object, satisfaction of a construct at a point, EHT models) lives in
+`tests/test_eht.py`, where it is the reference the evaluator here is tested
+against.
 
 Equilibrium models are total models admitting no smaller "here" model; F15
 world views are the equilibrium models that survive the ⊂ / ≤ comparison.
 The ordering ≤ quantifies over interpretations that belong to *some*
 equilibrium model.
 
+The program is compiled once (`_Compiled`) into atom masks: bit i stands for
+the i-th atom in `atom_key` order, an interpretation (a point) is the mask of
+its true atoms, and so is a here-value.  Each rule becomes a head mask; the
+masks read from h (positive atoms, `K a`, `M a`); the masks read from the
+point (`not a`, `not not a`); four masks for the subjective literals read in
+the total valuation, each asking its atom to be true at every point, false
+at some, true at some or true at none (`K not a` is "true at none", `not M
+a` too); and a dead flag for a false constant.  Given a world view, the
+total reads of a rule are decided per point by the AND and the OR of the
+world view's points (`_point_rules`); what is left reads h through the
+here-value at the point and the AND and the OR of h over the world view
+(`_violated`).  One pair of functions serves the total checks (h the
+identity) and the countermodel search.
+
 Countermodels (`equilibrium_countermodel`, and `models_star` with X ⊊ wv)
 are found by a depth-first search over the free points in `interp_key`
 order, trying each point's "here" values in `subsets` order, so the first
-one found is the first of the full product of those choices.  A point not
-yet decided reads as ∅, and a branch is dropped as soon as a rule fails at a
-decided point.  That is sound because a rule body is monotone in h: only
-its "here" literals read h, and the rest read the total valuation.  A body
-true with ∅ at the undecided points stays true however they are decided,
-and the head at a decided point is fixed, so no completion of the branch
-repairs the rule.
+one found is the first of the full product of those choices.  With bits in
+`atom_key` order, `subsets(sorted(point, key=atom_key))` is the point's
+submasks in increasing order, and `interp_key` order is the order of the
+points' tuples of bit positions.  A point not yet decided reads as ∅, and a
+branch is dropped as soon as a rule fails at a decided point.  That is
+sound because a rule body is monotone in h: only its "here" literals read h,
+and the rest read the total valuation.  A body true with ∅ at the undecided
+points stays true however they are decided, and the head at a decided point
+is fixed, so no completion of the branch repairs the rule.  A rule with no
+subjective literal reads only the point and h there, so the here-values it
+allows at a point are found once per point (`here_values`) and are the only
+ones tried.  The rules with a subjective literal are checked at a point when
+it is decided; afterwards only those with a `K a` or `M a` literal are
+checked there again, since only they read the here-values of other points.
 
-A rule with no subjective literal holds or fails at a point in the total
-reading whatever the world view is, so `total_model_countermodels` keeps the
-interpretations that satisfy those rules once and builds candidate world
-views from them alone; only the rules with a subjective literal are checked
-per candidate.  The kept candidates come in the same order as before.
+For the same reason `total_model_countermodels` keeps the points that
+satisfy the rules with no subjective literal once and builds candidate
+world views from them alone, in `subsets` order over the kept points, which
+is a subsequence of the order over all points; only the rules with a
+subjective literal are checked per candidate.  World views and
+countermodels are turned back into sets of atoms only when they are
+returned.
 """
 
 from __future__ import annotations
 
 from .config import DEFAULT_LIMITS, SolverLimits
-from .modal import WorldView, candidate_world_views, modal_satisfies
-from .objective import Interpretation
+from .modal import WorldView
 from .syntax import (
     ObjLit,
     Program,
     Rule,
-    SubjLit,
     atom_key,
     capped_atoms,
-    interp_key,
+    const_truth,
     is_objective,
     subsets,
 )
 
 
-def _lit_truth(wv: WorldView, h, point: Interpretation, lit) -> bool:
-    """A body literal at `point` in the "here" reading."""
-    if isinstance(lit, ObjLit):
-        if lit.negs == 0 and lit.atom is not None:
-            return lit.base in h[point]
-    elif not lit.neg and lit.inner.negs == 0:
-        quantifier = all if lit.modality == "K" else any
-        return quantifier(lit.atom in h[i] for i in wv.interps)
-    return modal_satisfies(wv, point, lit)
+def _compile_rule(rule: Rule, bit) -> tuple:
+    """(dead, head, pos, k, m, not1, not2, every, not_every, some, none)."""
+    head = sum(bit[a] for a in rule.head)
+    pos = k = m = not1 = not2 = every = not_every = some = none = 0
+    dead = False
+    for lit in rule.body:
+        if isinstance(lit, ObjLit):
+            value = const_truth(lit)
+            if value is not None:
+                dead = dead or not value
+            elif lit.negs == 0:
+                pos |= bit[lit.base]
+            elif lit.negs == 1:
+                not1 |= bit[lit.base]
+            else:
+                not2 |= bit[lit.base]
+        elif not lit.neg and lit.inner.negs == 0:
+            if lit.modality == "K":
+                k |= bit[lit.atom]
+            else:
+                m |= bit[lit.atom]
+        else:
+            # the truth the inner literal wants of its atom, at every point
+            # (K) or at some (M); a leading `not` flips both
+            want = (lit.inner.negs % 2 == 0) != lit.neg
+            at_every = (lit.modality == "K") != lit.neg
+            atom = bit[lit.atom]
+            if at_every and want:
+                every |= atom
+            elif at_every:
+                none |= atom
+            elif want:
+                some |= atom
+            else:
+                not_every |= atom
+    return dead, head, pos, k, m, not1, not2, every, not_every, some, none
 
 
-def _rule_at_point(wv: WorldView, h, point: Interpretation, rule: Rule) -> bool:
-    if all(_lit_truth(wv, h, point, l) for l in rule.body):
-        return any(a in h[point] for a in rule.head)
-    return True
+def _and_or(masks) -> tuple[int, int]:
+    """The AND (-1 for none) and the OR of some masks."""
+    conj, disj = -1, 0
+    for mask in masks:
+        conj &= mask
+        disj |= mask
+    return conj, disj
+
+
+def _point_rules(rules, point: int, w_and: int, w_or: int) -> list[tuple[int, int, int, int]]:
+    """The "here" parts (pos, k, m, head) of the rules whose total reads hold
+    at `point`, in a world view whose points have AND `w_and` and OR `w_or`."""
+    return [
+        (pos, k, m, head)
+        for dead, head, pos, k, m, not1, not2, every, not_every, some, none in rules
+        if not dead
+        and not point & not1
+        and point & not2 == not2
+        and w_and & every == every
+        and not w_and & not_every
+        and w_or & some == some
+        and not w_or & none
+    ]
+
+
+def _violated(rules, here: int, h_and: int, h_or: int) -> bool:
+    """Whether one of a point's `_point_rules` fails at it, given its
+    here-value and the AND and OR of h over the world view."""
+    return any(
+        here & pos == pos and h_and & k == k and h_or & m == m and not here & head
+        for pos, k, m, head in rules
+    )
+
+
+def _here_reading(rules) -> list[tuple[int, int, int, int]]:
+    """The `_point_rules` with a `K a` or `M a` literal, the ones that read
+    the here-values of other points."""
+    return [rule for rule in rules if rule[1] | rule[2]]
+
+
+class _Compiled:
+    """A program as atom masks over `atoms` (in `atom_key` order)."""
+
+    def __init__(self, program: Program, atoms):
+        self.atoms = tuple(sorted(atoms, key=atom_key))
+        self.bit = {a: 1 << i for i, a in enumerate(self.atoms)}
+        self.rules = [_compile_rule(r, self.bit) for r in program.rules]
+        self.objective = [c for c, r in zip(self.rules, program.rules) if is_objective(r)]
+        self.modal = [c for c, r in zip(self.rules, program.rules) if not is_objective(r)]
+        self._here_values: dict[int, list[int]] = {}
+        self._keys: dict[int, tuple[int, ...]] = {}
+
+    @classmethod
+    def over(cls, program: Program, interps) -> "_Compiled":
+        """Compiled over the program's atoms and those of `interps`."""
+        return cls(program, program.atom_universe.union(*interps))
+
+    @classmethod
+    def capped(cls, program: Program, limits: SolverLimits) -> "_Compiled":
+        """Compiled over the program's atoms, within the EHT cap."""
+        return cls(program, capped_atoms(program, limits.f15_max_atoms, "EHT"))
+
+    def mask(self, interp) -> int:
+        return sum(self.bit[a] for a in interp)
+
+    def interp(self, mask: int) -> frozenset:
+        return frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
+
+    def world_view(self, points) -> WorldView:
+        return WorldView(frozenset(self.interp(p) for p in points))
+
+    def h_map(self, h: dict[int, int]) -> dict[frozenset, frozenset]:
+        return {self.interp(p): self.interp(here) for p, here in h.items()}
+
+    def point_key(self, point: int) -> tuple[int, ...]:
+        """The point's bit positions: with bits in `atom_key` order, this
+        orders points as `interp_key` orders their interpretations."""
+        key = self._keys.get(point)
+        if key is None:
+            key = self._keys[point] = tuple(i for i in range(point.bit_length()) if point >> i & 1)
+        return key
+
+    def here_values(self, point: int) -> list[int]:
+        """The point's submasks, in increasing order, at which the objective
+        rules hold there; they read no other point, so this is once per point.
+        The point itself is among them iff those rules hold in the total
+        reading."""
+        values = self._here_values.get(point)
+        if values is None:
+            rules = _point_rules(self.objective, point, 0, 0)
+            values, s = [], point
+            while True:
+                if not _violated(rules, s, 0, 0):
+                    values.append(s)
+                if not s:
+                    break
+                s = (s - 1) & point
+            values.reverse()
+            self._here_values[point] = values
+        return values
+
+    def modal_rules(self, points) -> dict[int, list]:
+        """`_point_rules` of the rules with a subjective literal, per point."""
+        w_and, w_or = _and_or(points)
+        return {p: _point_rules(self.modal, p, w_and, w_or) for p in points}
+
+    def total_holds(self, points, rules, at) -> bool:
+        """Whether the program holds in the total reading at each of `at`, in
+        the world view `points` whose `modal_rules` are `rules`."""
+        w_and, w_or = _and_or(points)
+        return all(p in self.here_values(p) and not _violated(rules[p], p, w_and, w_or) for p in at)
+
+    def countermodel(self, points, free, rules) -> dict[int, int] | None:
+        """The first non-total h, total outside `free`, that models the
+        program at every point of the world view `points`, whose
+        `modal_rules` are `rules`, or None; the pruned search of the module
+        docstring.  Only the here-values that pass the objective rules are
+        tried, so only `rules` are checked."""
+        fixed = [p for p in points if p not in free]
+        free = sorted(free, key=self.point_key)
+        f_and, f_or = _and_or(fixed)
+        # with a free point still ∅, the AND of h is 0
+        if not free or not all(
+            p in self.here_values(p) and not _violated(rules[p], p, 0, f_or) for p in fixed
+        ):
+            return None
+        # (here-value, rules that read other points' here-values) per decided point
+        decided = [(p, r) for p in fixed if (r := _here_reading(rules[p]))]
+        here: dict[int, int] = {}
+        last = len(free) - 1
+
+        def search(k: int, h_and: int, h_or: int, non_total: bool) -> bool:
+            point = free[k]
+            at_point = rules[point]
+            recheck = _here_reading(at_point)
+            for x in self.here_values(point):
+                x_and = h_and & x if k == last else 0
+                x_or = h_or | x
+                if _violated(at_point, x, x_and, x_or) or any(
+                    _violated(r, d, x_and, x_or) for d, r in decided
+                ):
+                    continue
+                here[point] = x
+                nt = non_total or x != point
+                if k == last:
+                    if nt:
+                        return True
+                    continue
+                if recheck:
+                    decided.append((x, recheck))
+                found = search(k + 1, h_and & x, x_or, nt)
+                if recheck:
+                    decided.pop()
+                if found:
+                    return True
+            return False
+
+        if not search(0, f_and, f_or, False):
+            return None
+        return {**{p: p for p in fixed}, **here}
+
+    def models_star(self, points, X) -> bool:
+        """`models_star` over masks: X ⊆ points."""
+        rules = self.modal_rules(points)
+        return self.total_holds(points, rules, X) and self.countermodel(points, X, rules) is None
+
+    def total_models(self):
+        """(points, countermodel or None) for every candidate world view that
+        is a total model, in `subsets` order."""
+        # a point whose total reading fails an objective rule is in no model
+        kept = [p for p in range(1 << len(self.atoms)) if p in self.here_values(p)]
+        for points in subsets(kept):
+            if points:
+                rules = self.modal_rules(points)
+                if self.total_holds(points, rules, points):
+                    yield points, self.countermodel(points, points, rules)
 
 
 def _countermodel(program: Program, wv: WorldView, free):
     """The first non-total h, total outside `free`, that models the program at
-    all points, or None; the pruned search of the module docstring."""
-    free = sorted(free, key=interp_key)
-    h = {i: i for i in wv.interps if i not in free}
-    fixed = list(h)
-    h.update((i, frozenset()) for i in free)
-    # rules whose truth at one point can change with h at another point
-    modal = [r for r in program.rules if any(isinstance(l, SubjLit) and not l.neg for l in r.body)]
-
-    def holds(points, rules) -> bool:
-        return all(_rule_at_point(wv, h, p, r) for p in points for r in rules)
-
-    def search(k: int, non_total: bool) -> bool:
-        if k == len(free):
-            return non_total
-        point, decided = free[k], fixed + free[:k]
-        for here in subsets(sorted(point, key=atom_key)):
-            h[point] = here
-            if holds((point,), program.rules) and holds(decided, modal):
-                if search(k + 1, non_total or here != point):
-                    return True
-        h[point] = frozenset()
-        return False
-
-    return dict(h) if holds(fixed, program.rules) and search(0, False) else None
+    all points, or None."""
+    c = _Compiled.over(program, wv.interps)
+    points = [c.mask(i) for i in wv.interps]
+    h = c.countermodel(points, {c.mask(i) for i in free}, c.modal_rules(points))
+    return None if h is None else c.h_map(h)
 
 
 def equilibrium_countermodel(program: Program, wv: WorldView):
@@ -112,16 +311,8 @@ def total_model_countermodels(
 ) -> list[tuple[WorldView, dict | None]]:
     """Every candidate world view that is a total EHT model, in enumeration
     order, paired with its equilibrium countermodel (None for an equilibrium)."""
-    atoms = capped_atoms(program, limits.f15_max_atoms, "EHT")
-    objective = [r for r in program.rules if is_objective(r)]
-    modal = [r for r in program.rules if not is_objective(r)]
-    # an objective rule never reads the world view
-    points = [i for i in subsets(atoms) if all(modal_satisfies(None, i, r) for r in objective)]
-    return [
-        (wv, equilibrium_countermodel(program, wv))
-        for wv in candidate_world_views(points)
-        if all(modal_satisfies(wv, i, r) for i in wv.interps for r in modal)
-    ]
+    c = _Compiled.capped(program, limits)
+    return [(c.world_view(wv), h if h is None else c.h_map(h)) for wv, h in c.total_models()]
 
 
 def equilibrium_eht_models(
@@ -129,7 +320,8 @@ def equilibrium_eht_models(
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
     """Total EHT models with no strictly smaller "here" model."""
-    return frozenset(wv for wv, h in total_model_countermodels(program, limits) if h is None)
+    c = _Compiled.capped(program, limits)
+    return frozenset(c.world_view(wv) for wv, h in c.total_models() if h is None)
 
 
 def models_star(wv: WorldView, X, program: Program) -> bool:
@@ -143,34 +335,34 @@ def models_star(wv: WorldView, X, program: Program) -> bool:
     X = frozenset(frozenset(i) for i in X)
     if not X <= wv.interps:
         raise ValueError("X must be a subset of the world view")
-    if not all(modal_satisfies(wv, i, program) for i in X):
-        return False
-    return _countermodel(program, wv, X) is None
+    c = _Compiled.over(program, wv.interps)
+    return c.models_star([c.mask(i) for i in wv.interps], {c.mask(i) for i in X})
 
 
 def f15_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
     """Equilibrium models not dominated by a ⊃-larger or ≤-greater one."""
-    equilibria = sorted(equilibrium_eht_models(program, limits), key=str)
+    c = _Compiled.capped(program, limits)
+    equilibria = [wv for wv, h in c.total_models() if h is None]
     if not equilibria:
         return frozenset()
-    domain = sorted({i for wv in equilibria for i in wv.interps}, key=interp_key)
+    domain = sorted(frozenset().union(*equilibria), key=c.point_key)
     star_cache: dict[tuple, bool] = {}
 
-    def star(interps: frozenset, X: frozenset) -> bool:
-        key = (interps, X)
+    def star(points: frozenset, X: frozenset) -> bool:
+        key = (points, X)
         if key not in star_cache:
-            star_cache[key] = models_star(WorldView(interps), X, program)
+            star_cache[key] = c.models_star(points, X)
         return star_cache[key]
 
-    def less_equal(w1: WorldView, w2: WorldView) -> bool:
+    def less_equal(w1: frozenset, w2: frozenset) -> bool:
         for i in domain:
-            if star(w1.interps | {i}, w1.interps) and not star(w2.interps | {i}, w2.interps):
+            if star(w1 | {i}, w1) and not star(w2 | {i}, w2):
                 return False
         return True
 
-    def dominates(other: WorldView, wv: WorldView) -> bool:
-        return wv.interps < other.interps or (less_equal(wv, other) and not less_equal(other, wv))
+    def dominates(other: frozenset, wv: frozenset) -> bool:
+        return wv < other or (less_equal(wv, other) and not less_equal(other, wv))
 
     return frozenset(
-        wv for wv in equilibria if not any(dominates(o, wv) for o in equilibria if o != wv)
+        c.world_view(wv) for wv in equilibria if not any(dominates(o, wv) for o in equilibria if o != wv)
     )

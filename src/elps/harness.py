@@ -351,11 +351,14 @@ def build_property_matrix(
 
     Each call runs in a fresh `engine.solve_memo()`, so a (program,
     semantics, limits) met twice in one build is solved once; the memo is
-    dropped when the build returns or raises."""
+    dropped when the build returns or raises.  The foundness column likewise
+    asks `is_founded` once per (program, world view) in a build."""
     fixtures = require_fixtures(limits, corpus_dir)
     corpus = {case.name: load_fixture(case.name, corpus_dir) for case in FIXTURE_CASES}
     cells = {(prop, s.value): MatrixCell() for prop in PROPERTY_ROWS for s in SEMANTICS_COLUMNS}
     foundness = {s.value: MatrixCell() for s in SEMANTICS_COLUMNS}
+    # most semantics share their corpus world views: ask once per pair
+    founded_memo: dict[tuple[Program, WorldView], bool] = {}
 
     for semantics in semantics_list:
         shape = REGISTRY[semantics].shape
@@ -422,7 +425,9 @@ def build_property_matrix(
                 cell.skip()
                 continue
             for wv in wvs:
-                founded = is_founded(program, wv, limits)
+                if (program, wv) not in founded_memo:
+                    founded_memo[program, wv] = is_founded(program, wv, limits)
+                founded = founded_memo[program, wv]
                 report = PropertyReport(
                     property="foundness",
                     semantics=semantics.value,

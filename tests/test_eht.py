@@ -6,9 +6,11 @@ import pytest
 
 from elps.config import SolverLimits
 from elps.eht import (
+    _and_or,
+    _Compiled,
     _countermodel,
-    _lit_truth,
-    _rule_at_point,
+    _point_rules,
+    _violated,
     equilibrium_countermodel,
     equilibrium_eht_models,
     f15_world_views,
@@ -324,6 +326,65 @@ def test_total_model_countermodels_match_unfiltered_enumeration():
     assert got and got == _total_model_countermodels_ref(program, limits)
 
 
+def _f15_world_views_ref(program, limits=SolverLimits()):
+    """Reference F15 from the definitions alone: total EHT models with no
+    non-total model in the product walk, then the ⊂ / ≤ selection, with
+    models* as (1) the total reading at the points of X and (2) no non-total
+    model total outside X."""
+    atoms = capped_atoms(program, limits.f15_max_atoms, "EHT")
+    equilibria = []
+    for interps in subsets(list(subsets(atoms))):
+        if interps:
+            wv = WorldView(interps)
+            if is_eht_model(EHTInterpretation.total(wv), program):
+                if _countermodel_ref(program, wv, wv.interps) is None:
+                    equilibria.append(wv)
+    domain = {i for wv in equilibria for i in wv.interps}
+
+    def star(interps, X) -> bool:
+        wv = WorldView(interps)
+        total = EHTInterpretation.total(wv)
+        if not all(eht_satisfies(total, i, r) for i in X for r in program.rules):
+            return False
+        return _countermodel_ref(program, wv, X) is None
+
+    def less_equal(w1, w2) -> bool:
+        return all(
+            star(w2.interps | {i}, w2.interps)
+            for i in domain
+            if star(w1.interps | {i}, w1.interps)
+        )
+
+    def dominates(other, wv) -> bool:
+        return wv.interps < other.interps or (less_equal(wv, other) and not less_equal(other, wv))
+
+    return {wv for wv in equilibria if not any(dominates(o, wv) for o in equilibria if o != wv)}
+
+
+def test_f15_world_views_match_definitional_reference():
+    rng = random.Random(41)
+    pool = [A, B, parse_atom("c")]
+    constrained = with_m = widened = selective = 0
+    for _ in range(300):
+        shape = GeneratorShape(
+            n_atoms=rng.randint(1, 3), max_rules=4, subjective_prob=0.5, m_prob=0.25, constraint_prob=0.3
+        )
+        program = random_epistemic_program(rng, shape)
+        if rng.random() < 0.3:
+            extra = frozenset(rng.sample(pool, rng.randint(1, 3)))
+            program = Program(program.rules, extra)
+            widened += bool(extra - atoms_of(program.rules))
+        constrained += any(not r.head and is_objective(r) for r in program.rules)
+        with_m += "M " in str(program)
+        expected = _f15_world_views_ref(program)
+        assert f15_world_views(program) == expected, str(program)
+        selective += len(expected) < len(equilibrium_eht_models(program))
+    assert constrained > 30 and with_m > 30 and widened > 10 and selective > 10
+    program = parse_program("a | b. c :- not K d, a. d :- M b, not c. :- a, b. :- c, d.")
+    limits = SolverLimits(f15_max_atoms=4)
+    assert f15_world_views(program, limits) == _f15_world_views_ref(program, limits)
+
+
 def _random_body_literal(rng, atoms):
     kind = rng.choice(("atom", "const", "subjective"))
     if kind == "const":
@@ -335,9 +396,10 @@ def _random_body_literal(rng, atoms):
 
 
 def test_here_reading_matches_definitional_satisfaction():
-    # per point, per literal and per rule, on random (program, world view,
-    # h ⊆ I) triples whose literals cover M, inner `not`, `not not` and the
-    # truth constants
+    # the compiled rule check, per point and per rule, on random (program,
+    # world view, h ⊆ I) triples whose literals cover M, inner `not`,
+    # `not not` and the truth constants; each literal is checked as the
+    # one-literal constraint `:- l.`, which holds where l does not
     rng = random.Random(97)
     pool = [A, B, parse_atom("c")]
     triples = 0
@@ -351,22 +413,33 @@ def test_here_reading_matches_definitional_satisfaction():
             )
             for _ in range(rng.randint(1, 3))
         ]
+        lits = [lit for rule in rules for lit in rule.body]
+        compiled = _Compiled(Program(tuple(rules + [Rule(frozenset(), (l,)) for l in lits])), atoms)
         interps = _all_interps(atoms)
         wv = WorldView(frozenset(rng.sample(interps, rng.randint(1, len(interps)))))
         h = {i: frozenset(a for a in i if rng.random() < 0.5) for i in wv.interps}
         eht = EHTInterpretation(wv, h)
         triples += 1
-        for point in wv.interps:
-            for rule in rules:
+        points = {i: compiled.mask(i) for i in wv.interps}
+        here = {points[i]: compiled.mask(h[i]) for i in wv.interps}
+        w_and, w_or = _and_or(points.values())
+        h_and, h_or = _and_or(here.values())
+
+        def holds(n: int, point: int) -> bool:
+            rules_at = _point_rules([compiled.rules[n]], point, w_and, w_or)
+            return not _violated(rules_at, here[point], h_and, h_or)
+
+        for point, p in points.items():
+            for n, rule in enumerate(rules):
                 expected = eht_satisfies(eht, point, rule)
-                assert _rule_at_point(wv, h, point, rule) == expected, (str(rule), str(wv), h)
-                for lit in rule.body:
-                    value = eht_satisfies(eht, point, lit)
-                    assert _lit_truth(wv, h, point, lit) == value, (str(lit), str(wv), h)
-                    # the literal shapes whose here and total readings differed
-                    if value != modal_satisfies(wv, point, lit):
-                        inner = lit.inner if isinstance(lit, SubjLit) else lit
-                        seen.add((type(lit).__name__, getattr(lit, "neg", False), inner.negs))
+                assert holds(n, p) == expected, (str(rule), str(wv), h)
+            for n, lit in enumerate(lits, start=len(rules)):
+                value = eht_satisfies(eht, point, lit)
+                assert holds(n, p) == (not value), (str(lit), str(wv), h)
+                # the literal shapes whose here and total readings differed
+                if value != modal_satisfies(wv, point, lit):
+                    inner = lit.inner if isinstance(lit, SubjLit) else lit
+                    seen.add((type(lit).__name__, getattr(lit, "neg", False), inner.negs))
     assert triples >= 1000
     # only a positive atom and K/M over one read h
     assert seen == {("ObjLit", False, 0), ("SubjLit", False, 0)}

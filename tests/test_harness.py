@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from elps import engine
+from elps import engine, harness
 from elps.config import DEFAULT_LIMITS
 from elps.engine import REGISTRY, compute_world_views
 from elps.harness import (
@@ -146,6 +146,29 @@ def test_matrix_build_solves_each_pair_once(solved):
     first = set(solved)
     build_property_matrix(seed=3, count=2)
     assert set(solved) == first and set(solved.values()) == {2}  # nothing kept between builds
+
+
+def test_foundness_column_asks_each_pair_once(monkeypatch):
+    calls = Counter()
+    inner = harness.is_founded
+
+    def is_founded(program, wv, limits):
+        calls[program, wv] += 1
+        return inner(program, wv, limits)
+
+    monkeypatch.setattr(harness, "is_founded", is_founded)
+    build_property_matrix(seed=1, count=1)
+    visited = []  # (program, world view) per corpus program, semantics and world view
+    for case in FIXTURE_CASES:
+        program = load_fixture(case.name)
+        for semantics in SEMANTICS_COLUMNS:
+            wvs = harness._checked_world_views(program, semantics, DEFAULT_LIMITS)
+            visited += [(program, wv) for wv in wvs or ()]
+    assert set(calls) == set(visited) and set(calls.values()) == {1}
+    assert len(calls) < len(visited)  # semantics share corpus world views
+    first = dict(calls)
+    build_property_matrix(seed=1, count=1)
+    assert calls == Counter({pair: 2 for pair in first})  # nothing kept between builds
 
 
 def test_no_memo_outside_a_build(solved):
