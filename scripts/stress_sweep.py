@@ -10,7 +10,8 @@ Checks, over seeded random programs:
     enumeration order, and every countermodel is a non-total h with
     h(I) ⊆ I at each point,
   - guess-based world views match the brute-force oracle, and foundedness
-    matches its brute-force search,
+    matches its brute-force search on K-only programs and on programs with
+    M literals,
   - stratified programs have at most one world view and the layered
     evaluator agrees with the direct computation,
   - G91 and C19 solved component by component agree with the direct
@@ -118,6 +119,15 @@ def main():
         for wv in world_views(program, SemanticsId.G91):
             same = is_founded(program, wv) == is_founded_brute(program, wv)
             check(same, program, "foundedness oracle", str(wv))
+
+    # the fixpoint reads `M a`, `not M` and `K not a` through masks
+    shape_m = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.3)
+    for _ in range(args.trials):
+        program = random_epistemic_program(rng, shape_m)
+        stats["oracle"] += 1
+        for wv in world_views(program, SemanticsId.G91):
+            same = is_founded(program, wv) == is_founded_brute(program, wv)
+            check(same, program, "foundedness oracle with M", str(wv))
 
     shape_s = GeneratorShape(n_atoms=6, max_rules=6, subjective_prob=0.5, m_prob=0.25)
     for _ in range(args.trials):

@@ -18,19 +18,15 @@ world views are the equilibrium models that survive the ⊂ / ≤ comparison.
 The ordering ≤ quantifies over interpretations that belong to *some*
 equilibrium model.
 
-The program is compiled once (`_Compiled`) into atom masks: bit i stands for
-the i-th atom in `atom_key` order, an interpretation (a point) is the mask of
-its true atoms, and so is a here-value.  Each rule becomes a head mask; the
-masks read from h (positive atoms, `K a`, `M a`); the masks read from the
-point (`not a`, `not not a`); four masks for the subjective literals read in
-the total valuation, each asking its atom to be true at every point, false
-at some, true at some or true at none (`K not a` is "true at none", `not M
-a` too); and a dead flag for a false constant.  Given a world view, the
-total reads of a rule are decided per point by the AND and the OR of the
-world view's points (`_point_rules`); what is left reads h through the
-here-value at the point and the AND and the OR of h over the world view
-(`_violated`).  One pair of functions serves the total checks (h the
-identity) and the countermodel search.
+The program is compiled once (`_Compiled`) into the masks of
+`objective.compile_rule`, over the bits of `objective.AtomBits`: a point and
+a here-value are masks of atoms.  `pos`, `k` and `m` read h; every other
+field reads the total valuation.  Given a world view, the total reads of a
+rule are decided per point by the AND and the OR of the world view's points
+(`_point_rules`); what is left reads h through the here-value at the point
+and the AND and the OR of h over the world view (`_violated`).  One pair of
+functions serves the total checks (h the identity), the countermodel search
+and condition (1) of `foundedness`.
 
 Countermodels (`equilibrium_countermodel`, and `models_star` with X ⊊ wv)
 are found by a depth-first search over the free points in `interp_key`
@@ -63,54 +59,8 @@ from __future__ import annotations
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .modal import WorldView
-from .syntax import (
-    ObjLit,
-    Program,
-    Rule,
-    atom_key,
-    capped_atoms,
-    const_truth,
-    is_objective,
-    subsets,
-)
-
-
-def _compile_rule(rule: Rule, bit) -> tuple:
-    """(dead, head, pos, k, m, not1, not2, every, not_every, some, none)."""
-    head = sum(bit[a] for a in rule.head)
-    pos = k = m = not1 = not2 = every = not_every = some = none = 0
-    dead = False
-    for lit in rule.body:
-        if isinstance(lit, ObjLit):
-            value = const_truth(lit)
-            if value is not None:
-                dead = dead or not value
-            elif lit.negs == 0:
-                pos |= bit[lit.base]
-            elif lit.negs == 1:
-                not1 |= bit[lit.base]
-            else:
-                not2 |= bit[lit.base]
-        elif not lit.neg and lit.inner.negs == 0:
-            if lit.modality == "K":
-                k |= bit[lit.atom]
-            else:
-                m |= bit[lit.atom]
-        else:
-            # the truth the inner literal wants of its atom, at every point
-            # (K) or at some (M); a leading `not` flips both
-            want = (lit.inner.negs % 2 == 0) != lit.neg
-            at_every = (lit.modality == "K") != lit.neg
-            atom = bit[lit.atom]
-            if at_every and want:
-                every |= atom
-            elif at_every:
-                none |= atom
-            elif want:
-                some |= atom
-            else:
-                not_every |= atom
-    return dead, head, pos, k, m, not1, not2, every, not_every, some, none
+from .objective import AtomBits, compile_rule
+from .syntax import Program, capped_atoms, is_objective, subsets
 
 
 def _and_or(masks) -> tuple[int, int]:
@@ -127,7 +77,7 @@ def _point_rules(rules, point: int, w_and: int, w_or: int) -> list[tuple[int, in
     at `point`, in a world view whose points have AND `w_and` and OR `w_or`."""
     return [
         (pos, k, m, head)
-        for dead, head, pos, k, m, not1, not2, every, not_every, some, none in rules
+        for dead, head, pos, not1, not2, k, m, every, not_every, some, none in rules
         if not dead
         and not point & not1
         and point & not2 == not2
@@ -153,13 +103,12 @@ def _here_reading(rules) -> list[tuple[int, int, int, int]]:
     return [rule for rule in rules if rule[1] | rule[2]]
 
 
-class _Compiled:
-    """A program as atom masks over `atoms` (in `atom_key` order)."""
+class _Compiled(AtomBits):
+    """A program as `compile_rule` masks over the bits of `atoms`."""
 
     def __init__(self, program: Program, atoms):
-        self.atoms = tuple(sorted(atoms, key=atom_key))
-        self.bit = {a: 1 << i for i, a in enumerate(self.atoms)}
-        self.rules = [_compile_rule(r, self.bit) for r in program.rules]
+        super().__init__(atoms)
+        self.rules = [compile_rule(r, self.bit) for r in program.rules]
         self.objective = [c for c, r in zip(self.rules, program.rules) if is_objective(r)]
         self.modal = [c for c, r in zip(self.rules, program.rules) if not is_objective(r)]
         self._here_values: dict[int, list[int]] = {}
@@ -174,12 +123,6 @@ class _Compiled:
     def capped(cls, program: Program, limits: SolverLimits) -> "_Compiled":
         """Compiled over the program's atoms, within the EHT cap."""
         return cls(program, capped_atoms(program, limits.f15_max_atoms, "EHT"))
-
-    def mask(self, interp) -> int:
-        return sum(self.bit[a] for a in interp)
-
-    def interp(self, mask: int) -> frozenset:
-        return frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
 
     def world_view(self, points) -> WorldView:
         return WorldView(frozenset(self.interp(p) for p in points))

@@ -12,7 +12,12 @@ with I in the world view and X ∩ I ≠ ∅, repeatedly delete pairs that have 
 justifying rule w.r.t. the current Y.  Deleting pairs only shrinks Y, which
 only enables more justifications, so the deletion cascade is monotone and the
 fixpoint is the unique ⊆-greatest unfounded set among the eligible pairs.
-Two independent brute-force searches validate it on small instances.
+The fixpoint compiles the rules once per call (`eht._Compiled`, over the
+masks of `objective.compile_rule`): condition (1) is the compiled total
+reading of `eht` (`_point_rules` and `_violated` with h the identity), and
+(2) and (4) test the `pos` and `k` masks.  Two independent brute-force
+searches validate it on small instances; they read the rule AST through
+`has_justifying_rule` and `modal_satisfies`.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError
+from .eht import _and_or, _Compiled, _point_rules, _violated
 from .modal import WorldView, modal_satisfies
 from .objective import Interpretation
 from .semantics import SemanticsId, brute_world_views, world_views
@@ -65,66 +71,36 @@ def has_justifying_rule(program: Program, wv: WorldView, pair: UnfoundedPair, Y)
     return False
 
 
-def _masks(program: Program, limits: SolverLimits):
-    atoms = capped_atoms(program, limits.founded_max_atoms, "foundedness")
-    index = {a: i for i, a in enumerate(atoms)}
-
-    def mask(atom_set) -> int:
-        m = 0
-        for a in atom_set:
-            m |= 1 << index[a]
-        return m
-
-    return atoms, index, mask
-
-
-def _rule_masks(program: Program, wv: WorldView, mask):
-    """Per rule: (head, posobj, possub) masks plus per-interpretation body truth.
-
-    Conditions (1)-(3) do not involve Y, so they are precomputed once; only
-    condition (4) participates in the fixpoint iteration.
-    """
-    compiled = []
-    for rule in program.rules:
-        if not rule.head:
-            continue
-        truths = {}
-        for i in wv.interps:
-            truths[i] = all(modal_satisfies(wv, i, l) for l in rule.body)
-        compiled.append(
-            (
-                mask(rule.head),
-                mask(positive_objective_atoms(rule)),
-                mask(positive_subjective_atoms(rule)),
-                truths,
-            )
-        )
-    return compiled
-
-
 def greatest_unfounded_set(
     program: Program,
     wv: WorldView,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[UnfoundedPair]:
     """Fixpoint of justified-pair deletion; empty iff wv is founded."""
-    atoms, index, mask = _masks(program, limits)
-    rules = _rule_masks(program, wv, mask)
-    n = len(atoms)
+    c = _Compiled(program, capped_atoms(program, limits.founded_max_atoms, "foundedness"))
+    points = [(interp, c.mask(interp)) for interp in wv.sorted_interps]
+    w_and, w_or = _and_or(p for _, p in points)
 
     # survivors: (x_mask, interp, justifier possub masks valid for conditions 1-3)
     survivors = []
-    for interp in wv.sorted_interps:
-        i_mask = mask(interp)
-        for x in range(1, 1 << n):
-            if not (x & i_mask):
+    for interp, p in points:
+        # conditions (1)-(3) do not involve Y; (1) is the compiled total
+        # reading, where a rule without its head fails exactly where its
+        # body holds
+        bodies = [
+            (head, pos, k)
+            for pos, k, m, head in _point_rules(c.rules, p, w_and, w_or)
+            if head and _violated([(pos, k, m, 0)], p, w_and, w_or)
+        ]
+        for x in range(1, 1 << len(c.atoms)):
+            if not (x & p):
                 continue
             justifiers = [
                 possub
-                for head, posobj, possub, truths in rules
-                if head & x and truths[interp] and not (posobj & x) and not ((head & ~x) & i_mask)
+                for head, posobj, possub in bodies
+                if head & x and not (posobj & x) and not ((head & ~x) & p)
             ]
-            if any(p == 0 for p in justifiers):
+            if any(j == 0 for j in justifiers):
                 continue  # justified regardless of Y
             survivors.append((x, interp, tuple(justifiers)))
 
@@ -139,11 +115,7 @@ def greatest_unfounded_set(
             break
         survivors = remaining
 
-    bits = {1 << i: a for a, i in index.items()}
-    return frozenset(
-        UnfoundedPair(frozenset(bits[1 << i] for i in range(n) if x & (1 << i)), interp)
-        for x, interp, _ in survivors
-    )
+    return frozenset(UnfoundedPair(c.interp(x), interp) for x, interp, _ in survivors)
 
 
 def is_founded(program: Program, wv: WorldView, limits: SolverLimits = DEFAULT_LIMITS) -> bool:

@@ -1,4 +1,12 @@
-"""Classical satisfaction, the objective reduct, stable models and splitting.
+"""Classical satisfaction, the objective reduct, stable models and splitting,
+and the compiled rule form that every mask-based search shares.
+
+`AtomBits` gives each atom a bit, in `atom_key` order, and `compile_rule`
+turns a rule into a head mask, a dead flag and one body mask per kind of
+literal; which mask a literal lands in is decided there and nowhere else.
+Stable models read the objective masks; the EHT search (`eht`), the
+unfounded-set fixpoint (`foundedness`) and the splitting-set enumeration
+(`splitting`) use the same encoding.
 
 Stable models are computed by the definitional enumeration: every candidate
 interpretation over the atom universe is checked to be a ⊆-minimal model of
@@ -22,6 +30,7 @@ from .syntax import (
     Program,
     Rule,
     SubjLit,
+    atom_key,
     atoms_of,
     capped_atoms,
     const_truth,
@@ -70,49 +79,90 @@ def objective_reduct(program: Program, interp: Interpretation) -> Program:
     return Program.of(rules, program.extra_atoms)
 
 
-def _compile(program: Program, index: dict[Atom, int]):
-    """Bitmask form: (dead, head, pos, not1, not2) per rule.
+class AtomBits:
+    """Atoms as bits: bit i stands for the i-th atom in `atom_key` order, and
+    a set of atoms (an interpretation, a here-value) is the mask of its bits."""
 
-    A rule survives the reduct for candidate mask m iff not dead,
-    m & not1 == 0 and m & not2 == not2; its reduct is then head <- pos.
+    def __init__(self, atoms):
+        self.atoms = tuple(sorted(atoms, key=atom_key))
+        self.bit = {a: 1 << i for i, a in enumerate(self.atoms)}
+
+    def mask(self, atoms) -> int:
+        return sum(self.bit[a] for a in atoms)
+
+    def interp(self, mask: int) -> frozenset:
+        return frozenset(a for i, a in enumerate(self.atoms) if mask >> i & 1)
+
+
+def compile_rule(rule: Rule, bit) -> tuple:
+    """(dead, head, pos, not1, not2, k, m, every, not_every, some, none).
+
+    `bit` maps each atom to its bit.  `dead` marks a false truth constant
+    (a true one is dropped), `head` is the mask of the head atoms, and each
+    other field is the mask of the atoms under one kind of body literal:
+    `pos`, `not1` and `not2` under an objective literal with 0, 1 and 2
+    default negations; `k` and `m` under `K a` and `M a`; and the rest under
+    the other subjective literals, by what they ask of their atom: true at
+    every point, false at some (`not K a`, `M not a`), true at some, or true
+    at none (`K not a`, `not M a`).
     """
-    compiled = []
-    for rule in program.rules:
-        head = 0
-        for a in rule.head:
-            head |= 1 << index[a]
-        pos = not1 = not2 = 0
-        dead = False
-        for lit in rule.body:
-            if isinstance(lit, SubjLit):
-                raise NotObjectiveError(f"subjective literal {lit} in stable-model search")
+    head = sum(bit[a] for a in rule.head)
+    pos = not1 = not2 = k = m = every = not_every = some = none = 0
+    dead = False
+    for lit in rule.body:
+        if isinstance(lit, ObjLit):
             value = const_truth(lit)
             if value is not None:
-                if value is False:
-                    dead = True
-                continue
-            bit = 1 << index[lit.base]
-            if lit.negs == 0:
-                pos |= bit
+                dead = dead or not value
+            elif lit.negs == 0:
+                pos |= bit[lit.base]
             elif lit.negs == 1:
-                not1 |= bit
+                not1 |= bit[lit.base]
             else:
-                not2 |= bit
-        compiled.append((dead, head, pos, not1, not2))
-    return compiled
+                not2 |= bit[lit.base]
+        elif not lit.neg and lit.inner.negs == 0:
+            if lit.modality == "K":
+                k |= bit[lit.atom]
+            else:
+                m |= bit[lit.atom]
+        else:
+            # the truth the inner literal wants of its atom, at every point
+            # (K) or at some (M); a leading `not` flips both
+            want = (lit.inner.negs % 2 == 0) != lit.neg
+            at_every = (lit.modality == "K") != lit.neg
+            atom = bit[lit.atom]
+            if at_every and want:
+                every |= atom
+            elif at_every:
+                none |= atom
+            elif want:
+                some |= atom
+            else:
+                not_every |= atom
+    return dead, head, pos, not1, not2, k, m, every, not_every, some, none
 
 
 def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:
-    """All ⊆-minimal models I of the reduct w.r.t. I, over the atom universe."""
-    atoms = capped_atoms(program, limits.max_atoms, "exhaustive-search")
-    index = {a: i for i, a in enumerate(atoms)}
-    compiled = _compile(program, index)
+    """All ⊆-minimal models I of the reduct w.r.t. I, over the atom universe.
+
+    A compiled rule survives the reduct for candidate mask m iff it is not
+    dead, m & not1 == 0 and m & not2 == not2; its reduct is then head <- pos.
+    """
+    bits = AtomBits(capped_atoms(program, limits.max_atoms, "exhaustive-search"))
+    compiled = []
+    for rule in program.rules:
+        dead, head, pos, not1, not2, *subjective = compile_rule(rule, bits.bit)
+        if any(subjective):
+            lit = next(l for l in rule.body if isinstance(l, SubjLit))
+            raise NotObjectiveError(f"subjective literal {lit} in stable-model search")
+        if not dead:
+            compiled.append((head, pos, not1, not2))
     models = []
-    for m in range(1 << len(atoms)):
+    for m in range(1 << len(bits.atoms)):
         reduct = [
             (head, pos)
-            for (dead, head, pos, not1, not2) in compiled
-            if not dead and not (m & not1) and (m & not2) == not2
+            for (head, pos, not1, not2) in compiled
+            if not (m & not1) and (m & not2) == not2
         ]
         if any((m & pos) == pos and not (m & head) for head, pos in reduct):
             continue
@@ -128,7 +178,7 @@ def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> fr
                     break
                 sub = (sub - 1) & m
         if minimal:
-            models.append(frozenset(a for a in atoms if m & (1 << index[a])))
+            models.append(bits.interp(m))
     return frozenset(models)
 
 

@@ -24,7 +24,7 @@ from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError, ElpError, NotAnEpistemicSplittingSet, NotStratified
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
-from .objective import Split, partition, stable_models
+from .objective import AtomBits, Split, partition, stable_models
 from .semantics import SemanticsId
 from .syntax import Atom, Program, Rule, atom_key, atoms_of, capped_atoms
 
@@ -190,21 +190,16 @@ def enumerate_epistemic_splitting_sets(
 ) -> frozenset[frozenset[Atom]]:
     """All proper non-empty U that split the program.
 
-    Each rule is compiled once to two atom bitmasks, its atoms and its
+    Each rule is compiled once to two `AtomBits` masks, its atoms and its
     objective atoms (head and objective body); U splits iff every rule has
     all its atoms in U or no objective atom in U (the test of
     `epistemic_split`).
     """
-    atoms = capped_atoms(program, limits.split_enum_max_atoms, "split-enumeration")
-    bit = {a: 1 << k for k, a in enumerate(atoms)}
-
-    def mask(xs) -> int:
-        return sum(bit[a] for a in xs)
-
-    rules = {(mask(atoms_of(r)), mask(objective_atoms(r))) for r in program.rules}
+    bits = AtomBits(capped_atoms(program, limits.split_enum_max_atoms, "split-enumeration"))
+    rules = {(bits.mask(atoms_of(r)), bits.mask(objective_atoms(r))) for r in program.rules}
     return frozenset(
-        frozenset(a for a in atoms if bit[a] & u)
-        for u in range(1, (1 << len(atoms)) - 1)
+        bits.interp(u)
+        for u in range(1, (1 << len(bits.atoms)) - 1)
         if all(not (every & ~u) or not (objective & u) for every, objective in rules)
     )
 

@@ -298,8 +298,6 @@ def _tokenize(text: str) -> list[_Token]:
         if kind not in ("ws", "comment"):
             if kind == "name":
                 kind = _KEYWORDS.get(tok_text, "name")
-            elif kind == "pipe":
-                pass
             tokens.append(_Token(kind, tok_text, line, col))
         newlines = tok_text.count("\n")
         if newlines:
@@ -375,9 +373,6 @@ class _Parser:
                     self.fail("modality under doubled default negation")
                 return self.subjective(neg=True)
         if self.peek().kind == "mod":
-            if negs:
-                # unreachable: the loop above consumes the modality case
-                self.fail("modality under default negation")
             return self.subjective(neg=False)
         return self.objective(negs)
 

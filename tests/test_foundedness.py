@@ -19,7 +19,7 @@ from elps.generators import GeneratorShape, random_epistemic_program, random_obj
 from elps.modal import WorldView
 from elps.objective import stable_models
 from elps.semantics import SemanticsId, world_views
-from elps.syntax import Atom, parse_atom, parse_program, parse_rule
+from elps.syntax import Atom, parse_atom, parse_program, parse_rule, subsets
 
 A, B = Atom("a"), Atom("b")
 KA = parse_program("a :- K a.")
@@ -106,12 +106,26 @@ def _gfp_random_order(program, wv, rng):
         pairs.discard(rng.choice(sorted(justified, key=lambda p: (sorted(map(str, p.X)), sorted(map(str, p.interp))))))
 
 
-def test_fixpoint_deletion_order_independent():
+@pytest.mark.parametrize(
+    "shape, count, candidates",
+    [
+        (GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5), 25, 0),
+        # M literals, `not M` and `K not a` reach condition (1) through masks;
+        # random candidate world views reach bodies that G91 views falsify
+        (GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.3), 200, 4),
+    ],
+    ids=["k_only", "with_m"],
+)
+def test_fixpoint_deletion_order_independent(shape, count, candidates):
     rng = random.Random(51)
-    shape = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5)
-    for _ in range(25):
+    for _ in range(count):
         program = random_epistemic_program(rng, shape)
-        for wv in world_views(program, SemanticsId.G91):
+        interps = list(subsets(sorted(program.atom_universe)))
+        views = list(world_views(program, SemanticsId.G91)) + [
+            WorldView(frozenset(rng.sample(interps, rng.randint(1, len(interps)))))
+            for _ in range(candidates)
+        ]
+        for wv in views:
             expected = greatest_unfounded_set(program, wv)
             for _ in range(3):
                 assert _gfp_random_order(program, wv, rng) == expected, str(program)

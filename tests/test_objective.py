@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,20 @@ from elps.objective import (
     stable_models,
     stable_models_ref,
 )
-from elps.syntax import Atom, Program, load_program, parse_atom, parse_program, parse_rule
+from elps.syntax import (
+    BOT,
+    TOP,
+    Atom,
+    ObjLit,
+    Program,
+    Rule,
+    atoms_of,
+    const_truth,
+    load_program,
+    parse_atom,
+    parse_program,
+    parse_rule,
+)
 
 PI1 = parse_program(
     """
@@ -189,3 +203,32 @@ def test_two_oracle_paths_agree():
     for _ in range(60):
         program = random_objective_program(rng, shape)
         assert stable_models(program) == stable_models_ref(program), str(program)
+    # truth constants under 0-2 negations (a false one kills its rule, a
+    # true one such as `not ⊥` drops out), constraints, and atoms that
+    # occur in no rule
+    pool = [Atom(x) for x in "abcde"]
+    seen = {"dead": 0, "not ⊥": 0, "constraint": 0, "widened": 0}
+    for _ in range(300):
+        shape = GeneratorShape(n_atoms=rng.randint(1, 5), max_rules=4, constraint_prob=0.3)
+        rules = []
+        for rule in random_objective_program(rng, shape).rules:
+            body = list(rule.body)
+            for _ in range(rng.randint(0, 2)):
+                body.insert(rng.randint(0, len(body)), ObjLit(rng.choice((TOP, BOT)), rng.randint(0, 2)))
+            rules.append(Rule(rule.head, tuple(body)))
+        program = Program.of(rules, rng.sample(pool, rng.randint(0, 2)))
+        lits = [l for r in program.rules for l in r.body]
+        seen["dead"] += any(const_truth(l) is False for l in lits)
+        seen["not ⊥"] += ObjLit(BOT, 1) in lits
+        seen["constraint"] += any(not r.head for r in program.rules)
+        seen["widened"] += bool(program.extra_atoms - atoms_of(program.rules))
+        assert stable_models(program) == stable_models_ref(program), str(program)
+    assert min(seen.values()) > 30, seen
+
+
+@pytest.mark.parametrize("text", ["a :- K b.", "a :- M b.", "a :- not K b.", "a :- K not b.", "a :- not M not b."])
+def test_stable_models_rejects_subjective_literals(text):
+    # each literal lands in a different subjective mask of `compile_rule`
+    program = parse_program("c :- not d.\n" + text)
+    with pytest.raises(NotObjectiveError, match=re.escape(str(program.rules[1].body[0]))):
+        stable_models(program)
