@@ -21,7 +21,7 @@ from .eht import total_model_countermodels
 from .engine import REGISTRY, compute_world_views
 from .errors import CapacityError, ElpError
 from .foundedness import is_founded, unfounded_certificate
-from .harness import FixtureMismatch, build_property_matrix
+from .harness import PROPERTY_ROWS, FixtureMismatch, build_property_matrix
 from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId
@@ -36,9 +36,7 @@ from .syntax import Program, eliminate_m, interp_key, load_program, parse_atom
 
 def _load(path: str, args) -> Program:
     program = load_program(Path(path).read_text(encoding="utf-8"))
-    if getattr(args, "eliminate_m", False):
-        program = eliminate_m(program)
-    return program
+    return eliminate_m(program) if args.eliminate_m else program
 
 
 def _parse_atom_set(text: str):
@@ -199,21 +197,13 @@ def cmd_properties(args) -> int:
         print(f"fixture expectations failed:\n{exc}", file=sys.stderr)
         return 2
     if args.json:
-        payload = matrix.to_json()
-        payload["fixtures"] = [
-            {
-                "fixture": r.fixture,
-                "semantics": r.semantics,
-                "ok": r.ok,
-                "provenance": r.provenance,
-            }
-            for r in matrix.fixtures
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(matrix.to_json(), indent=2, sort_keys=True))
     else:
         print(matrix.render())
         print()
         for (prop, sem), cell in sorted(matrix.cells.items()):
+            if prop not in PROPERTY_ROWS:
+                continue  # the foundness column has no witness lines
             for violation in cell.violations:
                 print(f"witness [{prop} / {sem}]:")
                 for line in violation.program.splitlines():
@@ -282,10 +272,15 @@ def cmd_conformant(args) -> int:
     return 0 if all(v["conformant"] for v in verdicts) else 1
 
 
+def _add_program(parser: argparse.ArgumentParser):
+    """The program file and its rewriting, for the subcommands that `_load` one."""
+    parser.add_argument("file")
+    parser.add_argument("--eliminate-m", action="store_true", help="rewrite M-literals into K-literals")
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--semantics", default="g91", help="g91|g11|k15|s17|f15|c19 (default g91)")
     parser.add_argument("--max-atoms", type=int, default=None, help="exhaustive-search cap")
-    parser.add_argument("--eliminate-m", action="store_true", help="rewrite M-literals into K-literals")
     parser.add_argument("--json", action="store_true", help="JSON output")
 
 
@@ -294,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute world views")
-    p.add_argument("file")
+    _add_program(p)
     _add_common(p)
     p.add_argument("--explain-unfounded", action="store_true", help="print unfounded-set certificates")
     p.add_argument("--trace-eht", action="store_true", help="print equilibrium countermodels")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("split", help="epistemic splitting decomposition")
-    p.add_argument("file")
+    _add_program(p)
     _add_common(p)
     p.add_argument("--split", help="U=a,b,... the splitting set")
     p.add_argument("--placement", choices=["bottom", "top"], default="bottom",
@@ -317,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_properties, semantics="g91,g11,f15,k15,s17,c19")
 
     p = sub.add_parser("conformant", help="conformant planning over world views")
-    p.add_argument("file")
+    _add_program(p)
     _add_common(p)
     p.add_argument("--goal", required=True, help="goal atom")
     p.add_argument("--plan", action="append", default=[], help="action set a,b (repeatable)")

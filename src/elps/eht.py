@@ -23,10 +23,10 @@ The program is compiled once (`_Compiled`) into the masks of
 a here-value are masks of atoms.  `pos`, `k` and `m` read h; every other
 field reads the total valuation.  Given a world view, the total reads of a
 rule are decided per point by the AND and the OR of the world view's points
-(`_point_rules`); what is left reads h through the here-value at the point
-and the AND and the OR of h over the world view (`_violated`).  One pair of
-functions serves the total checks (h the identity), the countermodel search
-and condition (1) of `foundedness`.
+(`objective._point_rules`); what is left reads h through the here-value at
+the point and the AND and the OR of h over the world view
+(`objective._violated`).  One pair of functions serves the total checks (h
+the identity), the countermodel search and condition (1) of `foundedness`.
 
 Countermodels (`equilibrium_countermodel`, and `models_star` with X ⊊ wv)
 are found by a depth-first search over the free points in `interp_key`
@@ -59,42 +59,8 @@ from __future__ import annotations
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .modal import WorldView
-from .objective import AtomBits, compile_rule
+from .objective import AtomBits, _and_or, _point_rules, _violated, compile_rule
 from .syntax import Program, capped_atoms, is_objective, subsets
-
-
-def _and_or(masks) -> tuple[int, int]:
-    """The AND (-1 for none) and the OR of some masks."""
-    conj, disj = -1, 0
-    for mask in masks:
-        conj &= mask
-        disj |= mask
-    return conj, disj
-
-
-def _point_rules(rules, point: int, w_and: int, w_or: int) -> list[tuple[int, int, int, int]]:
-    """The "here" parts (pos, k, m, head) of the rules whose total reads hold
-    at `point`, in a world view whose points have AND `w_and` and OR `w_or`."""
-    return [
-        (pos, k, m, head)
-        for dead, head, pos, not1, not2, k, m, every, not_every, some, none in rules
-        if not dead
-        and not point & not1
-        and point & not2 == not2
-        and w_and & every == every
-        and not w_and & not_every
-        and w_or & some == some
-        and not w_or & none
-    ]
-
-
-def _violated(rules, here: int, h_and: int, h_or: int) -> bool:
-    """Whether one of a point's `_point_rules` fails at it, given its
-    here-value and the AND and OR of h over the world view."""
-    return any(
-        here & pos == pos and h_and & k == k and h_or & m == m and not here & head
-        for pos, k, m, head in rules
-    )
 
 
 def _here_reading(rules) -> list[tuple[int, int, int, int]]:

@@ -12,10 +12,10 @@ with I in the world view and X ∩ I ≠ ∅, repeatedly delete pairs that have 
 justifying rule w.r.t. the current Y.  Deleting pairs only shrinks Y, which
 only enables more justifications, so the deletion cascade is monotone and the
 fixpoint is the unique ⊆-greatest unfounded set among the eligible pairs.
-The fixpoint compiles the rules once per call (`eht._Compiled`, over the
-masks of `objective.compile_rule`): condition (1) is the compiled total
-reading of `eht` (`_point_rules` and `_violated` with h the identity), and
-(2) and (4) test the `pos` and `k` masks.  Two independent brute-force
+The fixpoint compiles the rules once per call (`objective.AtomBits` and
+`objective.compile_rule`): condition (1) is the compiled total reading
+(`objective._point_rules` and `objective._violated` with h the identity),
+and (2) and (4) test the `pos` and `k` masks.  Two independent brute-force
 searches validate it on small instances; they read the rule AST through
 `has_justifying_rule` and `modal_satisfies`.
 """
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError
-from .eht import _and_or, _Compiled, _point_rules, _violated
 from .modal import WorldView, modal_satisfies
-from .objective import Interpretation
+from .objective import AtomBits, Interpretation, _and_or, _point_rules, _violated, compile_rule
 from .semantics import SemanticsId, brute_world_views, world_views
 from .syntax import Atom, Program, Rule, capped_atoms, interp_key, subsets
 
@@ -77,8 +76,9 @@ def greatest_unfounded_set(
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[UnfoundedPair]:
     """Fixpoint of justified-pair deletion; empty iff wv is founded."""
-    c = _Compiled(program, capped_atoms(program, limits.founded_max_atoms, "foundedness"))
-    points = [(interp, c.mask(interp)) for interp in wv.sorted_interps]
+    bits = AtomBits(capped_atoms(program, limits.founded_max_atoms, "foundedness"))
+    rules = [compile_rule(r, bits.bit) for r in program.rules]
+    points = [(interp, bits.mask(interp)) for interp in wv.sorted_interps]
     w_and, w_or = _and_or(p for _, p in points)
 
     # survivors: (x_mask, interp, justifier possub masks valid for conditions 1-3)
@@ -89,10 +89,10 @@ def greatest_unfounded_set(
         # body holds
         bodies = [
             (head, pos, k)
-            for pos, k, m, head in _point_rules(c.rules, p, w_and, w_or)
+            for pos, k, m, head in _point_rules(rules, p, w_and, w_or)
             if head and _violated([(pos, k, m, 0)], p, w_and, w_or)
         ]
-        for x in range(1, 1 << len(c.atoms)):
+        for x in range(1, 1 << len(bits.atoms)):
             if not (x & p):
                 continue
             justifiers = [
@@ -115,7 +115,7 @@ def greatest_unfounded_set(
             break
         survivors = remaining
 
-    return frozenset(UnfoundedPair(c.interp(x), interp) for x, interp, _ in survivors)
+    return frozenset(UnfoundedPair(bits.interp(x), interp) for x, interp, _ in survivors)
 
 
 def is_founded(program: Program, wv: WorldView, limits: SolverLimits = DEFAULT_LIMITS) -> bool:

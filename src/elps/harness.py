@@ -10,7 +10,7 @@ check and zero violations, "violated" needs a concrete witness report, and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -214,35 +214,42 @@ def require_fixtures(limits: SolverLimits = DEFAULT_LIMITS, corpus_dir: Path | N
 # ---------------------------------------------------------------------------
 # property matrix
 
+# the rendered name of each row: the property rows, then the foundness column
+ROW_NAMES = {
+    "supra_s5": "Supra-S5",
+    "supra_asp": "Supra-ASP",
+    "subjective_constraint_monotonicity": "Subjective constraint monotonicity",
+    "epistemic_splitting": "Splitting",
+    "foundness": "Foundness",
+}
+
 
 @dataclass
 class MatrixCell:
-    verdict: str = "untested"  # "holds" | "violated" | "untested"
     checks: int = 0
     skipped: int = 0
     violations: list[PropertyReport] = field(default_factory=list)
 
-    def record(self, report: PropertyReport):
+    @property
+    def verdict(self) -> str:
+        """"violated" with a violation, else "holds" with a check, else "untested"."""
+        if self.violations:
+            return "violated"
+        return "holds" if self.checks else "untested"
+
+    def add(self, report: PropertyReport | None):
+        """Count a check, or a skip when there is no report."""
+        if report is None:
+            self.skipped += 1
+            return
         self.checks += 1
         if not report.holds:
             self.violations.append(report)
 
-    def skip(self):
-        self.skipped += 1
-
-    def finish(self):
-        if self.violations:
-            self.verdict = "violated"
-        elif self.checks:
-            self.verdict = "holds"
-        else:
-            self.verdict = "untested"
-
 
 @dataclass
 class PropertyMatrix:
-    cells: dict  # (property, semantics value) -> MatrixCell
-    foundness: dict  # semantics value -> MatrixCell
+    cells: dict  # (row of ROW_NAMES, semantics value) -> MatrixCell
     seed: int
     count: int
     fixtures: list[FixtureResult]  # the fixture expectations replayed before sampling
@@ -250,60 +257,49 @@ class PropertyMatrix:
     def cell(self, prop: str, semantics: SemanticsId) -> MatrixCell:
         return self.cells[(prop, semantics.value)]
 
+    @property
+    def foundness(self) -> dict:
+        """semantics value -> MatrixCell of the foundness column."""
+        return {s.value: self.cells[("foundness", s.value)] for s in SEMANTICS_COLUMNS}
+
     def to_json(self) -> dict:
-        def cell_json(cell: MatrixCell) -> dict:
-            return {
-                "verdict": cell.verdict,
-                "checks": cell.checks,
-                "skipped": cell.skipped,
-                "violations": [v.to_json() for v in cell.violations],
-            }
+        def row_json(row: str) -> dict:
+            cells = {s.value: self.cells[(row, s.value)] for s in SEMANTICS_COLUMNS}
+            return {sem: {"verdict": c.verdict, **asdict(c)} for sem, c in cells.items()}
 
         return {
             "seed": self.seed,
             "count": self.count,
             "columns": [s.value for s in SEMANTICS_COLUMNS],
-            "rows": {
-                prop: {s.value: cell_json(self.cells[(prop, s.value)]) for s in SEMANTICS_COLUMNS}
-                for prop in PROPERTY_ROWS
-            },
-            "foundness": {s.value: cell_json(self.foundness[s.value]) for s in SEMANTICS_COLUMNS},
+            "rows": {prop: row_json(prop) for prop in PROPERTY_ROWS},
+            "foundness": row_json("foundness"),
+            "fixtures": [
+                {"fixture": r.fixture, "semantics": r.semantics, "ok": r.ok, "provenance": r.provenance}
+                for r in self.fixtures
+            ],
         }
 
     def render(self) -> str:
         mark = {"holds": "✓", "violated": " ", "untested": "?"}
-        names = {
-            "supra_s5": "Supra-S5",
-            "supra_asp": "Supra-ASP",
-            "subjective_constraint_monotonicity": "Subjective constraint monotonicity",
-            "epistemic_splitting": "Splitting",
-        }
-        width = max(len(n) for n in names.values()) + 2
+        width = max(len(n) for n in ROW_NAMES.values()) + 2
         lines = ["".ljust(width) + "  ".join(f"{s.value:>4}" for s in SEMANTICS_COLUMNS)]
-        for prop in PROPERTY_ROWS:
-            cells = (self.cells[(prop, s.value)] for s in SEMANTICS_COLUMNS)
-            lines.append(
-                names[prop].ljust(width) + "  ".join(f"{mark[c.verdict]:>4}" for c in cells)
-            )
-        lines.append(
-            "Foundness".ljust(width)
-            + "  ".join(f"{mark[self.foundness[s.value].verdict]:>4}" for s in SEMANTICS_COLUMNS)
-        )
+        for row, name in ROW_NAMES.items():
+            cells = (self.cells[(row, s.value)] for s in SEMANTICS_COLUMNS)
+            lines.append(name.ljust(width) + "  ".join(f"{mark[c.verdict]:>4}" for c in cells))
         return "\n".join(lines)
 
 
-def _checked_world_views(program, semantics, limits):
+def _checked(check, *args):
+    """`check(*args)`, or None (a skip) when a capacity cap or an M-literal
+    the semantics does not accept stops it."""
     try:
-        return compute_world_views(program, semantics, limits)
+        return check(*args)
     except (CapacityError, UnsupportedMLiteral):
         return None
 
 
 def _supra_s5_report(program: Program, semantics: SemanticsId, limits, seed=None):
-    wvs = _checked_world_views(program, semantics, limits)
-    if wvs is None:
-        return None
-    bad = [wv for wv in wvs if not is_s5_model(wv, program)]
+    bad = [wv for wv in compute_world_views(program, semantics, limits) if not is_s5_model(wv, program)]
     return PropertyReport(
         property="supra_s5",
         semantics=semantics.value,
@@ -318,9 +314,7 @@ def _supra_s5_report(program: Program, semantics: SemanticsId, limits, seed=None
 def _supra_asp_report(program: Program, semantics: SemanticsId, limits, seed=None):
     if not is_objective(program):
         raise NotObjectiveError(f"supra-ASP needs an objective program, got {program}")
-    wvs = _checked_world_views(program, semantics, limits)
-    if wvs is None:
-        return None
+    wvs = compute_world_views(program, semantics, limits)
     models = stable_models(program, limits)
     expected = frozenset([WorldView(models)]) if models else frozenset()
     return PropertyReport(
@@ -339,6 +333,65 @@ _SCM_FIXTURES = (("ab", ":- not K a."), ("ka", ":- K a."), ("ce1a", ":- not K c.
 _OBJECTIVE_FIXTURES = ("pi1", "ab")
 
 
+def _matrix_checks(semantics, corpus, seed, count, limits, founded_memo):
+    """(row, report or None for a skip) for every check of one semantics.
+
+    The rows come in `ROW_NAMES` order and draw their random programs from
+    one generator seeded by (seed, semantics).  A splitting check runs on
+    each of a program's first four splitting sets; a program whose sets
+    cannot be enumerated is one skip.  The foundness column checks the
+    corpus world views, and only a `founded` semantics backs a pass."""
+    shape = REGISTRY[semantics].shape
+    rng = random.Random((seed, semantics.value).__repr__())
+
+    def drawn(generate):
+        return [generate(rng, shape) for _ in range(count)]
+
+    for program in [*corpus.values(), *drawn(random_epistemic_program)]:
+        yield "supra_s5", _checked(_supra_s5_report, program, semantics, limits, seed)
+    objective = [corpus[name] for name in _OBJECTIVE_FIXTURES] + drawn(random_objective_program)
+    for program in objective:
+        yield "supra_asp", _checked(_supra_asp_report, program, semantics, limits, seed)
+
+    cases = [(corpus[name], parse_rule(text)) for name, text in _SCM_FIXTURES]
+    for _ in range(count):
+        program = random_epistemic_program(rng, shape)
+        cases.append((program, random_subjective_constraint(rng, program, shape)))
+    for program, constraint in cases:
+        yield "subjective_constraint_monotonicity", _checked(
+            check_constraint_monotonicity, program, constraint, semantics, limits, seed
+        )
+
+    for program in [*corpus.values(), *drawn(random_epistemic_program)]:
+        split_sets = _checked(enumerate_epistemic_splitting_sets, program, limits)
+        if split_sets is None:
+            yield "epistemic_splitting", None
+        for U in sorted(split_sets or (), key=lambda u: tuple(sorted(map(str, u))))[:4]:
+            yield "epistemic_splitting", _checked(
+                check_epistemic_splitting, program, U, semantics, None, limits, seed
+            )
+
+    for program in corpus.values():
+        wvs = _checked(compute_world_views, program, semantics, limits)
+        if wvs is None:
+            yield "foundness", None
+        for wv in wvs or ():
+            if (program, wv) not in founded_memo:
+                founded_memo[program, wv] = is_founded(program, wv, limits)
+            founded = founded_memo[program, wv]
+            report = PropertyReport(
+                property="foundness",
+                semantics=semantics.value,
+                verdict="holds" if founded else "violated",
+                program=str(program),
+                lhs=[wv.as_lists()],
+                rhs=[],
+                seed=seed,
+            )
+            # a pass under a semantics not founded by construction backs no general claim
+            yield "foundness", report if REGISTRY[semantics].founded or not founded else None
+
+
 @solve_memo()
 def build_property_matrix(
     semantics_list=SEMANTICS_COLUMNS,
@@ -355,95 +408,10 @@ def build_property_matrix(
     asks `is_founded` once per (program, world view) in a build."""
     fixtures = require_fixtures(limits, corpus_dir)
     corpus = {case.name: load_fixture(case.name, corpus_dir) for case in FIXTURE_CASES}
-    cells = {(prop, s.value): MatrixCell() for prop in PROPERTY_ROWS for s in SEMANTICS_COLUMNS}
-    foundness = {s.value: MatrixCell() for s in SEMANTICS_COLUMNS}
+    cells = {(row, s.value): MatrixCell() for row in ROW_NAMES for s in SEMANTICS_COLUMNS}
     # most semantics share their corpus world views: ask once per pair
     founded_memo: dict[tuple[Program, WorldView], bool] = {}
-
     for semantics in semantics_list:
-        shape = REGISTRY[semantics].shape
-        rng = random.Random((seed, semantics.value).__repr__())
-
-        # --- supra-S5
-        cell = cells[("supra_s5", semantics.value)]
-        programs = list(corpus.values()) + [
-            random_epistemic_program(rng, shape) for _ in range(count)
-        ]
-        for program in programs:
-            report = _supra_s5_report(program, semantics, limits, seed=seed)
-            cell.record(report) if report else cell.skip()
-
-        # --- supra-ASP
-        cell = cells[("supra_asp", semantics.value)]
-        objective_programs = [corpus[n] for n in _OBJECTIVE_FIXTURES] + [
-            random_objective_program(rng, shape) for _ in range(count)
-        ]
-        for program in objective_programs:
-            report = _supra_asp_report(program, semantics, limits, seed=seed)
-            cell.record(report) if report else cell.skip()
-
-        # --- subjective constraint monotonicity
-        cell = cells[("subjective_constraint_monotonicity", semantics.value)]
-        scm_cases = [(corpus[name], parse_rule(text)) for name, text in _SCM_FIXTURES]
-        for _ in range(count):
-            program = random_epistemic_program(rng, shape)
-            scm_cases.append((program, random_subjective_constraint(rng, program, shape)))
-        for program, constraint in scm_cases:
-            try:
-                report = check_constraint_monotonicity(program, constraint, semantics, limits, seed)
-                cell.record(report)
-            except (CapacityError, UnsupportedMLiteral):
-                cell.skip()
-
-        # --- epistemic splitting
-        cell = cells[("epistemic_splitting", semantics.value)]
-        split_programs = list(corpus.values()) + [
-            random_epistemic_program(rng, shape) for _ in range(count)
-        ]
-        for program in split_programs:
-            try:
-                split_sets = sorted(
-                    enumerate_epistemic_splitting_sets(program, limits),
-                    key=lambda u: tuple(sorted(map(str, u))),
-                )[:4]
-            except CapacityError:
-                cell.skip()
-                continue
-            for U in split_sets:
-                try:
-                    report = check_epistemic_splitting(program, U, semantics, None, limits, seed)
-                    cell.record(report)
-                except (CapacityError, UnsupportedMLiteral):
-                    cell.skip()
-
-        # --- foundness column (rendered, not a formal row): a blank needs a
-        # corpus witness; only a `founded` semantics backs a pass.
-        cell = foundness[semantics.value]
-        for program in corpus.values():
-            wvs = _checked_world_views(program, semantics, limits)
-            if wvs is None:
-                cell.skip()
-                continue
-            for wv in wvs:
-                if (program, wv) not in founded_memo:
-                    founded_memo[program, wv] = is_founded(program, wv, limits)
-                founded = founded_memo[program, wv]
-                report = PropertyReport(
-                    property="foundness",
-                    semantics=semantics.value,
-                    verdict="holds" if founded else "violated",
-                    program=str(program),
-                    lhs=[wv.as_lists()],
-                    rhs=[],
-                    seed=seed,
-                )
-                if REGISTRY[semantics].founded or not founded:
-                    cell.record(report)
-                else:
-                    cell.skip()  # a pass here does not back a general claim
-
-    for cell in cells.values():
-        cell.finish()
-    for cell in foundness.values():
-        cell.finish()
-    return PropertyMatrix(cells, foundness, seed, count, fixtures)
+        for row, report in _matrix_checks(semantics, corpus, seed, count, limits, founded_memo):
+            cells[(row, semantics.value)].add(report)
+    return PropertyMatrix(cells, seed, count, fixtures)

@@ -6,7 +6,9 @@ turns a rule into a head mask, a dead flag and one body mask per kind of
 literal; which mask a literal lands in is decided there and nowhere else.
 Stable models read the objective masks; the EHT search (`eht`), the
 unfounded-set fixpoint (`foundedness`) and the splitting-set enumeration
-(`splitting`) use the same encoding.
+(`splitting`) use the same encoding.  `_point_rules` and `_violated` read the
+masks at a point of a world view, with a here-value h (`eht`); with h the
+identity that is modal satisfaction, condition (1) of `foundedness`.
 
 Stable models are computed by the definitional enumeration: every candidate
 interpretation over the atom universe is checked to be a ⊆-minimal model of
@@ -140,6 +142,40 @@ def compile_rule(rule: Rule, bit) -> tuple:
             else:
                 not_every |= atom
     return dead, head, pos, not1, not2, k, m, every, not_every, some, none
+
+
+def _and_or(masks) -> tuple[int, int]:
+    """The AND (-1 for none) and the OR of some masks."""
+    conj, disj = -1, 0
+    for mask in masks:
+        conj &= mask
+        disj |= mask
+    return conj, disj
+
+
+def _point_rules(rules, point: int, w_and: int, w_or: int) -> list[tuple[int, int, int, int]]:
+    """The "here" parts (pos, k, m, head) of the rules whose total reads hold
+    at `point`, in a world view whose points have AND `w_and` and OR `w_or`."""
+    return [
+        (pos, k, m, head)
+        for dead, head, pos, not1, not2, k, m, every, not_every, some, none in rules
+        if not dead
+        and not point & not1
+        and point & not2 == not2
+        and w_and & every == every
+        and not w_and & not_every
+        and w_or & some == some
+        and not w_or & none
+    ]
+
+
+def _violated(rules, here: int, h_and: int, h_or: int) -> bool:
+    """Whether one of a point's `_point_rules` fails at it, given its
+    here-value and the AND and OR of h over the world view."""
+    return any(
+        here & pos == pos and h_and & k == k and h_or & m == m and not here & head
+        for pos, k, m, head in rules
+    )
 
 
 def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:

@@ -18,7 +18,7 @@ against it before the next level splits off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
@@ -229,16 +229,7 @@ class PropertyReport:
         return {"program": self.program, "U": self.U, "lhs": self.lhs, "rhs": self.rhs}
 
     def to_json(self) -> dict:
-        return {
-            "property": self.property,
-            "semantics": self.semantics,
-            "program": self.program,
-            "U": self.U,
-            "verdict": self.verdict,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def check_epistemic_splitting(

@@ -176,7 +176,9 @@ GOLDEN = Path(__file__).parent / "golden"
             ["solve", f"{name}.elp", "--semantics", "f15", "--trace-eht", "--json"],
         )
         for name in ("ce1b", "ce2")
-    ],
+    ]
+    # the text output: the checkmark table and the witness lines
+    + [("properties_seed7_count3.txt", ["properties", "--seed", "7", "--count", "3"])],
 )
 def test_cli_output_matches_golden(capsys, monkeypatch, corpus_dir, golden, argv):
     # run from the corpus directory so the "file" field is the bare name
@@ -253,6 +255,14 @@ def test_properties_json(capsys):
     assert payload["rows"]["epistemic_splitting"]["g91"]["verdict"] == "holds"
     assert payload["rows"]["epistemic_splitting"]["k15"]["verdict"] == "violated"
     assert all(f["ok"] for f in payload["fixtures"])
+
+
+def test_properties_rejects_eliminate_m(capsys):
+    # properties loads no program, so there is nothing to rewrite
+    with pytest.raises(SystemExit) as exc:
+        main(["properties", "--eliminate-m", "--semantics", "g91", "--count", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eliminate-m" in capsys.readouterr().err
 
 
 def test_properties_text_deterministic(capsys):

@@ -6,11 +6,8 @@ import pytest
 
 from elps.config import SolverLimits
 from elps.eht import (
-    _and_or,
     _Compiled,
     _countermodel,
-    _point_rules,
-    _violated,
     equilibrium_countermodel,
     equilibrium_eht_models,
     f15_world_views,
@@ -20,6 +17,7 @@ from elps.eht import (
 from elps.errors import CapacityError
 from elps.generators import GeneratorShape, random_epistemic_program
 from elps.modal import WorldView, is_s5_model, modal_satisfies
+from elps.objective import _and_or, _point_rules, _violated
 from elps.syntax import (
     BOT,
     TOP,

@@ -106,12 +106,21 @@ def _gfp_random_order(program, wv, rng):
         pairs.discard(rng.choice(sorted(justified, key=lambda p: (sorted(map(str, p.X)), sorted(map(str, p.interp))))))
 
 
+def _views(program, rng, candidates):
+    """The program's G91 world views, then `candidates` random candidate world
+    views over its atoms; these reach bodies that G91 views falsify."""
+    interps = list(subsets(sorted(program.atom_universe)))
+    return list(world_views(program, SemanticsId.G91)) + [
+        WorldView(frozenset(rng.sample(interps, rng.randint(1, len(interps)))))
+        for _ in range(candidates)
+    ]
+
+
 @pytest.mark.parametrize(
     "shape, count, candidates",
     [
         (GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5), 25, 0),
-        # M literals, `not M` and `K not a` reach condition (1) through masks;
-        # random candidate world views reach bodies that G91 views falsify
+        # M literals, `not M` and `K not a` reach condition (1) through masks
         (GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.3), 200, 4),
     ],
     ids=["k_only", "with_m"],
@@ -120,12 +129,7 @@ def test_fixpoint_deletion_order_independent(shape, count, candidates):
     rng = random.Random(51)
     for _ in range(count):
         program = random_epistemic_program(rng, shape)
-        interps = list(subsets(sorted(program.atom_universe)))
-        views = list(world_views(program, SemanticsId.G91)) + [
-            WorldView(frozenset(rng.sample(interps, rng.randint(1, len(interps)))))
-            for _ in range(candidates)
-        ]
-        for wv in views:
+        for wv in _views(program, rng, candidates):
             expected = greatest_unfounded_set(program, wv)
             for _ in range(3):
                 assert _gfp_random_order(program, wv, rng) == expected, str(program)
@@ -136,7 +140,7 @@ def test_brute_force_agreement_union_method():
     shape = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.2)
     for _ in range(60):
         program = random_epistemic_program(rng, shape)
-        for wv in world_views(program, SemanticsId.G91):
+        for wv in _views(program, rng, 4):
             assert is_founded(program, wv) == is_founded_brute(program, wv), str(program)
 
 
