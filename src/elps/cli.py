@@ -18,14 +18,15 @@ from pathlib import Path
 
 from .config import resolve_limits
 from .eht import total_model_countermodels
-from .engine import REGISTRY, compute_world_views
+from .engine import REGISTRY, compute_world_views, solve_memo
 from .errors import CapacityError, ElpError
-from .foundedness import is_founded, unfounded_certificate
+from .foundedness import unfounded_certificate
 from .harness import PROPERTY_ROWS, FixtureMismatch, build_property_matrix
 from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId
 from .splitting import (
+    check_epistemic_splitting,
     enumerate_epistemic_splitting_sets,
     epistemic_split,
     epistemic_solutions,
@@ -79,11 +80,11 @@ def cmd_solve(args) -> int:
     # the world views above stand when a cap puts a certificate or trace out of reach
     if args.explain_unfounded:
         try:
-            payload["unfounded_certificates"] = [
+            certificates = (
                 {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv, limits)}
                 for wv in sorted(compute_world_views(program, SemanticsId.G91, limits), key=wv_key)
-                if not is_founded(program, wv, limits)
-            ]
+            )
+            payload["unfounded_certificates"] = [c for c in certificates if c["pairs"]]
         except CapacityError as exc:
             print(f"unfounded certificates skipped: {exc}", file=sys.stderr)
             payload["unfounded_certificates"] = None
@@ -134,13 +135,12 @@ def cmd_split(args) -> int:
         return 2
     U = _parse_atom_set(args.split)
     split = epistemic_split(program, U, args.placement)
-    solutions = sorted(
-        epistemic_solutions(program, U, semantics, args.placement, limits),
-        key=lambda s: (wv_key(s.wv_b), wv_key(s.wv_t)),
-    )
-    combined = sorted({s.combined for s in solutions}, key=wv_key)
-    direct = sorted(compute_world_views(program, semantics, limits), key=wv_key)
-    match = {wv_key(w) for w in combined} == {wv_key(w) for w in direct}
+    with solve_memo():
+        solutions = sorted(
+            epistemic_solutions(program, U, semantics, args.placement, limits),
+            key=lambda s: (wv_key(s.wv_b), wv_key(s.wv_t)),
+        )
+        report = check_epistemic_splitting(program, U, semantics, args.placement, limits)
     payload = {
         "file": args.file,
         "semantics": semantics.value,
@@ -156,9 +156,9 @@ def cmd_split(args) -> int:
             }
             for s in solutions
         ],
-        "combined": world_views_to_json(combined),
-        "direct": world_views_to_json(direct),
-        "match": match,
+        "combined": report.rhs,
+        "direct": report.lhs,
+        "match": report.holds,
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -177,8 +177,8 @@ def cmd_split(args) -> int:
             print(f"  wv_top {s['wv_top']} -> combined {s['combined']}")
         print(f"combined world views: {payload['combined']}")
         print(f"direct world views:   {payload['direct']}")
-        print("MATCH" if match else "MISMATCH: composed solutions differ from the direct world views")
-    return 0 if match else 1
+        print("MATCH" if report.holds else "MISMATCH: composed solutions differ from the direct world views")
+    return 0 if report.holds else 1
 
 
 def cmd_properties(args) -> int:

@@ -11,11 +11,11 @@ Entries call the solvers through their modules' attributes at call time, so
 a function rebound on its module (for tracing, say) is the one that runs.
 
 An entry marked `splitting: True` (g91 and c19) decomposes before it
-guesses: `splitting.component_world_views` splits the program into closed
-components, solves each with the semantics' direct whole-program solver and
-assembles the world views with `combine`, which the epistemic splitting
-theorem makes exact.  The other semantics fail splitting on the paper's
-counterexamples, so they solve the whole program with their direct solver.
+guesses: `splitting.component_world_views` runs the semantics' direct
+whole-program solver on one closed component at a time (a top once per
+distinct simplification) and pairs the world views by `split_solutions`,
+exact by the epistemic splitting theorem.  The other semantics fail splitting
+on the paper's counterexamples, so their direct solver takes the whole program.
 
 `solve_memo()` opens a memo for the length of a `with` block: inside it,
 `compute_world_views` solves each equal (program, semantics, limits) once and

@@ -31,6 +31,7 @@ from .splitting import (
     check_constraint_monotonicity,
     check_epistemic_splitting,
     enumerate_epistemic_splitting_sets,
+    equation_report,
 )
 from .syntax import Program, is_objective, load_program, parse_rule
 
@@ -300,15 +301,7 @@ def _checked(check, *args):
 
 def _supra_s5_report(program: Program, semantics: SemanticsId, limits, seed=None):
     bad = [wv for wv in compute_world_views(program, semantics, limits) if not is_s5_model(wv, program)]
-    return PropertyReport(
-        property="supra_s5",
-        semantics=semantics.value,
-        verdict="violated" if bad else "holds",
-        program=str(program),
-        lhs=world_views_to_json(bad),
-        rhs=[],
-        seed=seed,
-    )
+    return equation_report("supra_s5", semantics, program, bad, [], seed)
 
 
 def _supra_asp_report(program: Program, semantics: SemanticsId, limits, seed=None):
@@ -316,16 +309,8 @@ def _supra_asp_report(program: Program, semantics: SemanticsId, limits, seed=Non
         raise NotObjectiveError(f"supra-ASP needs an objective program, got {program}")
     wvs = compute_world_views(program, semantics, limits)
     models = stable_models(program, limits)
-    expected = frozenset([WorldView(models)]) if models else frozenset()
-    return PropertyReport(
-        property="supra_asp",
-        semantics=semantics.value,
-        verdict="holds" if wvs == expected else "violated",
-        program=str(program),
-        lhs=world_views_to_json(wvs),
-        rhs=world_views_to_json(expected),
-        seed=seed,
-    )
+    expected = [WorldView(models)] if models else []
+    return equation_report("supra_asp", semantics, program, wvs, expected, seed)
 
 
 # fixture-backed checks per property: (fixture, extra data) pairs

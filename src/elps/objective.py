@@ -21,6 +21,7 @@ around as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import NotASplittingSet, NotObjectiveError
@@ -287,6 +288,21 @@ def simplify_top(top: Program, U, interp: Interpretation) -> Program:
     return Program.of(rules)
 
 
+def split_solutions(split: Split, solve, simplify) -> Iterator[tuple]:
+    """The solutions of a split: each answer `solve` gives the bottom, paired
+    with each answer it gives the top after `simplify(split, bottom answer)`;
+    equal simplified tops are solved once.  With stable models and
+    `simplify_top` this is Lifschitz & Turner's splitting theorem, with world
+    views and the subjective reduct it is epistemic splitting."""
+    tops: dict[Program, frozenset] = {}
+    for bottom in solve(split.bottom):
+        top = simplify(split, bottom)
+        if top not in tops:
+            tops[top] = solve(top)
+        for answer in tops[top]:
+            yield bottom, answer
+
+
 def objective_solutions(
     program: Program,
     U,
@@ -296,9 +312,7 @@ def objective_solutions(
     """All pairs (I_b, I_t) with I_b stable in the bottom and I_t stable in the
     simplified top."""
     split = objective_split(program, U, placement)
-    pairs = []
-    for i_b in stable_models(split.bottom, limits):
-        simplified = simplify_top(split.top, split.U, i_b)
-        for i_t in stable_models(simplified, limits):
-            pairs.append((i_b, i_t))
+    pairs = split_solutions(
+        split, lambda p: stable_models(p, limits), lambda s, i_b: simplify_top(s.top, s.U, i_b)
+    )
     return frozenset(pairs)

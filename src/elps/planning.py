@@ -37,7 +37,7 @@ def wrap_action_atoms(program: Program, actions) -> Program:
             return SubjLit("K", lit)
         return lit
 
-    rules = tuple(Rule(r.head, tuple(wrap(l) for l in r.body), pos=r.pos) for r in program.rules)
+    rules = tuple(Rule(r.head, tuple(wrap(l) for l in r.body)) for r in program.rules)
     return Program.of(rules, program.extra_atoms)
 
 

@@ -3,9 +3,11 @@ property checks.
 
 An epistemic splitting set U requires each rule to either live entirely
 inside U or to mention U only through subjective literals.  Subjective
-constraints on U satisfy both conditions and are placed per policy.  Solving
-then proceeds bottom-up: world views of the bottom simplify the top's
-subjective literals to truth constants, and solutions compose with ⊔.
+constraints on U satisfy both conditions and are placed per policy.  The
+solutions of a split come from `objective.split_solutions`: world views of
+the bottom simplify the top's subjective literals on U to truth constants,
+and each pair composes with ⊔.  Every property check here is an equation
+between two sets of world views, reported by `equation_report`.
 
 G91 and C19 satisfy epistemic splitting, so `component_world_views` solves
 them one closed component at a time and composes the world views.
@@ -24,7 +26,7 @@ from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError, ElpError, NotAnEpistemicSplittingSet, NotStratified
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
-from .objective import AtomBits, Split, partition, stable_models
+from .objective import AtomBits, Split, partition, split_solutions, stable_models
 from .semantics import SemanticsId
 from .syntax import Atom, Program, Rule, atom_key, atoms_of, capped_atoms
 
@@ -36,15 +38,9 @@ def objective_atoms(rule: Rule) -> frozenset[Atom]:
 
 def dep_relation(program: Program) -> frozenset[tuple[Atom, Atom]]:
     """dep(a, b): a heads or objectively depends on a rule querying b modally."""
-    deps = set()
-    for rule in program.rules:
-        sub_atoms = {l.atom for l in rule.body_sub}
-        if not sub_atoms:
-            continue
-        for a in objective_atoms(rule):
-            for b in sub_atoms:
-                deps.add((a, b))
-    return frozenset(deps)
+    return frozenset(
+        (a, lit.atom) for rule in program.rules for lit in rule.body_sub for a in objective_atoms(rule)
+    )
 
 
 def epistemic_split(program: Program, U, placement: str = "bottom") -> Split:
@@ -79,12 +75,10 @@ def epistemic_solutions(
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[EpistemicSolution]:
     split = epistemic_split(program, U, placement)
-    solutions = []
-    for wv_b in engine.compute_world_views(split.bottom, semantics, limits):
-        simplified = top_simplification(split, wv_b)
-        for wv_t in engine.compute_world_views(simplified, semantics, limits):
-            solutions.append(EpistemicSolution(wv_b, wv_t))
-    return frozenset(solutions)
+    pairs = split_solutions(
+        split, lambda p: engine.compute_world_views(p, semantics, limits), top_simplification
+    )
+    return frozenset(EpistemicSolution(*pair) for pair in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +96,8 @@ def _classes(atoms: list[Atom], linked) -> list[frozenset[Atom]]:
     return list(dict.fromkeys(cls[a] for a in atoms))
 
 
-def closed_component(program: Program) -> tuple[frozenset[Atom], bool] | None:
-    """A splitting set U to split off first and whether the top then does not
-    mention U at all; None when the program is a single component.
+def closed_component(program: Program) -> frozenset[Atom] | None:
+    """A splitting set U to split off first; None for a single component.
 
     Atoms that a chain of rules connects form a block.  With several blocks,
     U is the first one, and no rule outside it mentions it.  In one block,
@@ -117,7 +110,7 @@ def closed_component(program: Program) -> tuple[frozenset[Atom], bool] | None:
     atoms = sorted(atoms_of(program), key=atom_key)
     blocks = _classes(atoms, (atoms_of(r) for r in program.rules))
     if len(blocks) > 1:
-        return blocks[0], True
+        return blocks[0]
     groups = _classes(atoms, (objective_atoms(r) for r in program.rules))
     group_of = {a: g for g in groups for a in g}
     successors: dict[frozenset[Atom], set[frozenset[Atom]]] = {g: set() for g in groups}
@@ -134,7 +127,7 @@ def closed_component(program: Program) -> tuple[frozenset[Atom], bool] | None:
         return frozenset().union(*seen)
 
     U = min(map(reachable, groups), key=len, default=frozenset())
-    return (U, False) if len(U) < len(atoms) else None
+    return U if len(U) < len(atoms) else None
 
 
 def component_world_views(
@@ -146,12 +139,12 @@ def component_world_views(
     from `direct`, its whole-program solver, run on one closed component at
     a time.
 
-    Each step splits `closed_component` U off as the bottom.  When the top
-    does not mention U, bottom and top are solved once each and every pair
-    of their world views is combined.  Otherwise `direct` solves the bottom,
-    and the top is solved again for each bottom world view after
-    `top_simplification`.  A program of one component goes to `direct`
-    whole.
+    Each step splits `closed_component` U off as the bottom and takes the
+    `split_solutions`: bottom and top are solved by this same recursion, the
+    top once per distinct `top_simplification` against a bottom world view.
+    A top that does not mention U (U is a block) is used as it is.  A
+    program of one component, such as the bottom of a sink component, goes
+    to `direct` whole.
 
     Caps: `max_atoms` bounds the whole program, so no world view has more
     than 2^max_atoms interpretations.  `direct` applies the other caps, such
@@ -161,23 +154,13 @@ def component_world_views(
     guess, so it never returns more.
     """
     capped_atoms(program, limits.max_atoms, "exhaustive-search")
-    found = closed_component(program)
-    if found is None:
+    U = closed_component(program)
+    if U is None:
         return direct(program, limits)
-    U, independent = found
     split = epistemic_split(program, U, "bottom")
-    if independent:
-        bottoms = component_world_views(split.bottom, direct, limits)
-        tops = component_world_views(split.top, direct, limits) if bottoms else frozenset()
-        pairs = ((wv_b, wv_t) for wv_b in bottoms for wv_t in tops)
-    else:
-        pairs = (
-            (wv_b, wv_t)
-            for wv_b in direct(split.bottom, limits)
-            for wv_t in component_world_views(top_simplification(split, wv_b), direct, limits)
-        )
+    simplify = top_simplification if atoms_of(split.top) & U else lambda s, _: s.top
     views = set()
-    for wv_b, wv_t in pairs:
+    for wv_b, wv_t in split_solutions(split, lambda p: component_world_views(p, direct, limits), simplify):
         views.add(combine(wv_b, wv_t))
         if len(views) > limits.max_guesses:
             raise CapacityError(f"the world views exceed the guess cap of {limits.max_guesses}")
@@ -232,6 +215,22 @@ class PropertyReport:
         return asdict(self)
 
 
+def equation_report(prop, semantics: SemanticsId, program, lhs, rhs, seed=None, U=None) -> PropertyReport:
+    """The report on a property that holds exactly when the world views
+    `lhs` and `rhs` are the same set; `program` is shown as its text."""
+    lhs, rhs = frozenset(lhs), frozenset(rhs)
+    return PropertyReport(
+        property=prop,
+        semantics=semantics.value,
+        verdict="holds" if lhs == rhs else "violated",
+        program=str(program),
+        U=None if U is None else sorted(str(a) for a in U),
+        lhs=world_views_to_json(lhs),
+        rhs=world_views_to_json(rhs),
+        seed=seed,
+    )
+
+
 def check_epistemic_splitting(
     program: Program,
     U,
@@ -253,28 +252,11 @@ def check_epistemic_splitting(
     else:
         placements = (placement,)
     lhs = engine.compute_world_views(program, semantics, limits)
-    verdict = "holds"
-    rhs_shown = None
     for place in placements:
-        rhs = frozenset(
-            s.combined for s in epistemic_solutions(program, U, semantics, place, limits)
-        )
-        if rhs_shown is None:
-            rhs_shown = rhs
-        if lhs != rhs:
-            verdict = "violated"
-            rhs_shown = rhs
+        rhs = {s.combined for s in epistemic_solutions(program, U, semantics, place, limits)}
+        if rhs != lhs:
             break
-    return PropertyReport(
-        property="epistemic_splitting",
-        semantics=semantics.value,
-        verdict=verdict,
-        program=str(program),
-        U=sorted(str(a) for a in U),
-        lhs=world_views_to_json(lhs),
-        rhs=world_views_to_json(rhs_shown),
-        seed=seed,
-    )
+    return equation_report("epistemic_splitting", semantics, program, lhs, rhs, seed, U)
 
 
 def check_constraint_monotonicity(
@@ -294,16 +276,8 @@ def check_constraint_monotonicity(
         for wv in engine.compute_world_views(program, semantics, limits)
         if modal_satisfies(wv, frozenset(), constraint)
     )
-    return PropertyReport(
-        property="subjective_constraint_monotonicity",
-        semantics=semantics.value,
-        verdict="holds" if lhs == rhs else "violated",
-        program=str(program) + "\n% added constraint: " + str(constraint),
-        U=None,
-        lhs=world_views_to_json(lhs),
-        rhs=world_views_to_json(rhs),
-        seed=seed,
-    )
+    shown = f"{program}\n% added constraint: {constraint}"
+    return equation_report("subjective_constraint_monotonicity", semantics, shown, lhs, rhs, seed)
 
 
 # ---------------------------------------------------------------------------

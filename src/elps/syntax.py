@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Union
 
@@ -132,7 +132,6 @@ Literal = Union[ObjLit, SubjLit]
 class Rule:
     head: frozenset[Atom]
     body: tuple[Literal, ...]
-    pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         head_s = " | ".join(str(a) for a in sorted(self.head, key=atom_key))
@@ -338,7 +337,6 @@ class _Parser:
         return Program.of(rules)
 
     def rule(self) -> Rule:
-        start = self.peek()
         head: list[Atom] = []
         body: tuple[Literal, ...] = ()
         if self.peek().kind != "arrow":
@@ -352,7 +350,7 @@ class _Parser:
         elif not head:
             self.fail("expected a rule head or ':-'")
         self.expect("dot")
-        return Rule(frozenset(head), body, pos=(start.line, start.col))
+        return Rule(frozenset(head), body)
 
     def body(self) -> tuple[Literal, ...]:
         literals = [self.literal()]
@@ -471,7 +469,7 @@ def _substitute_rule(rule: Rule, binding: dict[str, str]) -> Rule:
         return SubjLit(lit.modality, ObjLit(lit.atom.substitute(binding), lit.inner.negs), lit.neg)
 
     head = frozenset(a.substitute(binding) for a in rule.head)
-    return Rule(head, tuple(sub_lit(l) for l in rule.body), pos=rule.pos)
+    return Rule(head, tuple(sub_lit(l) for l in rule.body))
 
 
 def ground(program: Program) -> Program:
@@ -498,7 +496,7 @@ def eliminate_m(program: Program) -> Program:
             return SubjLit("K", default_negate(lit.inner), not lit.neg)
         return lit
 
-    rules = tuple(Rule(r.head, tuple(rewrite(l) for l in r.body), pos=r.pos) for r in program.rules)
+    rules = tuple(Rule(r.head, tuple(rewrite(l) for l in r.body)) for r in program.rules)
     return Program.of(rules, program.extra_atoms)
 
 

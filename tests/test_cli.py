@@ -156,6 +156,7 @@ def test_trace_eht(capsys, fx):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+COLLEGE_U = "U=high(mike),fair(mike),eligible(mike),minority(mike),-eligible(mike),-fair(mike),-high(mike)"
 
 
 @pytest.mark.parametrize(
@@ -178,7 +179,12 @@ GOLDEN = Path(__file__).parent / "golden"
         for name in ("ce1b", "ce2")
     ]
     # the text output: the checkmark table and the witness lines
-    + [("properties_seed7_count3.txt", ["properties", "--seed", "7", "--count", "3"])],
+    + [("properties_seed7_count3.txt", ["properties", "--seed", "7", "--count", "3"])]
+    # a split with a MATCH, as text and as JSON
+    + [
+        (f"split_college_g91.{ext}", ["split", "college.elp", "--split", COLLEGE_U, "--semantics", "g91", *flag])
+        for ext, flag in (("txt", []), ("json", ["--json"]))
+    ],
 )
 def test_cli_output_matches_golden(capsys, monkeypatch, corpus_dir, golden, argv):
     # run from the corpus directory so the "file" field is the bare name
@@ -186,6 +192,13 @@ def test_cli_output_matches_golden(capsys, monkeypatch, corpus_dir, golden, argv
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_split_mismatch_matches_golden(capsys, monkeypatch, corpus_dir):
+    monkeypatch.chdir(corpus_dir)
+    code, out, err = run(capsys, "split", "ce1b.elp", "--split", "U=a,b", "--semantics", "g11")
+    assert (code, err) == (1, "")
+    assert out == (GOLDEN / "split_ce1b_g11.txt").read_text(encoding="utf-8")
 
 
 def test_trace_eht_over_the_cap_still_solves(capsys, fx):

@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from elps import modal
 from elps import semantics as semantics_module
 from elps import splitting
 from elps.config import DEFAULT_LIMITS, SolverLimits
@@ -117,18 +118,25 @@ def _counting(direct, calls: list):
 
 
 def test_unions_of_random_blocks(monkeypatch):
-    splits = []
-    monkeypatch.setattr(
-        splitting, "closed_component", lambda p: splits.append(closed_component(p)) or splits[-1]
-    )
+    splits = []  # per split: whether it is independent, None for no split
+
+    def recorded(program: Program):
+        U = closed_component(program)
+        if U is None:
+            splits.append(None)
+        else:  # independent: no rule outside U mentions U
+            splits.append(not any(atoms_of(r) & U and not atoms_of(r) <= U for r in program.rules))
+        return U
+
+    monkeypatch.setattr(splitting, "closed_component", recorded)
     rng = random.Random(9090)
     seen = Counter()
     for n in range(240):
         splits.clear()
         program = random_union(rng, cross=n % 2 == 0)
         assert_same_as_direct(program)
-        seen["independent split"] += any(found and found[1] for found in splits)
-        seen["dependent split"] += any(found and not found[1] for found in splits)
+        seen["independent split"] += True in splits
+        seen["dependent split"] += False in splits
         has_views = bool(compute_world_views(program, SemanticsId.G91))
         seen["world views"] += has_views
         seen["no world view"] += not has_views
@@ -165,6 +173,30 @@ def test_constraints_on_the_bottom_prune_it_before_the_top_is_solved(sem):
     views = component_world_views(program, _counting(DIRECT[sem], calls))
     assert views == DIRECT[sem](program) == {WorldView.of([{Atom("a"), Atom("c")}])}
     assert [len(p.rules) for p in calls] == [3, 1]
+
+
+@pytest.mark.parametrize("sem", SPLITTING)
+def test_equal_simplified_tops_are_solved_once(sem):
+    """Both bottom views [[a, e]] and [[b, e]] make K e true, so the top
+    `c :- K e` simplifies to the same program under each: one direct solve
+    for the bottom {a, b, e} and one for that top."""
+    program = parse_program("a :- not K b. b :- not K a. e :- a. e :- b. c :- K e.")
+    calls = []
+    views = component_world_views(program, _counting(DIRECT[sem], calls))
+    assert views == DIRECT[sem](program) and len(views) == 2
+    assert [len(p.rules) for p in calls] == [4, 1]
+
+
+@pytest.mark.parametrize("sem", SPLITTING)
+def test_a_top_that_does_not_read_its_bottom_is_not_simplified(sem, monkeypatch):
+    """Disjoint blocks split off with a top that mentions none of their
+    atoms, so no subjective reduct is taken against their world views."""
+    calls = []
+    for module in (modal, semantics_module, splitting):
+        real = module.subjective_reduct
+        monkeypatch.setattr(module, "subjective_reduct", lambda *a, real=real: calls.append(a) or real(*a))
+    assert len(compute_world_views(k_blocks(6), sem)) == 64
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
