@@ -33,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from elps.eht import f15_world_views, total_model_countermodels
 from elps.engine import brute_force_world_views, compute_world_views
 from elps.errors import UnsupportedMLiteral
-from elps.foundedness import c19_world_views, is_founded, is_founded_brute
+from elps.foundedness import is_founded, is_founded_brute
 from elps.generators import (
     GeneratorShape,
     random_block_union,
@@ -140,9 +140,13 @@ def main():
             layered_world_view(program, semantics)  # raises ElpError on disagreement
 
     shape_b = GeneratorShape(max_rules=3, max_body=2, subjective_prob=0.5, m_prob=0.15, constraint_prob=0.2)
+    # the references never split: C19 keeps the founded views of the
+    # whole-program G91 loop (`c19_world_views` reads G91 by components)
     direct = {
         SemanticsId.G91: lambda program: world_views(program, SemanticsId.G91),
-        SemanticsId.C19: c19_world_views,
+        SemanticsId.C19: lambda program: frozenset(
+            wv for wv in world_views(program, SemanticsId.G91) if is_founded(program, wv)
+        ),
     }
     for _ in range(args.trials):
         while True:  # at most 7 cores keep the direct loop within seconds

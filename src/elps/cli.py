@@ -71,24 +71,26 @@ def cmd_solve(args) -> int:
     limits = resolve_limits(args.max_atoms)
     semantics = SemanticsId.from_string(args.semantics)
     program = _load(args.file, args)
-    wvs = sorted(compute_world_views(program, semantics, limits), key=wv_key)
-    payload = {
-        "file": args.file,
-        "semantics": semantics.value,
-        "world_views": world_views_to_json(wvs),
-    }
-    # the world views above stand when a cap puts a certificate or trace out of reach
-    if args.explain_unfounded:
-        try:
-            certificates = (
-                {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv, limits)}
-                for wv in sorted(compute_world_views(program, SemanticsId.G91, limits), key=wv_key)
-            )
-            payload["unfounded_certificates"] = [c for c in certificates if c["pairs"]]
-        except CapacityError as exc:
-            print(f"unfounded certificates skipped: {exc}", file=sys.stderr)
-            payload["unfounded_certificates"] = None
-            payload["unfounded_certificates_skipped"] = str(exc)
+    # the certificates read the G91 views, which C19 and G91 have solved
+    with solve_memo():
+        wvs = sorted(compute_world_views(program, semantics, limits), key=wv_key)
+        payload = {
+            "file": args.file,
+            "semantics": semantics.value,
+            "world_views": world_views_to_json(wvs),
+        }
+        # the world views above stand when a cap puts a certificate or trace out of reach
+        if args.explain_unfounded:
+            try:
+                certificates = (
+                    {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv, limits)}
+                    for wv in sorted(compute_world_views(program, SemanticsId.G91, limits), key=wv_key)
+                )
+                payload["unfounded_certificates"] = [c for c in certificates if c["pairs"]]
+            except CapacityError as exc:
+                print(f"unfounded certificates skipped: {exc}", file=sys.stderr)
+                payload["unfounded_certificates"] = None
+                payload["unfounded_certificates_skipped"] = str(exc)
     if args.trace_eht:
         try:
             payload["eht_traces"] = _eht_traces(total_model_countermodels(program, limits))

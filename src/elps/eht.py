@@ -27,6 +27,10 @@ rule are decided per point by the AND and the OR of the world view's points
 the point and the AND and the OR of h over the world view
 (`objective._violated`).  One pair of functions serves the total checks (h
 the identity), the countermodel search and condition (1) of `foundedness`.
+Since a point's total reads depend only on the point, the AND and the OR,
+a `_Compiled` finds its modal rules and its total check once per such
+signature; the enumeration of candidate world views meets each many times.
+The cache lives on the instance, and each call compiles its own.
 
 Countermodels (`equilibrium_countermodel`, and `models_star` with X ⊊ wv)
 are found by a depth-first search over the free points in `interp_key`
@@ -79,6 +83,7 @@ class _Compiled(AtomBits):
         self.modal = [c for c, r in zip(self.rules, program.rules) if not is_objective(r)]
         self._here_values: dict[int, list[int]] = {}
         self._keys: dict[int, tuple[int, ...]] = {}
+        self._readings: dict[tuple[int, int, int], tuple[list, bool]] = {}
 
     @classmethod
     def over(cls, program: Program, interps) -> "_Compiled":
@@ -123,16 +128,29 @@ class _Compiled(AtomBits):
             self._here_values[point] = values
         return values
 
+    def _reading(self, point: int, w_and: int, w_or: int) -> tuple[list, bool]:
+        """The `_point_rules` of the rules with a subjective literal at
+        `point`, in a world view whose points have AND `w_and` and OR `w_or`,
+        and whether the program holds there in the total reading.  Both
+        depend on nothing else, so they are found once per signature."""
+        key = (point, w_and, w_or)
+        reading = self._readings.get(key)
+        if reading is None:
+            rules = _point_rules(self.modal, point, w_and, w_or)
+            holds = point in self.here_values(point) and not _violated(rules, point, w_and, w_or)
+            reading = self._readings[key] = (rules, holds)
+        return reading
+
     def modal_rules(self, points) -> dict[int, list]:
         """`_point_rules` of the rules with a subjective literal, per point."""
         w_and, w_or = _and_or(points)
-        return {p: _point_rules(self.modal, p, w_and, w_or) for p in points}
+        return {p: self._reading(p, w_and, w_or)[0] for p in points}
 
-    def total_holds(self, points, rules, at) -> bool:
+    def total_holds(self, points, at) -> bool:
         """Whether the program holds in the total reading at each of `at`, in
-        the world view `points` whose `modal_rules` are `rules`."""
+        the world view `points`."""
         w_and, w_or = _and_or(points)
-        return all(p in self.here_values(p) and not _violated(rules[p], p, w_and, w_or) for p in at)
+        return all(self._reading(p, w_and, w_or)[1] for p in at)
 
     def countermodel(self, points, free, rules) -> dict[int, int] | None:
         """The first non-total h, total outside `free`, that models the
@@ -185,8 +203,9 @@ class _Compiled(AtomBits):
 
     def models_star(self, points, X) -> bool:
         """`models_star` over masks: X ⊆ points."""
-        rules = self.modal_rules(points)
-        return self.total_holds(points, rules, X) and self.countermodel(points, X, rules) is None
+        if not self.total_holds(points, X):
+            return False
+        return self.countermodel(points, X, self.modal_rules(points)) is None
 
     def total_models(self):
         """(points, countermodel or None) for every candidate world view that
@@ -194,10 +213,8 @@ class _Compiled(AtomBits):
         # a point whose total reading fails an objective rule is in no model
         kept = [p for p in range(1 << len(self.atoms)) if p in self.here_values(p)]
         for points in subsets(kept):
-            if points:
-                rules = self.modal_rules(points)
-                if self.total_holds(points, rules, points):
-                    yield points, self.countermodel(points, points, rules)
+            if points and self.total_holds(points, points):
+                yield points, self.countermodel(points, points, self.modal_rules(points))
 
 
 def _countermodel(program: Program, wv: WorldView, free):

@@ -11,15 +11,18 @@ Entries call the solvers through their modules' attributes at call time, so
 a function rebound on its module (for tracing, say) is the one that runs.
 
 An entry marked `splitting: True` (g91 and c19) decomposes before it
-guesses: `splitting.component_world_views` runs the semantics' direct
+guesses: `splitting.component_world_views` runs the semantics' `direct`
 whole-program solver on one closed component at a time (a top once per
 distinct simplification) and pairs the world views by `split_solutions`,
 exact by the epistemic splitting theorem.  The other semantics fail splitting
 on the paper's counterexamples, so their direct solver takes the whole program.
 
 `solve_memo()` opens a memo for the length of a `with` block: inside it,
-`compute_world_views` solves each equal (program, semantics, limits) once and
-answers repeats from memory.  Nothing is memoized outside such a block.
+each equal (program, semantics, limits) is solved once and repeats are
+answered from memory.  Every solver reads world views through `solve`: the
+public `compute_world_views`, S17's K15 base views, C19's G91 base views,
+and the bottoms and simplified tops of the component solver.  Nothing is
+memoized outside such a block, where `solve` runs the registry's solver.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ Solver = Callable[[Program, SolverLimits], frozenset[WorldView]]
 
 @dataclass(frozen=True)
 class SemanticsEntry:
-    solve: Solver
+    solve: Solver  # the whole program's world views: `direct`, by components when `splitting`
+    direct: Solver  # the guess loop (and selection) on the whole program
     oracle: Solver  # independent brute-force route the differential tests compare against
     accepts_m: bool  # defined for M literals; the others are for K-literals only
     splitting: bool  # satisfies epistemic splitting (the source paper's table), so `solve` goes by components
@@ -50,6 +54,7 @@ class SemanticsEntry:
 
 
 def _entry(
+    sem: SemanticsId,
     direct: Solver,
     oracle: Solver,
     accepts_m: bool,
@@ -61,14 +66,15 @@ def _entry(
     satisfies epistemic splitting."""
 
     def by_components(program: Program, limits: SolverLimits) -> frozenset[WorldView]:
-        return splitting.component_world_views(program, direct, limits)
+        return splitting.component_world_views(program, sem, limits)
 
     solve = by_components if splits else direct
-    return SemanticsEntry(solve, oracle, accepts_m, splits, shape, founded)
+    return SemanticsEntry(solve, direct, oracle, accepts_m, splits, shape, founded)
 
 
 def _reduct_based(sem: SemanticsId, splits: bool, shape: GeneratorShape) -> SemanticsEntry:
     return _entry(
+        sem,
         direct=lambda p, limits: semantics.world_views(p, sem, limits),
         oracle=lambda p, limits: semantics.brute_world_views(p, sem, limits),
         accepts_m=sem is SemanticsId.G91,
@@ -85,6 +91,7 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
     SemanticsId.G11: _reduct_based(SemanticsId.G11, splits=False, shape=_K_SHAPE),
     SemanticsId.K15: _reduct_based(SemanticsId.K15, splits=False, shape=_K_SHAPE),
     SemanticsId.S17: _entry(
+        SemanticsId.S17,
         direct=lambda p, limits: semantics.s17_world_views(p, limits),
         oracle=lambda p, limits: semantics.s17_brute_world_views(p, limits),
         accepts_m=False,
@@ -93,6 +100,7 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
     ),
     # F15 is definitional enumeration already: its solver is its oracle
     SemanticsId.F15: _entry(
+        SemanticsId.F15,
         direct=lambda p, limits: eht.f15_world_views(p, limits),
         oracle=lambda p, limits: eht.f15_world_views(p, limits),
         accepts_m=True,
@@ -100,6 +108,7 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
         shape=GeneratorShape(n_atoms=3, max_rules=3, subjective_prob=0.45),  # the EHT atom cap
     ),
     SemanticsId.C19: _entry(
+        SemanticsId.C19,
         direct=lambda p, limits: foundedness.c19_world_views(p, limits),
         oracle=lambda p, limits: foundedness.c19_brute_world_views(p, limits),
         accepts_m=True,
@@ -116,7 +125,7 @@ _memo: ContextVar[dict | None] = ContextVar("solve_memo", default=None)
 
 @contextmanager
 def solve_memo() -> Iterator[None]:
-    """Memoize `compute_world_views` until the block exits, however it exits.
+    """Memoize `solve` until the block exits, however it exits.
     Errors are not stored: a call that raised is solved again when repeated."""
     token = _memo.set({})
     try:
@@ -133,19 +142,30 @@ def _accepting(program: Program, sem: SemanticsId) -> SemanticsEntry:
     return entry
 
 
+def solve(
+    program: Program,
+    semantics: SemanticsId,
+    limits: SolverLimits = DEFAULT_LIMITS,
+) -> frozenset[WorldView]:
+    """The registry's world views of a program in the semantics' language,
+    from the open memo when there is one."""
+    memo = _memo.get()
+    if memo is None:
+        return REGISTRY[semantics].solve(program, limits)
+    key = (program, semantics, limits)
+    wvs = memo.get(key)
+    if wvs is None:
+        wvs = memo[key] = REGISTRY[semantics].solve(program, limits)
+    return wvs
+
+
 def compute_world_views(
     program: Program,
     semantics: SemanticsId,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
-    memo = _memo.get()
-    if memo is None:
-        return _accepting(program, semantics).solve(program, limits)
-    key = (program, semantics, limits)
-    wvs = memo.get(key)
-    if wvs is None:
-        wvs = memo[key] = _accepting(program, semantics).solve(program, limits)
-    return wvs
+    _accepting(program, semantics)
+    return solve(program, semantics, limits)
 
 
 def brute_force_world_views(

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError
 from .modal import WorldView, modal_satisfies
 from .objective import AtomBits, Interpretation, _and_or, _point_rules, _violated, compile_rule
-from .semantics import SemanticsId, brute_world_views, world_views
+from .semantics import SemanticsId, brute_world_views
 from .syntax import Atom, Program, Rule, capped_atoms, interp_key, subsets
 
 
@@ -165,9 +166,11 @@ def is_founded_brute(
 
 
 def c19_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
-    """Founded G91 world views."""
+    """Founded G91 world views; the G91 views come from `engine.solve`, so
+    they go by components, and a memo open around the solve shares them
+    with G91."""
     return frozenset(
-        wv for wv in world_views(program, SemanticsId.G91, limits) if is_founded(program, wv, limits)
+        wv for wv in engine.solve(program, SemanticsId.G91, limits) if is_founded(program, wv, limits)
     )
 
 

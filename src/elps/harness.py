@@ -299,6 +299,14 @@ def _checked(check, *args):
         return None
 
 
+def _once(memo: dict, fn, *args):
+    """`fn(*args)`, computed once per build for equal arguments."""
+    key = (fn, *args)
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
+
+
 def _supra_s5_report(program: Program, semantics: SemanticsId, limits, seed=None):
     bad = [wv for wv in compute_world_views(program, semantics, limits) if not is_s5_model(wv, program)]
     return equation_report("supra_s5", semantics, program, bad, [], seed)
@@ -318,7 +326,7 @@ _SCM_FIXTURES = (("ab", ":- not K a."), ("ka", ":- K a."), ("ce1a", ":- not K c.
 _OBJECTIVE_FIXTURES = ("pi1", "ab")
 
 
-def _matrix_checks(semantics, corpus, seed, count, limits, founded_memo):
+def _matrix_checks(semantics, corpus, seed, count, limits, memo):
     """(row, report or None for a skip) for every check of one semantics.
 
     The rows come in `ROW_NAMES` order and draw their random programs from
@@ -348,7 +356,7 @@ def _matrix_checks(semantics, corpus, seed, count, limits, founded_memo):
         )
 
     for program in [*corpus.values(), *drawn(random_epistemic_program)]:
-        split_sets = _checked(enumerate_epistemic_splitting_sets, program, limits)
+        split_sets = _once(memo, _checked, enumerate_epistemic_splitting_sets, program, limits)
         if split_sets is None:
             yield "epistemic_splitting", None
         for U in sorted(split_sets or (), key=lambda u: tuple(sorted(map(str, u))))[:4]:
@@ -361,9 +369,7 @@ def _matrix_checks(semantics, corpus, seed, count, limits, founded_memo):
         if wvs is None:
             yield "foundness", None
         for wv in wvs or ():
-            if (program, wv) not in founded_memo:
-                founded_memo[program, wv] = is_founded(program, wv, limits)
-            founded = founded_memo[program, wv]
+            founded = _once(memo, is_founded, program, wv, limits)
             report = PropertyReport(
                 property="foundness",
                 semantics=semantics.value,
@@ -388,15 +394,18 @@ def build_property_matrix(
     """Fixture expectations first, then `count` random programs per cell.
 
     Each call runs in a fresh `engine.solve_memo()`, so a (program,
-    semantics, limits) met twice in one build is solved once; the memo is
-    dropped when the build returns or raises.  The foundness column likewise
-    asks `is_founded` once per (program, world view) in a build."""
+    semantics, limits) met twice in one build is solved once: the fixture
+    replay, every check, S17's K15 base views, C19's G91 base views and the
+    parts and simplified tops of the component solver all read it.  A
+    build likewise enumerates each program's splitting sets once, however
+    many columns check it, and asks `is_founded` once per (program, world
+    view).  All of it is dropped when the build returns or raises."""
     fixtures = require_fixtures(limits, corpus_dir)
     corpus = {case.name: load_fixture(case.name, corpus_dir) for case in FIXTURE_CASES}
     cells = {(row, s.value): MatrixCell() for row in ROW_NAMES for s in SEMANTICS_COLUMNS}
-    # most semantics share their corpus world views: ask once per pair
-    founded_memo: dict[tuple[Program, WorldView], bool] = {}
+    # the columns share corpus programs and their world views: ask once
+    memo: dict[tuple, object] = {}
     for semantics in semantics_list:
-        for row, report in _matrix_checks(semantics, corpus, seed, count, limits, founded_memo):
+        for row, report in _matrix_checks(semantics, corpus, seed, count, limits, memo):
             cells[(row, semantics.value)].add(report)
     return PropertyMatrix(cells, seed, count, fixtures)

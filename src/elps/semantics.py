@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from typing import Mapping
 
+from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError, UnsupportedMLiteral
 from .modal import WorldView, candidate_world_views, modal_satisfies, subjective_reduct
@@ -166,8 +167,10 @@ def _maximal_epistemic_negation(program: Program, base: frozenset[WorldView]) ->
 
 
 def s17_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
-    """K15 world views whose satisfied epistemic-negation set is ⊆-maximal."""
-    return _maximal_epistemic_negation(program, world_views(program, SemanticsId.K15, limits))
+    """K15 world views whose satisfied epistemic-negation set is ⊆-maximal;
+    the K15 views come from `engine.solve`, so a memo open around the solve
+    shares them with K15."""
+    return _maximal_epistemic_negation(program, engine.solve(program, SemanticsId.K15, limits))
 
 
 def brute_world_views(

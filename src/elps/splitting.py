@@ -10,7 +10,9 @@ and each pair composes with ⊔.  Every property check here is an equation
 between two sets of world views, reported by `equation_report`.
 
 G91 and C19 satisfy epistemic splitting, so `component_world_views` solves
-them one closed component at a time and composes the world views.
+them one closed component at a time and composes the world views; each part
+is solved through `engine.solve`, so a memo open around the solve answers
+parts met before.
 
 Stratified programs (modal dependencies strictly decrease levels) are
 evaluated by iterated splitting: the lowest level splits off as an objective
@@ -132,19 +134,20 @@ def closed_component(program: Program) -> frozenset[Atom] | None:
 
 def component_world_views(
     program: Program,
-    direct: engine.Solver,
+    semantics: SemanticsId,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
     """World views under a semantics that satisfies epistemic splitting,
-    from `direct`, its whole-program solver, run on one closed component at
-    a time.
+    from its registry `direct` whole-program solver, run on one closed
+    component at a time.
 
     Each step splits `closed_component` U off as the bottom and takes the
-    `split_solutions`: bottom and top are solved by this same recursion, the
-    top once per distinct `top_simplification` against a bottom world view.
-    A top that does not mention U (U is a block) is used as it is.  A
-    program of one component, such as the bottom of a sink component, goes
-    to `direct` whole.
+    `split_solutions`: bottom and top are solved by `engine.solve`, which
+    comes back here (through the memo when one is open), the top once per
+    distinct `top_simplification` against a bottom world view.  A top that
+    does not mention U (U is a block) is used as it is.  A program of one
+    component, such as the bottom of a sink component, goes to `direct`
+    whole.
 
     Caps: `max_atoms` bounds the whole program, so no world view has more
     than 2^max_atoms interpretations.  `direct` applies the other caps, such
@@ -156,11 +159,11 @@ def component_world_views(
     capped_atoms(program, limits.max_atoms, "exhaustive-search")
     U = closed_component(program)
     if U is None:
-        return direct(program, limits)
+        return engine.REGISTRY[semantics].direct(program, limits)
     split = epistemic_split(program, U, "bottom")
     simplify = top_simplification if atoms_of(split.top) & U else lambda s, _: s.top
     views = set()
-    for wv_b, wv_t in split_solutions(split, lambda p: component_world_views(p, direct, limits), simplify):
+    for wv_b, wv_t in split_solutions(split, lambda p: engine.solve(p, semantics, limits), simplify):
         views.add(combine(wv_b, wv_t))
         if len(views) > limits.max_guesses:
             raise CapacityError(f"the world views exceed the guess cap of {limits.max_guesses}")

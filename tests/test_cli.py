@@ -132,6 +132,18 @@ def test_explain_unfounded_solves_g91_by_components(capsys, tmp_path):
     assert err == "unfounded certificates skipped: 16 atoms exceed the foundedness cap of 12\n"
 
 
+COLLEGE_OUT = "[[eligible(mike),high(mike),interview(mike)],[fair(mike),interview(mike)]]\n"
+
+
+@pytest.mark.parametrize("semantics", ["g91", "c19"])
+def test_explain_unfounded_reuses_the_g91_views(capsys, fx, guess_loops, semantics):
+    """The certificates read the G91 views of the solve: under g91 its own,
+    under c19 the G91 base of each of college's 2 components."""
+    code, out, err = run(capsys, "solve", fx("college"), "--semantics", semantics, "--explain-unfounded")
+    assert (code, out, err) == (0, COLLEGE_OUT, "")
+    assert sum(guess_loops.values()) == 2
+
+
 def test_explain_unfounded_over_the_cap_json(capsys, tmp_path):
     path = tmp_path / "facts13.elp"
     path.write_text(FACTS13, encoding="utf-8")

@@ -7,6 +7,7 @@ sides of the equation; this differential test keeps its verdicts resting on
 the direct loop.
 """
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -18,7 +19,7 @@ from elps import splitting
 from elps.config import DEFAULT_LIMITS, SolverLimits
 from elps.engine import REGISTRY, brute_force_world_views, compute_world_views
 from elps.errors import CapacityError
-from elps.foundedness import c19_world_views
+from elps.foundedness import is_founded
 from elps.generators import (
     GeneratorShape,
     random_block,
@@ -32,9 +33,20 @@ from elps.splitting import closed_component, combine, component_world_views
 from elps.syntax import Atom, Program, atoms_of, load_program, parse_program, parse_rule
 
 SPLITTING = (SemanticsId.G91, SemanticsId.C19)
+
+
+def _whole_g91(program: Program, limits: SolverLimits = DEFAULT_LIMITS):
+    return world_views(program, SemanticsId.G91, limits)
+
+
+# references that never split: C19's founded views are read off the G91 guess
+# loop on the whole program, not off `c19_world_views`, whose G91 base goes
+# by components
 DIRECT = {
-    SemanticsId.G91: lambda program, limits=DEFAULT_LIMITS: world_views(program, SemanticsId.G91, limits),
-    SemanticsId.C19: c19_world_views,
+    SemanticsId.G91: _whole_g91,
+    SemanticsId.C19: lambda program, limits=DEFAULT_LIMITS: frozenset(
+        wv for wv in _whole_g91(program, limits) if is_founded(program, wv, limits)
+    ),
 }
 BRUTE_MAX_ATOMS = 3  # the oracle walks 2^(2^n) candidates: about 5 s a program at 4 atoms
 
@@ -109,12 +121,18 @@ def product(answers) -> set[WorldView]:
     return views
 
 
-def _counting(direct, calls: list):
-    def solve(program, limits):
-        calls.append(program)
-        return direct(program, limits)
+def direct_solves(monkeypatch, sem) -> list[Program]:
+    """The programs that the registry's `direct` solver of `sem` is given
+    from now on, in call order."""
+    calls = []
+    entry = REGISTRY[sem]
 
-    return solve
+    def direct(program, limits):
+        calls.append(program)
+        return entry.direct(program, limits)
+
+    monkeypatch.setitem(REGISTRY, sem, dataclasses.replace(entry, direct=direct))
+    return calls
 
 
 def test_unions_of_random_blocks(monkeypatch):
@@ -145,10 +163,11 @@ def test_unions_of_random_blocks(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
-def test_disjoint_blocks_are_solved_once_each():
+def test_disjoint_blocks_are_solved_once_each(monkeypatch):
     """Without cross-block reads, each block is solved as it is alone: the
     union's world views are the product of the blocks', for the sum of
     their direct solves."""
+    calls = {sem: direct_solves(monkeypatch, sem) for sem in SPLITTING}
     rng = random.Random(9191)
     for _ in range(60):
         blocks = [
@@ -157,32 +176,34 @@ def test_disjoint_blocks_are_solved_once_each():
         ]
         union = Program.of(r for block in blocks for r in block.rules)
         for sem in SPLITTING:
-            calls, alone_calls = [], []
-            views = component_world_views(union, _counting(DIRECT[sem], calls))
-            alone = [component_world_views(b, _counting(DIRECT[sem], alone_calls)) for b in blocks]
+            calls[sem].clear()
+            views = component_world_views(union, sem)
+            union_calls = len(calls[sem])
+            calls[sem].clear()
+            alone = [component_world_views(b, sem) for b in blocks]
             assert views == product(alone), (sem, str(union))
-            assert len(calls) <= len(alone_calls), (sem, str(union))
+            assert union_calls <= len(calls[sem]), (sem, str(union))
 
 
 @pytest.mark.parametrize("sem", SPLITTING)
-def test_constraints_on_the_bottom_prune_it_before_the_top_is_solved(sem):
+def test_constraints_on_the_bottom_prune_it_before_the_top_is_solved(sem, monkeypatch):
     """`:- not K a` mentions only the bottom {a, b}, so it stays there and
     drops the view [[b]]; the top `c :- K a` is solved for [[a]] alone."""
     program = parse_program("a :- not K b. b :- not K a. :- not K a. c :- K a.")
-    calls = []
-    views = component_world_views(program, _counting(DIRECT[sem], calls))
+    calls = direct_solves(monkeypatch, sem)
+    views = component_world_views(program, sem)
     assert views == DIRECT[sem](program) == {WorldView.of([{Atom("a"), Atom("c")}])}
     assert [len(p.rules) for p in calls] == [3, 1]
 
 
 @pytest.mark.parametrize("sem", SPLITTING)
-def test_equal_simplified_tops_are_solved_once(sem):
+def test_equal_simplified_tops_are_solved_once(sem, monkeypatch):
     """Both bottom views [[a, e]] and [[b, e]] make K e true, so the top
     `c :- K e` simplifies to the same program under each: one direct solve
     for the bottom {a, b, e} and one for that top."""
     program = parse_program("a :- not K b. b :- not K a. e :- a. e :- b. c :- K e.")
-    calls = []
-    views = component_world_views(program, _counting(DIRECT[sem], calls))
+    calls = direct_solves(monkeypatch, sem)
+    views = component_world_views(program, sem)
     assert views == DIRECT[sem](program) and len(views) == 2
     assert [len(p.rules) for p in calls] == [4, 1]
 

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from itertools import product
 from typing import Iterable, Mapping
 
 import pytest
 
+from elps import eht
 from elps.config import SolverLimits
 from elps.eht import (
     _Compiled,
@@ -381,6 +383,27 @@ def test_f15_world_views_match_definitional_reference():
     program = parse_program("a | b. c :- not K d, a. d :- M b, not c. :- a, b. :- c, d.")
     limits = SolverLimits(f15_max_atoms=4)
     assert f15_world_views(program, limits) == _f15_world_views_ref(program, limits)
+
+
+def test_f15_decides_each_point_once_per_signature(monkeypatch, corpus):
+    """One F15 solve takes the rules of a point at most once per (rules,
+    point, AND, OR): the total check of every candidate world view and the
+    models* checks of the ordering share them."""
+    calls = Counter()
+    real = eht._point_rules
+
+    def point_rules(rules, point, w_and, w_or):
+        calls[id(rules), point, w_and, w_or] += 1
+        return real(rules, point, w_and, w_or)
+
+    monkeypatch.setattr(eht, "_point_rules", point_rules)
+    rng = random.Random(43)
+    shape = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.25, constraint_prob=0.3)
+    programs = [corpus["ce1a"]] + [random_epistemic_program(rng, shape) for _ in range(40)]
+    for program in programs:
+        calls.clear()
+        assert f15_world_views(program) == _f15_world_views_ref(program), str(program)
+        assert calls and max(calls.values()) == 1, str(program)
 
 
 def _random_body_literal(rng, atoms):

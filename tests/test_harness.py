@@ -149,6 +149,32 @@ def test_matrix_build_solves_each_pair_once(solved):
     assert set(solved) == first and set(solved.values()) == {2}  # nothing kept between builds
 
 
+def test_matrix_build_runs_each_guess_loop_and_split_enumeration_once(monkeypatch, guess_loops):
+    """One build runs the guess loop once per (program, semantics): S17's
+    K15 base views, C19's G91 base views and the component parts are read
+    through the build memo.  Each program's splitting sets are enumerated
+    once, however many columns check it."""
+    enumerations = Counter()
+    real = harness.enumerate_epistemic_splitting_sets
+
+    def enumerate_epistemic_splitting_sets(program, limits=DEFAULT_LIMITS):
+        enumerations[program] += 1
+        return real(program, limits)
+
+    monkeypatch.setattr(harness, "enumerate_epistemic_splitting_sets", enumerate_epistemic_splitting_sets)
+    build_property_matrix(seed=3, count=2)
+    assert guess_loops and max(guess_loops.values()) == 1
+    # college3 as a whole runs only the G11 and K15 loops: S17 reads the K15
+    # views, and G91 and C19 solve its components
+    college3 = load_fixture("college3")
+    assert {sem for program, sem in guess_loops if program == college3} == {SemanticsId.G11, SemanticsId.K15}
+    assert college3 in enumerations and max(enumerations.values()) == 1
+    first_loops, first_enumerations = set(guess_loops), set(enumerations)
+    build_property_matrix(seed=3, count=2)  # nothing kept between builds
+    assert guess_loops == Counter({key: 2 for key in first_loops})
+    assert enumerations == Counter({program: 2 for program in first_enumerations})
+
+
 def test_foundness_column_asks_each_pair_once(monkeypatch):
     calls = Counter()
     inner = harness.is_founded
