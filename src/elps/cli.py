@@ -21,7 +21,7 @@ from .eht import total_model_countermodels
 from .engine import REGISTRY, compute_world_views, solve_memo
 from .errors import CapacityError, ElpError
 from .foundedness import unfounded_certificate
-from .harness import PROPERTY_ROWS, FixtureMismatch, build_property_matrix
+from .harness import PROPERTY_ROWS, SEMANTICS_COLUMNS, FixtureMismatch, build_property_matrix
 from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId
@@ -280,8 +280,8 @@ def _add_program(parser: argparse.ArgumentParser):
     parser.add_argument("--eliminate-m", action="store_true", help="rewrite M-literals into K-literals")
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--semantics", default="g91", help="g91|g11|k15|s17|f15|c19 (default g91)")
+def _add_common(parser: argparse.ArgumentParser, semantics="g91", names="g91|g11|k15|s17|f15|c19"):
+    parser.add_argument("--semantics", default=semantics, help=f"{names} (default {semantics})")
     parser.add_argument("--max-atoms", type=int, default=None, help="exhaustive-search cap")
     parser.add_argument("--json", action="store_true", help="JSON output")
 
@@ -307,11 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("properties", help="fixture suite + property matrix")
-    _add_common(p)
+    columns = ",".join(s.value for s in SEMANTICS_COLUMNS)
+    _add_common(p, semantics=columns, names="comma-separated matrix columns, repeats dropped")
     p.add_argument("--corpus", default=None, help="fixture directory (default: bundled corpus)")
     p.add_argument("--seed", type=int, default=2025)
     p.add_argument("--count", type=int, default=20, help="random programs per matrix cell")
-    p.set_defaults(func=cmd_properties, semantics="g91,g11,f15,k15,s17,c19")
+    p.set_defaults(func=cmd_properties)
 
     p = sub.add_parser("conformant", help="conformant planning over world views")
     _add_program(p)

@@ -37,13 +37,18 @@ DEFAULT_LIMITS = SolverLimits()
 
 def resolve_limits(max_atoms: int | None = None) -> SolverLimits:
     """Build limits for the CLI: an explicit --max-atoms sets the cap, else
-    the ELP_MAX_ATOMS env var does, else the default stands."""
-    if max_atoms is not None:
-        return DEFAULT_LIMITS.with_max_atoms(max_atoms)
-    env = os.environ.get(ENV_MAX_ATOMS)
-    if env is not None:
+    the ELP_MAX_ATOMS env var does, else the default stands.  A negative
+    cap is refused with a ValueError that names it."""
+    source = "--max-atoms"
+    if max_atoms is None:
+        env = os.environ.get(ENV_MAX_ATOMS)
+        if env is None:
+            return DEFAULT_LIMITS
+        source = ENV_MAX_ATOMS
         try:
-            return DEFAULT_LIMITS.with_max_atoms(int(env))
+            max_atoms = int(env)
         except ValueError as exc:
             raise ValueError(f"{ENV_MAX_ATOMS} must be an integer, got {env!r}") from exc
-    return DEFAULT_LIMITS
+    if max_atoms < 0:
+        raise ValueError(f"{source} must not be negative, got {max_atoms}")
+    return DEFAULT_LIMITS.with_max_atoms(max_atoms)

@@ -64,7 +64,7 @@ from __future__ import annotations
 from .config import DEFAULT_LIMITS, SolverLimits
 from .modal import WorldView
 from .objective import AtomBits, _and_or, _point_rules, _violated, compile_rule
-from .syntax import Program, capped_atoms, is_objective, subsets
+from .syntax import Program, capped_atoms, subsets
 
 
 def _here_reading(rules) -> list[tuple[int, int, int, int]]:
@@ -79,8 +79,8 @@ class _Compiled(AtomBits):
     def __init__(self, program: Program, atoms):
         super().__init__(atoms)
         self.rules = [compile_rule(r, self.bit) for r in program.rules]
-        self.objective = [c for c, r in zip(self.rules, program.rules) if is_objective(r)]
-        self.modal = [c for c, r in zip(self.rules, program.rules) if not is_objective(r)]
+        self.objective = [c for c, r in zip(self.rules, program.rules) if not r.body_sub]
+        self.modal = [c for c, r in zip(self.rules, program.rules) if r.body_sub]
         self._here_values: dict[int, list[int]] = {}
         self._keys: dict[int, tuple[int, ...]] = {}
         self._readings: dict[tuple[int, int, int], tuple[list, bool]] = {}

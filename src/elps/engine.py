@@ -1,7 +1,7 @@
-"""The semantics registry: for each semantics, its solver, its brute-force
-oracle, whether it accepts M literals, whether it satisfies epistemic
-splitting, and the random programs the property matrix samples for it.  No
-other module chooses these by semantics.
+"""The semantics registry: for each semantics, its direct solver, its
+brute-force oracle, whether it accepts M literals, whether it satisfies
+epistemic splitting, and the random programs the property matrix samples for
+it.  No other module chooses these by semantics.
 
 `compute_world_views` and `brute_force_world_views` scan a program once for
 M literals under a semantics that does not accept them (g11, k15, s17) and
@@ -10,19 +10,21 @@ raise `UnsupportedMLiteral` naming that semantics, before any guess.
 Entries call the solvers through their modules' attributes at call time, so
 a function rebound on its module (for tracing, say) is the one that runs.
 
-An entry marked `splitting: True` (g91 and c19) decomposes before it
-guesses: `splitting.component_world_views` runs the semantics' `direct`
+`solve` is the one place that chooses how a program is solved.  Under a
+semantics marked `splitting` (g91 and c19) it decomposes before it guesses:
+`splitting.component_world_views` runs the semantics' `direct`
 whole-program solver on one closed component at a time (a top once per
 distinct simplification) and pairs the world views by `split_solutions`,
-exact by the epistemic splitting theorem.  The other semantics fail splitting
-on the paper's counterexamples, so their direct solver takes the whole program.
+exact by the epistemic splitting theorem.  The other semantics fail
+splitting on the paper's counterexamples, so `solve` gives the whole
+program to their `direct` solver.
 
 `solve_memo()` opens a memo for the length of a `with` block: inside it,
 each equal (program, semantics, limits) is solved once and repeats are
 answered from memory.  Every solver reads world views through `solve`: the
 public `compute_world_views`, S17's K15 base views, C19's G91 base views,
 and the bottoms and simplified tops of the component solver.  Nothing is
-memoized outside such a block, where `solve` runs the registry's solver.
+memoized outside such a block.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ Solver = Callable[[Program, SolverLimits], frozenset[WorldView]]
 
 @dataclass(frozen=True)
 class SemanticsEntry:
-    solve: Solver  # the whole program's world views: `direct`, by components when `splitting`
     direct: Solver  # the guess loop (and selection) on the whole program
     oracle: Solver  # independent brute-force route the differential tests compare against
     accepts_m: bool  # defined for M literals; the others are for K-literals only
@@ -53,32 +54,12 @@ class SemanticsEntry:
     founded: bool = False  # every world view is founded by construction
 
 
-def _entry(
-    sem: SemanticsId,
-    direct: Solver,
-    oracle: Solver,
-    accepts_m: bool,
-    splits: bool,
-    shape: GeneratorShape,
-    founded: bool = False,
-) -> SemanticsEntry:
-    """An entry that solves with `direct`, component by component when it
-    satisfies epistemic splitting."""
-
-    def by_components(program: Program, limits: SolverLimits) -> frozenset[WorldView]:
-        return splitting.component_world_views(program, sem, limits)
-
-    solve = by_components if splits else direct
-    return SemanticsEntry(solve, direct, oracle, accepts_m, splits, shape, founded)
-
-
 def _reduct_based(sem: SemanticsId, splits: bool, shape: GeneratorShape) -> SemanticsEntry:
-    return _entry(
-        sem,
+    return SemanticsEntry(
         direct=lambda p, limits: semantics.world_views(p, sem, limits),
         oracle=lambda p, limits: semantics.brute_world_views(p, sem, limits),
         accepts_m=sem is SemanticsId.G91,
-        splits=splits,
+        splitting=splits,
         shape=shape,
     )
 
@@ -90,29 +71,26 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
     SemanticsId.G91: _reduct_based(SemanticsId.G91, splits=True, shape=_M_SHAPE),
     SemanticsId.G11: _reduct_based(SemanticsId.G11, splits=False, shape=_K_SHAPE),
     SemanticsId.K15: _reduct_based(SemanticsId.K15, splits=False, shape=_K_SHAPE),
-    SemanticsId.S17: _entry(
-        SemanticsId.S17,
+    SemanticsId.S17: SemanticsEntry(
         direct=lambda p, limits: semantics.s17_world_views(p, limits),
         oracle=lambda p, limits: semantics.s17_brute_world_views(p, limits),
         accepts_m=False,
-        splits=False,
+        splitting=False,
         shape=_K_SHAPE,
     ),
     # F15 is definitional enumeration already: its solver is its oracle
-    SemanticsId.F15: _entry(
-        SemanticsId.F15,
+    SemanticsId.F15: SemanticsEntry(
         direct=lambda p, limits: eht.f15_world_views(p, limits),
         oracle=lambda p, limits: eht.f15_world_views(p, limits),
         accepts_m=True,
-        splits=False,
+        splitting=False,
         shape=GeneratorShape(n_atoms=3, max_rules=3, subjective_prob=0.45),  # the EHT atom cap
     ),
-    SemanticsId.C19: _entry(
-        SemanticsId.C19,
+    SemanticsId.C19: SemanticsEntry(
         direct=lambda p, limits: foundedness.c19_world_views(p, limits),
         oracle=lambda p, limits: foundedness.c19_brute_world_views(p, limits),
         accepts_m=True,
-        splits=True,
+        splitting=True,
         shape=_M_SHAPE,
         founded=True,
     ),
@@ -142,20 +120,30 @@ def _accepting(program: Program, sem: SemanticsId) -> SemanticsEntry:
     return entry
 
 
+def _solve(program: Program, sem: SemanticsId, limits: SolverLimits) -> frozenset[WorldView]:
+    """The world views of a program: by components under a semantics that
+    satisfies epistemic splitting, else by its direct solver.  `solve`
+    comes here whenever its memo does not answer."""
+    entry = REGISTRY[sem]
+    if entry.splitting:
+        return splitting.component_world_views(program, sem, limits)
+    return entry.direct(program, limits)
+
+
 def solve(
     program: Program,
     semantics: SemanticsId,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
-    """The registry's world views of a program in the semantics' language,
-    from the open memo when there is one."""
+    """The world views of a program in the semantics' language, from the
+    open memo when there is one."""
     memo = _memo.get()
     if memo is None:
-        return REGISTRY[semantics].solve(program, limits)
+        return _solve(program, semantics, limits)
     key = (program, semantics, limits)
     wvs = memo.get(key)
     if wvs is None:
-        wvs = memo[key] = REGISTRY[semantics].solve(program, limits)
+        wvs = memo[key] = _solve(program, semantics, limits)
     return wvs
 
 

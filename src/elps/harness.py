@@ -33,7 +33,7 @@ from .splitting import (
     enumerate_epistemic_splitting_sets,
     equation_report,
 )
-from .syntax import Program, is_objective, load_program, parse_rule
+from .syntax import Program, load_program, parse_rule
 
 SEMANTICS_COLUMNS = (
     SemanticsId.G91,
@@ -313,7 +313,7 @@ def _supra_s5_report(program: Program, semantics: SemanticsId, limits, seed=None
 
 
 def _supra_asp_report(program: Program, semantics: SemanticsId, limits, seed=None):
-    if not is_objective(program):
+    if any(r.body_sub for r in program.rules):
         raise NotObjectiveError(f"supra-ASP needs an objective program, got {program}")
     wvs = compute_world_views(program, semantics, limits)
     models = stable_models(program, limits)
@@ -399,13 +399,14 @@ def build_property_matrix(
     parts and simplified tops of the component solver all read it.  A
     build likewise enumerates each program's splitting sets once, however
     many columns check it, and asks `is_founded` once per (program, world
-    view).  All of it is dropped when the build returns or raises."""
+    view).  All of it is dropped when the build returns or raises.  A
+    semantics listed twice is checked once."""
     fixtures = require_fixtures(limits, corpus_dir)
     corpus = {case.name: load_fixture(case.name, corpus_dir) for case in FIXTURE_CASES}
     cells = {(row, s.value): MatrixCell() for row in ROW_NAMES for s in SEMANTICS_COLUMNS}
     # the columns share corpus programs and their world views: ask once
     memo: dict[tuple, object] = {}
-    for semantics in semantics_list:
+    for semantics in dict.fromkeys(semantics_list):
         for row, report in _matrix_checks(semantics, corpus, seed, count, limits, memo):
             cells[(row, semantics.value)].add(report)
     return PropertyMatrix(cells, seed, count, fixtures)

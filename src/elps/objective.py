@@ -34,7 +34,6 @@ from .syntax import (
     Rule,
     SubjLit,
     atom_key,
-    atoms_of,
     capped_atoms,
     const_truth,
     subsets,
@@ -241,8 +240,8 @@ class Split:
 
 
 def partition(program: Program, U, placement: str, top_atoms, error: type) -> Split:
-    """Split the rules on U: a bottom rule has all its atoms in U, a top rule
-    has none of `top_atoms(rule)` in U.  `placement` decides where rules
+    """Split the rules on U: a bottom rule has all its `atoms` in U, a top
+    rule has none of `top_atoms(rule)` in U.  `placement` decides where rules
     satisfying both (constraints on U) go; rules satisfying neither are
     raised as `error`."""
     if placement not in ("bottom", "top"):
@@ -251,7 +250,7 @@ def partition(program: Program, U, placement: str, top_atoms, error: type) -> Sp
     bottom, top = [], []
     violators = []
     for rule in program.rules:
-        cond_i = atoms_of(rule) <= U
+        cond_i = rule.atoms <= U
         cond_ii = not (top_atoms(rule) & U)
         if not (cond_i or cond_ii):
             violators.append(rule)

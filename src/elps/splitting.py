@@ -2,17 +2,20 @@
 property checks.
 
 An epistemic splitting set U requires each rule to either live entirely
-inside U or to mention U only through subjective literals.  Subjective
-constraints on U satisfy both conditions and are placed per policy.  The
-solutions of a split come from `objective.split_solutions`: world views of
-the bottom simplify the top's subjective literals on U to truth constants,
-and each pair composes with ⊔.  Every property check here is an equation
-between two sets of world views, reported by `equation_report`.
+inside U (all its `atoms`) or to mention U only through subjective literals
+(none of its `objective_atoms`).  Subjective constraints on U satisfy both
+conditions and are placed per policy.  The solutions of a split come from
+`objective.split_solutions`: world views of the bottom simplify the top's
+subjective literals on U to truth constants, and each pair composes with ⊔.
+Every property check here is an equation between two sets of world views,
+reported by `equation_report`.
 
-G91 and C19 satisfy epistemic splitting, so `component_world_views` solves
-them one closed component at a time and composes the world views; each part
-is solved through `engine.solve`, so a memo open around the solve answers
-parts met before.
+G91 and C19 satisfy epistemic splitting, so `engine.solve` sends them to
+`component_world_views`, which solves one closed component at a time and
+composes the world views; each part is solved through `engine.solve`, so a
+memo open around the solve answers parts met before.  A bottom and an
+unsimplified top keep the program's `Rule` objects, and with them the atom
+sets already computed.
 
 Stratified programs (modal dependencies strictly decrease levels) are
 evaluated by iterated splitting: the lowest level splits off as an objective
@@ -30,24 +33,19 @@ from .errors import CapacityError, ElpError, NotAnEpistemicSplittingSet, NotStra
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
 from .objective import AtomBits, Split, partition, split_solutions, stable_models
 from .semantics import SemanticsId
-from .syntax import Atom, Program, Rule, atom_key, atoms_of, capped_atoms
-
-
-def objective_atoms(rule: Rule) -> frozenset[Atom]:
-    """Head plus objective body: the atoms a rule mentions outside K/M literals."""
-    return rule.head | atoms_of(rule.body_obj)
+from .syntax import Atom, Program, Rule, atom_key, capped_atoms
 
 
 def dep_relation(program: Program) -> frozenset[tuple[Atom, Atom]]:
     """dep(a, b): a heads or objectively depends on a rule querying b modally."""
     return frozenset(
-        (a, lit.atom) for rule in program.rules for lit in rule.body_sub for a in objective_atoms(rule)
+        (a, lit.atom) for rule in program.rules for lit in rule.body_sub for a in rule.objective_atoms
     )
 
 
 def epistemic_split(program: Program, U, placement: str = "bottom") -> Split:
     """Epistemic splitting set: the top may read U only through subjective literals."""
-    return partition(program, U, placement, objective_atoms, NotAnEpistemicSplittingSet)
+    return partition(program, U, placement, lambda r: r.objective_atoms, NotAnEpistemicSplittingSet)
 
 
 def top_simplification(split: Split, wv_b: WorldView) -> Program:
@@ -109,11 +107,11 @@ def closed_component(program: Program) -> frozenset[Atom] | None:
     sink of the strongly connected components), which the top reads through
     subjective literals only.
     """
-    atoms = sorted(atoms_of(program), key=atom_key)
-    blocks = _classes(atoms, (atoms_of(r) for r in program.rules))
+    atoms = sorted(program.atoms, key=atom_key)
+    blocks = _classes(atoms, (r.atoms for r in program.rules))
     if len(blocks) > 1:
         return blocks[0]
-    groups = _classes(atoms, (objective_atoms(r) for r in program.rules))
+    groups = _classes(atoms, (r.objective_atoms for r in program.rules))
     group_of = {a: g for g in groups for a in g}
     successors: dict[frozenset[Atom], set[frozenset[Atom]]] = {g: set() for g in groups}
     for a, b in dep_relation(program):
@@ -161,7 +159,7 @@ def component_world_views(
     if U is None:
         return engine.REGISTRY[semantics].direct(program, limits)
     split = epistemic_split(program, U, "bottom")
-    simplify = top_simplification if atoms_of(split.top) & U else lambda s, _: s.top
+    simplify = top_simplification if split.top.atoms & U else lambda s, _: s.top
     views = set()
     for wv_b, wv_t in split_solutions(split, lambda p: engine.solve(p, semantics, limits), simplify):
         views.add(combine(wv_b, wv_t))
@@ -182,7 +180,7 @@ def enumerate_epistemic_splitting_sets(
     `epistemic_split`).
     """
     bits = AtomBits(capped_atoms(program, limits.split_enum_max_atoms, "split-enumeration"))
-    rules = {(bits.mask(atoms_of(r)), bits.mask(objective_atoms(r))) for r in program.rules}
+    rules = {(bits.mask(r.atoms), bits.mask(r.objective_atoms)) for r in program.rules}
     return frozenset(
         bits.interp(u)
         for u in range(1, (1 << len(bits.atoms)) - 1)
@@ -250,7 +248,7 @@ def check_epistemic_splitting(
     """
     U = frozenset(U)
     if placement is None:
-        dual = any(atoms_of(r) <= U and not (objective_atoms(r) & U) for r in program.rules)
+        dual = any(r.atoms <= U and not (r.objective_atoms & U) for r in program.rules)
         placements = ("bottom", "top") if dual else ("bottom",)
     else:
         placements = (placement,)
@@ -297,7 +295,7 @@ def stratify(program: Program) -> Stratification:
     co-occurrence (head and objective body) groups atoms on one layer."""
     atoms = sorted(program.atom_universe, key=atom_key)
     # each group is named by its first atom
-    groups = _classes(atoms, (objective_atoms(r) for r in program.rules))
+    groups = _classes(atoms, (r.objective_atoms for r in program.rules))
     name = {a: min(g, key=atom_key) for g in groups for a in g}
 
     edges: dict[Atom, set[Atom]] = {}

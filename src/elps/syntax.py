@@ -16,6 +16,13 @@ constraint at normalisation time.
 
 Atoms are ordered lexicographically by their printed form; every set-valued
 output downstream is canonicalised with that order.
+
+A rule carries its atom sets: `atoms` (the head and every body atom, the atom
+under K/M included) and `objective_atoms` (the head and the objective body),
+next to its `body_obj` and `body_sub`; a program carries `atoms` (its rules'
+atoms) and `atom_universe` (those and its extra atoms).  Each is computed on
+first use and kept on the object; equality and hashing read the fields only.
+A rule is objective iff its `body_sub` is empty.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Union
 
@@ -142,13 +150,23 @@ class Rule:
             return f"{head_s}."
         return f"{head_s} :- {body_s}."
 
-    @property
+    @cached_property
     def body_obj(self) -> tuple[ObjLit, ...]:
         return tuple(l for l in self.body if isinstance(l, ObjLit))
 
-    @property
+    @cached_property
     def body_sub(self) -> tuple[SubjLit, ...]:
         return tuple(l for l in self.body if isinstance(l, SubjLit))
+
+    @cached_property
+    def atoms(self) -> frozenset[Atom]:
+        """The head and every body atom, the atom under K/M included."""
+        return self.head.union(l.atom for l in self.body if l.atom is not None)
+
+    @cached_property
+    def objective_atoms(self) -> frozenset[Atom]:
+        """The head and the objective body: the atoms outside K/M literals."""
+        return self.head.union(l.atom for l in self.body_obj if l.atom is not None)
 
     @property
     def is_constraint(self) -> bool:
@@ -182,36 +200,15 @@ class Program:
     def __len__(self) -> int:
         return len(self.rules)
 
-    @property
+    @cached_property
+    def atoms(self) -> frozenset[Atom]:
+        """The atoms of the rules."""
+        return frozenset(a for r in self.rules for a in r.atoms)
+
+    @cached_property
     def atom_universe(self) -> frozenset[Atom]:
-        return atoms_of(self) | self.extra_atoms
-
-
-def atoms_of(construct) -> frozenset[Atom]:
-    """All atoms occurring in a literal, head, rule, program or atom set."""
-    if isinstance(construct, Atom):
-        return frozenset([construct])
-    if isinstance(construct, TruthConst):
-        return frozenset()
-    if isinstance(construct, ObjLit):
-        return frozenset() if construct.atom is None else frozenset([construct.atom])
-    if isinstance(construct, SubjLit):
-        return frozenset([construct.atom])
-    if isinstance(construct, Rule):
-        out = set(construct.head)
-        for lit in construct.body:
-            out |= atoms_of(lit)
-        return frozenset(out)
-    if isinstance(construct, Program):
-        out = set()
-        for r in construct.rules:
-            out |= atoms_of(r)
-        return frozenset(out)
-    # iterable of atoms / literals / rules
-    out = set()
-    for item in construct:
-        out |= atoms_of(item)
-    return frozenset(out)
+        """The atoms of the rules and the extra atoms."""
+        return self.atoms | self.extra_atoms
 
 
 def atom_key(a: Atom) -> str:
@@ -236,18 +233,6 @@ def subsets(items: Iterable) -> Iterator[frozenset]:
     items = tuple(items)
     for mask in range(1 << len(items)):
         yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
-
-
-def is_objective(construct) -> bool:
-    if isinstance(construct, ObjLit):
-        return True
-    if isinstance(construct, SubjLit):
-        return False
-    if isinstance(construct, Rule):
-        return all(isinstance(l, ObjLit) for l in construct.body)
-    if isinstance(construct, Program):
-        return all(is_objective(r) for r in construct.rules)
-    raise TypeError(f"unsupported construct {construct!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +438,7 @@ def parse_atom(text: str) -> Atom:
 
 def _rule_variables(rule: Rule) -> tuple[str, ...]:
     seen: dict[str, None] = {}
-    for atom in atoms_of(rule):
+    for atom in rule.atoms:
         for t in atom.args:
             if is_variable(t):
                 seen.setdefault(t, None)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from elps.cli import main
+from elps.harness import SEMANTICS_COLUMNS
 
 
 @pytest.fixture()
@@ -75,6 +76,19 @@ def test_max_atoms_flag_beats_env(capsys, fx, monkeypatch):
     code, out, err = run(capsys, "solve", fx("pi1"), "--max-atoms", "2")
     assert (code, out) == (2, "")
     assert err == "error: 4 atoms exceed the exhaustive-search cap of 2\n"
+
+
+def test_negative_max_atoms_flag_exit_2(capsys, fx):
+    code, out, err = run(capsys, "solve", fx("ab"), "--max-atoms", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-atoms must not be negative, got -1\n"
+
+
+def test_negative_max_atoms_env_exit_2(capsys, fx, monkeypatch):
+    monkeypatch.setenv("ELP_MAX_ATOMS", "-1")
+    code, out, err = run(capsys, "solve", fx("ab"))
+    assert (code, out) == (2, "")
+    assert err == "error: ELP_MAX_ATOMS must not be negative, got -1\n"
 
 
 def test_eliminate_m_flag(capsys, tmp_path):
@@ -280,6 +294,21 @@ def test_properties_json(capsys):
     assert payload["rows"]["epistemic_splitting"]["g91"]["verdict"] == "holds"
     assert payload["rows"]["epistemic_splitting"]["k15"]["verdict"] == "violated"
     assert all(f["ok"] for f in payload["fixtures"])
+
+
+def test_properties_semantics_default_is_every_column(capsys):
+    with pytest.raises(SystemExit):
+        main(["properties", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    columns = ",".join(s.value for s in SEMANTICS_COLUMNS)
+    assert f"(default {columns})" in help_text and "(default g91)" not in help_text
+
+
+def test_properties_counts_a_repeated_semantics_once(capsys):
+    code, out, _ = run(capsys, "properties", "--semantics", "g91,g91", "--count", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["rows"]["supra_s5"]["g91"]["checks"] == 9  # 8 fixtures, 1 drawn
+    assert run(capsys, "properties", "--semantics", "g91", "--count", "1", "--json") == (0, out, "")
 
 
 def test_properties_rejects_eliminate_m(capsys):

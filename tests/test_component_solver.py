@@ -30,7 +30,7 @@ from elps.generators import (
 from elps.modal import WorldView
 from elps.semantics import SemanticsId, subjective_cores, world_views
 from elps.splitting import closed_component, combine, component_world_views
-from elps.syntax import Atom, Program, atoms_of, load_program, parse_program, parse_rule
+from elps.syntax import Atom, Program, load_program, parse_program, parse_rule
 
 SPLITTING = (SemanticsId.G91, SemanticsId.C19)
 
@@ -143,7 +143,7 @@ def test_unions_of_random_blocks(monkeypatch):
         if U is None:
             splits.append(None)
         else:  # independent: no rule outside U mentions U
-            splits.append(not any(atoms_of(r) & U and not atoms_of(r) <= U for r in program.rules))
+            splits.append(not any(r.atoms & U and not r.atoms <= U for r in program.rules))
         return U
 
     monkeypatch.setattr(splitting, "closed_component", recorded)
@@ -159,7 +159,7 @@ def test_unions_of_random_blocks(monkeypatch):
         seen["world views"] += has_views
         seen["no world view"] += not has_views
         seen["extra atoms"] += bool(program.extra_atoms)
-        seen["atomless rule"] += any(not atoms_of(r) for r in program.rules)
+        seen["atomless rule"] += any(not r.atoms for r in program.rules)
     assert min(seen.values()) >= 10, seen
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import subprocess
 import sys
 import threading
@@ -9,7 +8,7 @@ import pytest
 
 from elps import engine, harness
 from elps.config import DEFAULT_LIMITS
-from elps.engine import REGISTRY, compute_world_views
+from elps.engine import compute_world_views
 from elps.errors import CapacityError, UnsupportedMLiteral
 from elps.harness import (
     FIXTURE_CASES,
@@ -124,17 +123,18 @@ def test_stress_sweep_script_runs_clean():
 
 @pytest.fixture
 def solved(monkeypatch):
-    """Counts the registry solver calls that returned, per (program,
-    semantics, limits); a call that raises is not stored, so not counted."""
+    """Counts the solves that `engine.solve` ran and did not answer from its
+    memo, per (program, semantics, limits); a solve that raises is not
+    stored, so not counted."""
     counts = Counter()
-    for semantics, entry in list(REGISTRY.items()):
+    inner = engine._solve
 
-        def solve(program, limits, semantics=semantics, inner=entry.solve):
-            wvs = inner(program, limits)
-            counts[program, semantics, limits] += 1
-            return wvs
+    def _solve(program, semantics, limits):
+        wvs = inner(program, semantics, limits)
+        counts[program, semantics, limits] += 1
+        return wvs
 
-        monkeypatch.setitem(REGISTRY, semantics, dataclasses.replace(entry, solve=solve))
+    monkeypatch.setattr(engine, "_solve", _solve)
     return counts
 
 

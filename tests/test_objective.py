@@ -22,7 +22,6 @@ from elps.syntax import (
     ObjLit,
     Program,
     Rule,
-    atoms_of,
     const_truth,
     load_program,
     parse_atom,
@@ -221,7 +220,7 @@ def test_two_oracle_paths_agree():
         seen["dead"] += any(const_truth(l) is False for l in lits)
         seen["not ⊥"] += ObjLit(BOT, 1) in lits
         seen["constraint"] += any(not r.head for r in program.rules)
-        seen["widened"] += bool(program.extra_atoms - atoms_of(program.rules))
+        seen["widened"] += bool(program.extra_atoms - program.atoms)
         assert stable_models(program) == stable_models_ref(program), str(program)
     assert min(seen.values()) > 30, seen
 

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "elps"
@@ -16,3 +17,23 @@ def test_no_bare_assert_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "bare assert statements: " + ", ".join(found)
+
+
+def test_the_package_imports_only_the_standard_library():
+    """The runtime needs nothing but Python: every absolute import names a
+    standard-library module or the package itself."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names | {"elps"}
+            ]
+    assert not found, "imports outside the standard library: " + ", ".join(found)

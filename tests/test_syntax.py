@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from elps.syntax import (
     Program,
     Rule,
     SubjLit,
+    TruthConst,
     add_strong_negation_constraints,
     canonicalize_program,
     default_negate,
@@ -230,3 +234,81 @@ def test_program_dedup_and_universe():
     assert len(program.rules) == 1
     assert Atom("z") in program.atom_universe
     assert Atom("a") in program.atom_universe
+
+
+def _walked_atoms(construct) -> frozenset:
+    """Every atom of an atom, truth constant, literal, rule, program or
+    iterable of them, by walking the syntax tree: the reference for the
+    cached atom sets of `Rule` and `Program`."""
+    if isinstance(construct, Atom):
+        return frozenset([construct])
+    if isinstance(construct, TruthConst):
+        return frozenset()
+    if isinstance(construct, ObjLit):
+        return _walked_atoms(construct.base)
+    if isinstance(construct, SubjLit):
+        return _walked_atoms(construct.inner)
+    if isinstance(construct, Rule):
+        return frozenset(construct.head) | _walked_atoms(construct.body)
+    if isinstance(construct, Program):
+        return _walked_atoms(construct.rules)
+    return frozenset().union(*map(_walked_atoms, construct))
+
+
+_POOL = [Atom("a"), Atom("b"), Atom("a", strong_neg=True), Atom("p", ("c",)), Atom("q", ("c", "d"), True),
+         Atom("e"), Atom("f"), Atom("g")]
+
+
+def _random_literal(rng: random.Random, atoms):
+    roll = rng.random()
+    if roll < 0.15:
+        return ObjLit(rng.choice([TOP, BOT]), rng.randint(0, 2))
+    if roll < 0.6:
+        return ObjLit(rng.choice(atoms), rng.randint(0, 2))
+    inner = ObjLit(rng.choice(atoms), rng.randint(0, 2))
+    return SubjLit(rng.choice("KM"), inner, rng.random() < 0.5)
+
+
+def _random_program(rng: random.Random) -> Program:
+    """1-6 atoms; truth constants, strong negation, K and M literals,
+    atomless constraints and extra atoms that no rule mentions."""
+    atoms = rng.sample(_POOL, rng.randint(1, 6))
+    rules = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.1:  # an atomless constraint
+            rules.append(Rule(frozenset(), (ObjLit(rng.choice([TOP, BOT]), rng.randint(0, 2)),)))
+            continue
+        head = frozenset(rng.sample(atoms, rng.randint(0, min(2, len(atoms)))))
+        rules.append(Rule(head, tuple(_random_literal(rng, atoms) for _ in range(rng.randint(not head, 3)))))
+    extra = rng.sample(_POOL, rng.randint(0, 2)) if rng.random() < 0.3 else ()
+    return Program.of(rules, extra)
+
+
+def test_atom_sets_match_the_walked_syntax_tree():
+    rng = random.Random(1313)
+    seen = Counter()
+    for _ in range(600):
+        program = _random_program(rng)
+        lits = [l for r in program.rules for l in r.body]
+        seen["truth constant"] += any(isinstance(l, ObjLit) and l.atom is None for l in lits)
+        seen["strong negation"] += any(a.strong_neg for a in _walked_atoms(program))
+        seen["M literal"] += any(isinstance(l, SubjLit) and l.modality == "M" for l in lits)
+        seen["widened"] += bool(program.extra_atoms - _walked_atoms(program))
+        seen["atomless constraint"] += any(not r.head and not _walked_atoms(r) for r in program.rules)
+        for rule in program.rules:
+            objective = tuple(l for l in rule.body if isinstance(l, ObjLit))
+            assert rule.atoms == _walked_atoms(rule), str(rule)
+            assert rule.objective_atoms == rule.head | _walked_atoms(objective), str(rule)
+            assert rule.body_obj == objective
+            assert rule.body_sub == tuple(l for l in rule.body if isinstance(l, SubjLit))
+        assert program.atoms == _walked_atoms(program), str(program)
+        assert program.atom_universe == _walked_atoms(program) | program.extra_atoms, str(program)
+        # the cached sets leave equality and hashing to the fields
+        fresh = Program(tuple(Rule(r.head, r.body) for r in program.rules), program.extra_atoms)
+        assert "atom_universe" in vars(program) and "atom_universe" not in vars(fresh)
+        assert fresh == program and hash(fresh) == hash(program)
+        for rule, fresh_rule in zip(program.rules, fresh.rules):
+            assert {"atoms", "objective_atoms", "body_obj", "body_sub"} <= vars(rule).keys()
+            assert "atoms" not in vars(fresh_rule)
+            assert fresh_rule == rule and hash(fresh_rule) == hash(rule)
+    assert min(seen.values()) > 10, seen
