@@ -8,7 +8,9 @@ Checks, over seeded random programs:
   - F15 selection stays inside the equilibrium models; the EHT total models
     are exactly the candidate world views that are S5 models, in
     enumeration order, and every countermodel is a non-total h with
-    h(I) ⊆ I at each point,
+    h(I) ⊆ I at each point; the equilibria found among the per-signature
+    stable points are those of the total models, at 3 atoms and on a few
+    4-atom programs under the raised EHT cap,
   - guess-based world views match the brute-force oracle, and foundedness
     matches its brute-force search on K-only programs and on programs with
     M literals,
@@ -30,7 +32,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from elps.eht import f15_world_views, total_model_countermodels
+from elps.config import SolverLimits
+from elps.eht import equilibrium_eht_models, f15_world_views, total_model_countermodels
 from elps.engine import brute_force_world_views, compute_world_views
 from elps.errors import UnsupportedMLiteral
 from elps.foundedness import is_founded, is_founded_brute
@@ -42,6 +45,7 @@ from elps.generators import (
     random_subjective_constraint,
 )
 from elps.modal import candidate_world_views, is_s5_model
+from elps.objective import classical_satisfies
 from elps.semantics import SemanticsId, s17_world_views, subjective_cores, world_views
 from elps.splitting import (
     check_constraint_monotonicity,
@@ -50,7 +54,7 @@ from elps.splitting import (
     layered_world_view,
     stratify,
 )
-from elps.syntax import atom_key, eliminate_m, subsets
+from elps.syntax import Program, atom_key, eliminate_m, subsets
 
 
 def check(ok: bool, program, *context) -> None:
@@ -107,7 +111,25 @@ def main():
                 sub = set(h) == wv.interps and all(h[i] <= i for i in wv.interps)
                 check(sub and any(h[i] != i for i in wv.interps), program, "countermodel", str(wv))
         equilibria = {wv for wv, h in total if h is None}
+        check(equilibrium_eht_models(program) == equilibria, program, "equilibria of the total models")
         check(f15_world_views(program) <= equilibria, program, "F15 within equilibria")
+
+    # where the rules with no subjective literal pass all 16 points, a 4-atom
+    # program can have 2^16 - 1 total models, 10 s or more to decide; these
+    # let at most 12 points pass
+    limits4 = SolverLimits(f15_max_atoms=4)
+    shape_f4 = GeneratorShape(n_atoms=4, max_rules=6, subjective_prob=0.5, m_prob=0.25, constraint_prob=0.3)
+    for _ in range(max(1, args.trials // 10)):
+        while True:
+            program = random_epistemic_program(rng, shape_f4)
+            objective = Program.of(r for r in program.rules if not r.body_sub)
+            passing = sum(classical_satisfies(i, objective) for i in subsets(program.atoms))
+            if len(program.atoms) == 4 and passing <= 12:
+                break
+        stats["f15"] += 1
+        equilibria = {wv for wv, h in total_model_countermodels(program, limits4) if h is None}
+        same = equilibrium_eht_models(program, limits4) == equilibria
+        check(same, program, "equilibria of the total models at 4 atoms")
 
     shape_k = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5)
     for _ in range(args.trials):

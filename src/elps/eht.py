@@ -54,9 +54,30 @@ For the same reason `total_model_countermodels` keeps the points that
 satisfy the rules with no subjective literal once and builds candidate
 world views from them alone, in `subsets` order over the kept points, which
 is a subsequence of the order over all points; only the rules with a
-subjective literal are checked per candidate.  World views and
-countermodels are turned back into sets of atoms only when they are
-returned.
+subjective literal are checked per candidate.  It lists every total model,
+and `--trace-eht` prints them all.
+
+The equilibria (`equilibrium_eht_models`, `f15_world_views`) are searched
+among fewer candidates (`_Compiled.candidates`).  Call a point stable at a
+signature (a, o) when it passes the total reading there and no proper
+here-value of it passes its rules with K and M read from a and o
+(`_Compiled.stable`).  The candidates of (a, o), for each a ⊆ o, are the
+non-empty sets of points stable there whose AND is a and whose OR is o;
+each is a total model, and the countermodel search still decides it.  No
+equilibrium is lost:
+
+- Suppose some x ⊊ p passes at the signature of a total model W, p in W.
+- Let h be the identity on W except h(p) = x.
+- Only objective atoms and positive K/M read h, and the AND and the OR of
+  h lie within those of W.  A body true under h is then true under the
+  identity, so every rule holds at the other points, whose heads read the
+  identity, and at p, where x passes.  So h is a non-total EHT model, and
+  W is not an equilibrium.
+- Put another way, every point of an equilibrium is a stable model of the
+  G91 subjective reduct at that equilibrium.
+
+World views and countermodels are turned back into sets of atoms only when
+they are returned.
 """
 
 from __future__ import annotations
@@ -65,6 +86,14 @@ from .config import DEFAULT_LIMITS, SolverLimits
 from .modal import WorldView
 from .objective import AtomBits, _and_or, _point_rules, _violated, compile_rule
 from .syntax import Program, capped_atoms, subsets
+
+
+def _submasks(mask: int) -> list[int]:
+    """The submasks of `mask`, in increasing order."""
+    subs = [mask]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & mask)
+    return subs[::-1]
 
 
 def _here_reading(rules) -> list[tuple[int, int, int, int]]:
@@ -117,14 +146,7 @@ class _Compiled(AtomBits):
         values = self._here_values.get(point)
         if values is None:
             rules = _point_rules(self.objective, point, 0, 0)
-            values, s = [], point
-            while True:
-                if not _violated(rules, s, 0, 0):
-                    values.append(s)
-                if not s:
-                    break
-                s = (s - 1) & point
-            values.reverse()
+            values = [s for s in _submasks(point) if not _violated(rules, s, 0, 0)]
             self._here_values[point] = values
         return values
 
@@ -207,6 +229,32 @@ class _Compiled(AtomBits):
             return False
         return self.countermodel(points, X, self.modal_rules(points)) is None
 
+    def stable(self, point: int, w_and: int, w_or: int) -> bool:
+        """Whether `point` passes the total reading in a world view whose
+        points have AND `w_and` and OR `w_or`, and no proper here-value of it
+        passes its rules with K and M read from that AND and OR."""
+        if point not in self.here_values(point):
+            return False  # decided once per point, this settles most
+        rules, holds = self._reading(point, w_and, w_or)
+        return holds and all(
+            x == point or _violated(rules, x, w_and, w_or) for x in self.here_values(point)
+        )
+
+    def candidates(self):
+        """Per signature a ⊆ o, the non-empty sets of points stable there
+        whose AND is a and whose OR is o: total models that include every
+        equilibrium (module docstring)."""
+        for o in range(1 << len(self.atoms)):
+            for a in _submasks(o):
+                stable = [a | s for s in _submasks(o & ~a) if self.stable(a | s, a, o)]
+                for points in subsets(stable):
+                    if points and _and_or(points) == (a, o):
+                        yield points
+
+    def equilibria(self) -> list[frozenset]:
+        """The candidates with no countermodel: the equilibrium models."""
+        return [p for p in self.candidates() if self.countermodel(p, p, self.modal_rules(p)) is None]
+
     def total_models(self):
         """(points, countermodel or None) for every candidate world view that
         is a total model, in `subsets` order."""
@@ -247,7 +295,7 @@ def equilibrium_eht_models(
 ) -> frozenset[WorldView]:
     """Total EHT models with no strictly smaller "here" model."""
     c = _Compiled.capped(program, limits)
-    return frozenset(c.world_view(wv) for wv, h in c.total_models() if h is None)
+    return frozenset(c.world_view(wv) for wv in c.equilibria())
 
 
 def models_star(wv: WorldView, X, program: Program) -> bool:
@@ -268,7 +316,7 @@ def models_star(wv: WorldView, X, program: Program) -> bool:
 def f15_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
     """Equilibrium models not dominated by a ⊃-larger or ≤-greater one."""
     c = _Compiled.capped(program, limits)
-    equilibria = [wv for wv, h in c.total_models() if h is None]
+    equilibria = c.equilibria()
     if not equilibria:
         return frozenset()
     domain = sorted(frozenset().union(*equilibria), key=c.point_key)

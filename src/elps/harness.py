@@ -400,7 +400,10 @@ def build_property_matrix(
     build likewise enumerates each program's splitting sets once, however
     many columns check it, and asks `is_founded` once per (program, world
     view).  All of it is dropped when the build returns or raises.  A
-    semantics listed twice is checked once."""
+    semantics listed twice is checked once.  A negative count is refused
+    with a ValueError."""
+    if count < 0:
+        raise ValueError(f"--count must not be negative, got {count}")
     fixtures = require_fixtures(limits, corpus_dir)
     corpus = {case.name: load_fixture(case.name, corpus_dir) for case in FIXTURE_CASES}
     cells = {(row, s.value): MatrixCell() for row in ROW_NAMES for s in SEMANTICS_COLUMNS}

@@ -437,12 +437,11 @@ def parse_atom(text: str) -> Atom:
 
 
 def _rule_variables(rule: Rule) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for atom in rule.atoms:
-        for t in atom.args:
-            if is_variable(t):
-                seen.setdefault(t, None)
-    return tuple(seen)
+    """The rule's variables in order of first occurrence: the head atoms in
+    `atom_key` order, then the body in order, so that `ground` lists the
+    instances of a rule the same way in every interpreter."""
+    atoms = sorted(rule.head, key=atom_key) + [l.atom for l in rule.body if l.atom is not None]
+    return tuple(dict.fromkeys(t for a in atoms for t in a.args if is_variable(t)))
 
 
 def _substitute_rule(rule: Rule, binding: dict[str, str]) -> Rule:

@@ -311,6 +311,12 @@ def test_properties_counts_a_repeated_semantics_once(capsys):
     assert run(capsys, "properties", "--semantics", "g91", "--count", "1", "--json") == (0, out, "")
 
 
+def test_properties_negative_count_exit_2(capsys):
+    code, out, err = run(capsys, "properties", "--semantics", "g91", "--count", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --count must not be negative, got -1\n"
+
+
 def test_properties_rejects_eliminate_m(capsys):
     # properties loads no program, so there is nothing to rewrite
     with pytest.raises(SystemExit) as exc:

@@ -18,8 +18,8 @@ from elps.eht import (
 )
 from elps.errors import CapacityError
 from elps.generators import GeneratorShape, random_epistemic_program
-from elps.modal import WorldView, is_s5_model, modal_satisfies
-from elps.objective import _and_or, _point_rules, _violated
+from elps.modal import WorldView, is_s5_model, modal_satisfies, subjective_reduct
+from elps.objective import _and_or, _point_rules, _violated, stable_models
 from elps.syntax import (
     BOT,
     TOP,
@@ -402,6 +402,87 @@ def test_f15_decides_each_point_once_per_signature(monkeypatch, corpus):
         calls.clear()
         assert f15_world_views(program) == _f15_world_views_ref(program), str(program)
         assert calls and max(calls.values()) == 1, str(program)
+
+
+def _equilibria_of_total_models(program, limits=SolverLimits()):
+    """The reference route: every total model, kept when it has no
+    countermodel."""
+    return {wv for wv, h in total_model_countermodels(program, limits) if h is None}
+
+
+def test_equilibrium_points_are_stable_in_the_g91_reduct():
+    """The lemma behind `_Compiled.candidates`: each point of an equilibrium
+    is a stable model of the G91 subjective reduct at it; and `stable` at a
+    signature is that membership for every point between its AND and OR."""
+    rng = random.Random(47)
+    pool = [A, B, parse_atom("c")]
+    points = equilibria = constrained = with_m = widened = 0
+    for _ in range(300):
+        shape = GeneratorShape(
+            n_atoms=rng.randint(1, 3), max_rules=4, subjective_prob=0.5, m_prob=0.25, constraint_prob=0.3
+        )
+        program = random_epistemic_program(rng, shape)
+        if rng.random() < 0.3:
+            extra = frozenset(rng.sample(pool, rng.randint(1, 3)))
+            program = Program(program.rules, extra)
+            widened += bool(extra - program.atoms)
+        constrained += any(not r.head and not r.body_sub for r in program.rules)
+        with_m += "M " in str(program)
+        reference = _equilibria_of_total_models(program)
+        assert equilibrium_eht_models(program) == reference, str(program)
+        c = _Compiled.capped(program, SolverLimits())
+        interps = [c.interp(p) for p in range(1 << len(c.atoms))]
+        drawn = WorldView(frozenset(rng.sample(interps, rng.randint(1, len(interps)))))
+        for wv in [*reference, drawn]:
+            stable = stable_models(subjective_reduct(program, wv))
+            if wv in reference:
+                assert wv.interps <= stable, (str(program), str(wv))
+                equilibria += 1
+                points += len(wv.interps)
+            w_and, w_or = _and_or(c.mask(i) for i in wv.interps)
+            for p in range(1 << len(c.atoms)):
+                if p & w_and == w_and and p | w_or == w_or:
+                    assert c.stable(p, w_and, w_or) == (c.interp(p) in stable), (str(program), str(wv))
+    assert equilibria > 250 and points > 300
+    assert constrained > 30 and with_m > 30 and widened > 10
+
+
+def test_candidates_keep_every_equilibrium_at_four_atoms():
+    # where the rules with no subjective literal pass all 16 points, a 4-atom
+    # program can have up to 2^16 - 1 total models, 10 s or more on the
+    # reference route; the programs drawn here let at most 12 points pass
+    rng = random.Random(53)
+    limits = SolverLimits(f15_max_atoms=4)
+    shape = GeneratorShape(n_atoms=4, max_rules=6, subjective_prob=0.5, m_prob=0.25, constraint_prob=0.3)
+    programs = []
+    while len(programs) < 20:
+        program = random_epistemic_program(rng, shape)
+        if len(program.atoms) == 4:
+            c = _Compiled.capped(program, limits)
+            if sum(p in c.here_values(p) for p in range(16)) <= 12:
+                programs.append(program)
+    found = 0
+    for program in programs:
+        reference = _equilibria_of_total_models(program, limits)
+        assert equilibrium_eht_models(program, limits) == reference, str(program)
+        found += bool(reference)
+    assert found >= 10
+
+
+def test_f15_searches_one_candidate_for_a_four_atom_rule(monkeypatch):
+    # every point but ∅ has ∅ as a smaller here-value, so one candidate is
+    # left of the 32767 total models (2^15 - 1) that were each searched
+    searches = Counter()
+    real = _Compiled.countermodel
+
+    def countermodel(self, points, free, rules):
+        searches[frozenset(points)] += 1
+        return real(self, points, free, rules)
+
+    monkeypatch.setattr(_Compiled, "countermodel", countermodel)
+    program = parse_program("a :- b, c, d.")
+    assert f15_world_views(program, SolverLimits(f15_max_atoms=4)) == {wv_of("")}
+    assert searches == {frozenset([0]): 1}
 
 
 def _random_body_literal(rng, atoms):

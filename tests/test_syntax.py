@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elps
 from elps.errors import GroundingError, ParseError
 from elps.modal import WorldView, modal_satisfies
 from elps.syntax import (
@@ -152,6 +157,27 @@ def test_ground_two_constants():
 def test_ground_requires_constants():
     with pytest.raises(GroundingError):
         ground(parse_program("p(X) :- q(X)."))
+
+
+def test_ground_order_does_not_depend_on_string_hashing():
+    # no atom holds both variables, so their order comes from the rule's
+    # shape (first occurrence), not from the hash order of its atom set
+    text = "s :- q(X), r(Y), not t(X,Y). q(a). r(b)."
+    src = str(Path(elps.__file__).resolve().parent.parent)
+    code = f"from elps.syntax import load_program; print(load_program({text!r}))"
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in range(7)
+    }
+    assert outputs == {str(load_program(text)) + "\n"}
+    instances = [str(r) for r in load_program(text).rules if r.head == {parse_atom("s")}]
+    assert instances[:2] == ["s :- q(a), r(a), not t(a,a).", "s :- q(a), r(b), not t(a,b)."]
 
 
 def test_eliminate_m_rewrites():
