@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import resolve_limits
 from .eht import total_model_countermodels
-from .engine import REGISTRY, compute_world_views, solve_memo
+from .engine import REGISTRY, compute_world_views, once, solve_memo
 from .errors import CapacityError, ElpError
 from .foundedness import unfounded_certificate
 from .harness import PROPERTY_ROWS, SEMANTICS_COLUMNS, FixtureMismatch, build_property_matrix
@@ -139,7 +139,7 @@ def cmd_split(args) -> int:
     split = epistemic_split(program, U, args.placement)
     with solve_memo():
         solutions = sorted(
-            epistemic_solutions(program, U, semantics, args.placement, limits),
+            once(epistemic_solutions, program, U, semantics, args.placement, limits),
             key=lambda s: (wv_key(s.wv_b), wv_key(s.wv_t)),
         )
         report = check_epistemic_splitting(program, U, semantics, args.placement, limits)

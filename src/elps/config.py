@@ -1,7 +1,10 @@
 """Search caps for the exhaustive procedures.
 
 The solver is a desk-scale oracle: every enumeration is bounded and refuses
-(with CapacityError) instead of running away.
+(with CapacityError) instead of running away.  `SolverLimits` holds the caps
+a caller may set; the two that none sets are constants beside their one use,
+`semantics.BRUTE_MAX_ATOMS` (4, the brute-force oracles) and
+`splitting.SPLIT_ENUM_MAX_ATOMS` (12, splitting-set enumeration).
 """
 
 from __future__ import annotations
@@ -23,13 +26,8 @@ class SolverLimits:
 
     max_atoms: int = 20          # stable-model candidate enumeration (2^n interpretations)
     max_guesses: int = 4096      # modal-guess space for world-view search (2^#cores); world views per answer
-    brute_max_atoms: int = 4     # direct world-view enumeration over 2^(2^n)
     f15_max_atoms: int = 3       # EHT equilibrium machinery
     founded_max_atoms: int = 12  # unfounded-pair fixpoint
-    split_enum_max_atoms: int = 12
-
-    def with_max_atoms(self, n: int) -> "SolverLimits":
-        return dataclasses.replace(self, max_atoms=n)
 
 
 DEFAULT_LIMITS = SolverLimits()
@@ -51,4 +49,4 @@ def resolve_limits(max_atoms: int | None = None) -> SolverLimits:
             raise ValueError(f"{ENV_MAX_ATOMS} must be an integer, got {env!r}") from exc
     if max_atoms < 0:
         raise ValueError(f"{source} must not be negative, got {max_atoms}")
-    return DEFAULT_LIMITS.with_max_atoms(max_atoms)
+    return dataclasses.replace(DEFAULT_LIMITS, max_atoms=max_atoms)

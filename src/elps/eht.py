@@ -55,7 +55,8 @@ satisfy the rules with no subjective literal once and builds candidate
 world views from them alone, in `subsets` order over the kept points, which
 is a subsequence of the order over all points; only the rules with a
 subjective literal are checked per candidate.  It lists every total model,
-and `--trace-eht` prints them all.
+and `--trace-eht` prints them all.  The F15 oracle `f15_brute_world_views`
+makes the selection of `f15_world_views` among the equilibria of this walk.
 
 The equilibria (`equilibrium_eht_models`, `f15_world_views`) are searched
 among fewer candidates (`_Compiled.candidates`).  Call a point stable at a
@@ -313,10 +314,8 @@ def models_star(wv: WorldView, X, program: Program) -> bool:
     return c.models_star([c.mask(i) for i in wv.interps], {c.mask(i) for i in X})
 
 
-def f15_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
-    """Equilibrium models not dominated by a ⊃-larger or ≤-greater one."""
-    c = _Compiled.capped(program, limits)
-    equilibria = c.equilibria()
+def _f15_selection(c: _Compiled, equilibria) -> frozenset[WorldView]:
+    """The equilibria not dominated by a ⊃-larger or ≤-greater one."""
     if not equilibria:
         return frozenset()
     domain = sorted(frozenset().union(*equilibria), key=c.point_key)
@@ -340,3 +339,17 @@ def f15_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> 
     return frozenset(
         c.world_view(wv) for wv in equilibria if not any(dominates(o, wv) for o in equilibria if o != wv)
     )
+
+
+def f15_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+    """Equilibrium models not dominated by a ⊃-larger or ≤-greater one,
+    the equilibria sought among the per-signature stable points."""
+    c = _Compiled.capped(program, limits)
+    return _f15_selection(c, c.equilibria())
+
+
+def f15_brute_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+    """Oracle for F15: the same selection over the equilibria of the walk
+    over every total model, the candidates with no countermodel."""
+    c = _Compiled.capped(program, limits)
+    return _f15_selection(c, [points for points, h in c.total_models() if h is None])

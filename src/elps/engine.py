@@ -19,12 +19,12 @@ exact by the epistemic splitting theorem.  The other semantics fail
 splitting on the paper's counterexamples, so `solve` gives the whole
 program to their `direct` solver.
 
-`solve_memo()` opens a memo for the length of a `with` block: inside it,
-each equal (program, semantics, limits) is solved once and repeats are
-answered from memory.  Every solver reads world views through `solve`: the
-public `compute_world_views`, S17's K15 base views, C19's G91 base views,
-and the bottoms and simplified tops of the component solver.  Nothing is
-memoized outside such a block.
+`solve_memo()` opens a run memo for a `with` block; `once(fn, *args)` alone
+reads and writes it, computing `fn(*args)` once for equal arguments.  What a
+run repeats goes through `once`: `solve` (every solver reads world views
+through it), the component split, the epistemic solutions of `elps split`,
+and a matrix build's fixture parses, splitting sets and `is_founded`.
+Nothing is memoized outside such a block.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
         splitting=False,
         shape=_K_SHAPE,
     ),
-    # F15 is definitional enumeration already: its solver is its oracle
+    # the oracle walks every total model, the solver only the per-signature stable points
     SemanticsId.F15: SemanticsEntry(
         direct=lambda p, limits: eht.f15_world_views(p, limits),
-        oracle=lambda p, limits: eht.f15_world_views(p, limits),
+        oracle=lambda p, limits: eht.f15_brute_world_views(p, limits),
         accepts_m=True,
         splitting=False,
         shape=GeneratorShape(n_atoms=3, max_rules=3, subjective_prob=0.45),  # the EHT atom cap
@@ -96,20 +96,33 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
     ),
 }
 
-# (program, semantics, limits) -> world views, while a memo is open; a context
-# variable, so a memo opened in one thread is not seen by another
+# (fn, *args) -> fn(*args), while a memo is open; a context variable, so a
+# memo opened in one thread is not seen by another
 _memo: ContextVar[dict | None] = ContextVar("solve_memo", default=None)
+_MISSING = object()
 
 
 @contextmanager
 def solve_memo() -> Iterator[None]:
-    """Memoize `solve` until the block exits, however it exits.
-    Errors are not stored: a call that raised is solved again when repeated."""
+    """Open a run memo for `once` until the block exits, however it exits."""
     token = _memo.set({})
     try:
         yield
     finally:
         _memo.reset(token)
+
+
+def once(fn: Callable, *args):
+    """`fn(*args)`, computed once per open memo for equal arguments, else a
+    plain call.  A call that raised is not stored, so it is made again."""
+    memo = _memo.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, *args)
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = fn(*args)
+    return value
 
 
 def _accepting(program: Program, sem: SemanticsId) -> SemanticsEntry:
@@ -122,8 +135,7 @@ def _accepting(program: Program, sem: SemanticsId) -> SemanticsEntry:
 
 def _solve(program: Program, sem: SemanticsId, limits: SolverLimits) -> frozenset[WorldView]:
     """The world views of a program: by components under a semantics that
-    satisfies epistemic splitting, else by its direct solver.  `solve`
-    comes here whenever its memo does not answer."""
+    satisfies epistemic splitting, else by its direct solver."""
     entry = REGISTRY[sem]
     if entry.splitting:
         return splitting.component_world_views(program, sem, limits)
@@ -137,14 +149,7 @@ def solve(
 ) -> frozenset[WorldView]:
     """The world views of a program in the semantics' language, from the
     open memo when there is one."""
-    memo = _memo.get()
-    if memo is None:
-        return _solve(program, semantics, limits)
-    key = (program, semantics, limits)
-    wvs = memo.get(key)
-    if wvs is None:
-        wvs = memo[key] = _solve(program, semantics, limits)
-    return wvs
+    return once(_solve, program, semantics, limits)
 
 
 def compute_world_views(

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import DEFAULT_LIMITS, SolverLimits
-from .engine import REGISTRY, compute_world_views, solve_memo
+from .engine import REGISTRY, compute_world_views, once, solve_memo
 from .errors import CapacityError, NotObjectiveError, UnsupportedMLiteral
 from .foundedness import is_founded
 from .generators import (
@@ -190,7 +190,7 @@ def run_fixture_checks(
 ) -> list[FixtureResult]:
     results = []
     for case in FIXTURE_CASES:
-        program = load_fixture(case.name, corpus_dir)
+        program = once(load_fixture, case.name, corpus_dir)
         for semantics, expected in case.expected.items():
             if expected == "skip":
                 continue
@@ -299,14 +299,6 @@ def _checked(check, *args):
         return None
 
 
-def _once(memo: dict, fn, *args):
-    """`fn(*args)`, computed once per build for equal arguments."""
-    key = (fn, *args)
-    if key not in memo:
-        memo[key] = fn(*args)
-    return memo[key]
-
-
 def _supra_s5_report(program: Program, semantics: SemanticsId, limits, seed=None):
     bad = [wv for wv in compute_world_views(program, semantics, limits) if not is_s5_model(wv, program)]
     return equation_report("supra_s5", semantics, program, bad, [], seed)
@@ -326,7 +318,7 @@ _SCM_FIXTURES = (("ab", ":- not K a."), ("ka", ":- K a."), ("ce1a", ":- not K c.
 _OBJECTIVE_FIXTURES = ("pi1", "ab")
 
 
-def _matrix_checks(semantics, corpus, seed, count, limits, memo):
+def _matrix_checks(semantics, corpus, seed, count, limits):
     """(row, report or None for a skip) for every check of one semantics.
 
     The rows come in `ROW_NAMES` order and draw their random programs from
@@ -356,7 +348,7 @@ def _matrix_checks(semantics, corpus, seed, count, limits, memo):
         )
 
     for program in [*corpus.values(), *drawn(random_epistemic_program)]:
-        split_sets = _once(memo, _checked, enumerate_epistemic_splitting_sets, program, limits)
+        split_sets = once(_checked, enumerate_epistemic_splitting_sets, program, limits)
         if split_sets is None:
             yield "epistemic_splitting", None
         for U in sorted(split_sets or (), key=lambda u: tuple(sorted(map(str, u))))[:4]:
@@ -369,7 +361,7 @@ def _matrix_checks(semantics, corpus, seed, count, limits, memo):
         if wvs is None:
             yield "foundness", None
         for wv in wvs or ():
-            founded = _once(memo, is_founded, program, wv, limits)
+            founded = once(is_founded, program, wv, limits)
             report = PropertyReport(
                 property="foundness",
                 semantics=semantics.value,
@@ -393,23 +385,21 @@ def build_property_matrix(
 ) -> PropertyMatrix:
     """Fixture expectations first, then `count` random programs per cell.
 
-    Each call runs in a fresh `engine.solve_memo()`, so a (program,
-    semantics, limits) met twice in one build is solved once: the fixture
-    replay, every check, S17's K15 base views, C19's G91 base views and the
-    parts and simplified tops of the component solver all read it.  A
-    build likewise enumerates each program's splitting sets once, however
-    many columns check it, and asks `is_founded` once per (program, world
-    view).  All of it is dropped when the build returns or raises.  A
-    semantics listed twice is checked once.  A negative count is refused
-    with a ValueError."""
+    Each call runs in a fresh `engine.solve_memo()`, and what the build
+    repeats goes through `engine.once`: a (program, semantics, limits) met
+    twice is solved once, whether by the fixture replay, a check, S17's K15
+    base views, C19's G91 base views or a part of the component solver.
+    Each fixture is parsed once for the replay and the corpus, each
+    program's splitting sets are enumerated once however many columns check
+    it, and `is_founded` is asked once per (program, world view).  All of it
+    is dropped when the build returns or raises.  A semantics listed twice
+    is checked once.  A negative count is refused with a ValueError."""
     if count < 0:
         raise ValueError(f"--count must not be negative, got {count}")
     fixtures = require_fixtures(limits, corpus_dir)
-    corpus = {case.name: load_fixture(case.name, corpus_dir) for case in FIXTURE_CASES}
+    corpus = {case.name: once(load_fixture, case.name, corpus_dir) for case in FIXTURE_CASES}
     cells = {(row, s.value): MatrixCell() for row in ROW_NAMES for s in SEMANTICS_COLUMNS}
-    # the columns share corpus programs and their world views: ask once
-    memo: dict[tuple, object] = {}
     for semantics in dict.fromkeys(semantics_list):
-        for row, report in _matrix_checks(semantics, corpus, seed, count, limits, memo):
+        for row, report in _matrix_checks(semantics, corpus, seed, count, limits):
             cells[(row, semantics.value)].add(report)
     return PropertyMatrix(cells, seed, count, fixtures)

@@ -173,6 +173,9 @@ def s17_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> 
     return _maximal_epistemic_negation(program, engine.solve(program, SemanticsId.K15, limits))
 
 
+BRUTE_MAX_ATOMS = 4  # direct world-view enumeration over 2^(2^n) candidates
+
+
 def brute_world_views(
     program: Program,
     semantics: SemanticsId,
@@ -181,7 +184,7 @@ def brute_world_views(
     """Oracle for G91/G11/K15: every non-empty candidate world view checked
     against the defining fixpoint, with no guessing.  G91 takes the subjective
     reduct of the candidate, G11/K15 their reduct under its core values."""
-    atoms = capped_atoms(program, limits.brute_max_atoms, "brute-force")
+    atoms = capped_atoms(program, BRUTE_MAX_ATOMS, "brute-force")
     found = set()
     for wv in candidate_world_views(subsets(atoms)):
         if semantics is SemanticsId.G91:

@@ -12,10 +12,10 @@ reported by `equation_report`.
 
 G91 and C19 satisfy epistemic splitting, so `engine.solve` sends them to
 `component_world_views`, which solves one closed component at a time and
-composes the world views; each part is solved through `engine.solve`, so a
-memo open around the solve answers parts met before.  A bottom and an
-unsimplified top keep the program's `Rule` objects, and with them the atom
-sets already computed.
+composes the world views; each part is split and solved through
+`engine.once`, so a memo open around the solve answers parts met before.
+A bottom and an unsimplified top keep the program's `Rule` objects, and
+with them the atom sets already computed.
 
 Stratified programs (modal dependencies strictly decrease levels) are
 evaluated by iterated splitting: the lowest level splits off as an objective
@@ -155,7 +155,7 @@ def component_world_views(
     guess, so it never returns more.
     """
     capped_atoms(program, limits.max_atoms, "exhaustive-search")
-    U = closed_component(program)
+    U = engine.once(closed_component, program)
     if U is None:
         return engine.REGISTRY[semantics].direct(program, limits)
     split = epistemic_split(program, U, "bottom")
@@ -168,6 +168,9 @@ def component_world_views(
     return frozenset(views)
 
 
+SPLIT_ENUM_MAX_ATOMS = 12  # splitting-set enumeration over 2^n subsets
+
+
 def enumerate_epistemic_splitting_sets(
     program: Program,
     limits: SolverLimits = DEFAULT_LIMITS,
@@ -177,9 +180,10 @@ def enumerate_epistemic_splitting_sets(
     Each rule is compiled once to two `AtomBits` masks, its atoms and its
     objective atoms (head and objective body); U splits iff every rule has
     all its atoms in U or no objective atom in U (the test of
-    `epistemic_split`).
+    `epistemic_split`).  The cap is `SPLIT_ENUM_MAX_ATOMS`; `limits` is
+    accepted like the solvers' and sets nothing here.
     """
-    bits = AtomBits(capped_atoms(program, limits.split_enum_max_atoms, "split-enumeration"))
+    bits = AtomBits(capped_atoms(program, SPLIT_ENUM_MAX_ATOMS, "split-enumeration"))
     rules = {(bits.mask(r.atoms), bits.mask(r.objective_atoms)) for r in program.rules}
     return frozenset(
         bits.interp(u)
@@ -254,7 +258,7 @@ def check_epistemic_splitting(
         placements = (placement,)
     lhs = engine.compute_world_views(program, semantics, limits)
     for place in placements:
-        rhs = {s.combined for s in epistemic_solutions(program, U, semantics, place, limits)}
+        rhs = {s.combined for s in engine.once(epistemic_solutions, program, U, semantics, place, limits)}
         if rhs != lhs:
             break
     return equation_report("epistemic_splitting", semantics, program, lhs, rhs, seed, U)

@@ -21,7 +21,8 @@ A rule carries its atom sets: `atoms` (the head and every body atom, the atom
 under K/M included) and `objective_atoms` (the head and the objective body),
 next to its `body_obj` and `body_sub`; a program carries `atoms` (its rules'
 atoms) and `atom_universe` (those and its extra atoms).  Each is computed on
-first use and kept on the object; equality and hashing read the fields only.
+first use and kept on the object, and so is the hash of a rule or program,
+which memo keys ask again and again; equality reads the fields only.
 A rule is objective iff its `body_sub` is empty.
 """
 
@@ -168,6 +169,13 @@ class Rule:
         """The head and the objective body: the atoms outside K/M literals."""
         return self.head.union(l.atom for l in self.body_obj if l.atom is not None)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.head, self.body))
+
     @property
     def is_constraint(self) -> bool:
         return not self.head
@@ -209,6 +217,13 @@ class Program:
     def atom_universe(self) -> frozenset[Atom]:
         """The atoms of the rules and the extra atoms."""
         return self.atoms | self.extra_atoms
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rules, self.extra_atoms))
 
 
 def atom_key(a: Atom) -> str:
@@ -485,17 +500,14 @@ def eliminate_m(program: Program) -> Program:
 
 
 def add_strong_negation_constraints(program: Program) -> Program:
-    """Add the implicit constraint `:- a, -a.` for every strongly negated atom."""
-    rules = list(program.rules)
-    present = set(rules)
-    for atom in sorted(program.atom_universe, key=atom_key):
-        if not atom.strong_neg:
-            continue
-        constraint = Rule(frozenset(), (ObjLit(atom.positive()), ObjLit(atom)))
-        if constraint not in present:
-            rules.append(constraint)
-            present.add(constraint)
-    return Program.of(rules, program.extra_atoms)
+    """Add the implicit constraint `:- a, -a.` for every strongly negated
+    atom; `Program.of` keeps a constraint already present where it is."""
+    constraints = (
+        Rule(frozenset(), (ObjLit(atom.positive()), ObjLit(atom)))
+        for atom in sorted(program.atom_universe, key=atom_key)
+        if atom.strong_neg
+    )
+    return Program.of((*program.rules, *constraints), program.extra_atoms)
 
 
 def load_program(text: str) -> Program:

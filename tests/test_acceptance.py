@@ -179,16 +179,15 @@ def test_criterion_8_oracle_equivalence():
             assert s17_world_views(program) == brute_force_world_views(program, SemanticsId.S17)
             for wv in world_views(program, SemanticsId.G91):
                 assert is_founded(program, wv) == is_founded_brute(program, wv)
-        # M-literals via the G91/C19 routes
+        # M-literals via the G91, C19 and F15 routes
         shape_m = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.35)
         for _ in range(80):
             program = random_epistemic_program(rng, shape_m)
             assert world_views(program, SemanticsId.G91) == brute_force_world_views(
                 program, SemanticsId.G91
             )
-            assert compute_world_views(program, SemanticsId.C19) == brute_force_world_views(
-                program, SemanticsId.C19
-            )
+            for semantics in (SemanticsId.C19, SemanticsId.F15):
+                assert compute_world_views(program, semantics) == brute_force_world_views(program, semantics)
 
 
 def test_criterion_9_stratified_uniqueness():

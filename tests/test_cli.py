@@ -1,8 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from elps import cli, splitting
 from elps.cli import main
 from elps.harness import SEMANTICS_COLUMNS
 
@@ -267,6 +270,22 @@ def test_split_college_match(capsys, fx):
     assert "interview(mike) :- not ⊥, not ⊥." in out
 
 
+def test_split_builds_the_solutions_once(capsys, fx, monkeypatch):
+    """`split` prints the solutions and checks them: one build serves both."""
+    calls = []
+    real = splitting.epistemic_solutions
+
+    def epistemic_solutions(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (cli, splitting):
+        monkeypatch.setattr(module, "epistemic_solutions", epistemic_solutions)
+    code, out, _ = run(capsys, "split", fx("ce1b"), "--split", "U=a,b")
+    assert code == 0 and out.endswith("MATCH\n")
+    assert len(calls) == 1
+
+
 def test_split_flags_mismatch(capsys, fx):
     code, out, _ = run(capsys, "split", fx("ce1b"), "--split", "U=a,b", "--semantics", "g11")
     assert code == 1
@@ -422,3 +441,45 @@ def test_help_screens(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+
+SOLVE_GOLDEN = GOLDEN / "solve_fixtures.json"
+FIXTURE_NAMES = ("ab", "ce1a", "ce1b", "ce2", "college", "college3", "ka", "lamps", "pi1")
+
+
+def solve_runs() -> list[list[str]]:
+    """argv of every `elps solve` run the golden records, after the fixture
+    path: each fixture under each semantics, plain and as JSON, and with
+    unfounded certificates under the two semantics that read them."""
+    runs = [
+        ["--semantics", column.value, *flags]
+        for column in SEMANTICS_COLUMNS
+        for flags in ([], ["--json"])
+    ]
+    runs += [["--semantics", sem, "--explain-unfounded", "--json"] for sem in ("g91", "c19")]
+    return [[f"{name}.elp", *argv] for name in FIXTURE_NAMES for argv in runs]
+
+
+def solve_outputs(corpus_dir: Path) -> dict[str, list]:
+    """{argv: [exit code, stdout, stderr]}.  Each run is given the fixture's
+    full path, which the output then names by the bare file name."""
+    prefix = f"{corpus_dir}/"
+    outputs = {}
+    for argv in solve_runs():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["solve", prefix + argv[0], *argv[1:]])
+        outputs[" ".join(argv)] = [code, out.getvalue().replace(prefix, ""), err.getvalue().replace(prefix, "")]
+    return outputs
+
+
+def test_solve_matches_golden(corpus_dir):
+    assert solve_outputs(corpus_dir) == json.loads(SOLVE_GOLDEN.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    # rewrite the solve golden: PYTHONPATH=src python tests/test_cli.py
+    from elps.harness import fixtures_dir
+
+    outputs = solve_outputs(fixtures_dir())
+    SOLVE_GOLDEN.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from elps import modal
+from elps import engine, modal
 from elps import semantics as semantics_module
 from elps import splitting
 from elps.config import DEFAULT_LIMITS, SolverLimits
@@ -226,6 +226,22 @@ def test_a_top_that_does_not_read_its_bottom_is_not_simplified(sem, monkeypatch)
 
 def k_blocks(k: int) -> Program:
     return load_program("".join(f"a{i} :- not K b{i}. b{i} :- not K a{i}.\n" for i in range(k)))
+
+
+def test_c19_and_its_g91_base_split_each_part_once(monkeypatch):
+    """In a memo, a C19 solve and the G91 solve of its base views split each
+    part once between them; without one, each part of one component is
+    split by both."""
+    calls = Counter()
+    real = splitting.closed_component
+    monkeypatch.setattr(splitting, "closed_component", lambda p: calls.update([p]) or real(p))
+    with engine.solve_memo():
+        views = compute_world_views(k_blocks(4), SemanticsId.C19)
+    assert len(views) == 16 and set(calls.values()) == {1}
+    parts = set(calls)
+    calls.clear()
+    assert compute_world_views(k_blocks(4), SemanticsId.C19) == views
+    assert set(calls) == parts and max(calls.values()) == 2
 
 
 @pytest.mark.parametrize("sem", SPLITTING)

@@ -175,6 +175,15 @@ def test_matrix_build_runs_each_guess_loop_and_split_enumeration_once(monkeypatc
     assert enumerations == Counter({program: 2 for program in first_enumerations})
 
 
+def test_matrix_build_parses_each_fixture_once(monkeypatch):
+    """The fixture replay and the corpus of the matrix share one parse."""
+    parsed = Counter()
+    real = harness.load_program
+    monkeypatch.setattr(harness, "load_program", lambda text: parsed.update([text]) or real(text))
+    build_property_matrix(seed=3, count=0)
+    assert len(parsed) == len(FIXTURE_CASES) and set(parsed.values()) == {1}
+
+
 def test_foundness_column_asks_each_pair_once(monkeypatch):
     calls = Counter()
     inner = harness.is_founded

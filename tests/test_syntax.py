@@ -329,12 +329,16 @@ def test_atom_sets_match_the_walked_syntax_tree():
             assert rule.body_sub == tuple(l for l in rule.body if isinstance(l, SubjLit))
         assert program.atoms == _walked_atoms(program), str(program)
         assert program.atom_universe == _walked_atoms(program) | program.extra_atoms, str(program)
-        # the cached sets leave equality and hashing to the fields
+        # the cached sets and hash leave equality to the fields, and the hash
+        # is the one of the fields' values
+        hash(program)
         fresh = Program(tuple(Rule(r.head, r.body) for r in program.rules), program.extra_atoms)
-        assert "atom_universe" in vars(program) and "atom_universe" not in vars(fresh)
-        assert fresh == program and hash(fresh) == hash(program)
+        assert {"atom_universe", "_hash"} <= vars(program).keys()
+        assert not {"atom_universe", "_hash"} & vars(fresh).keys()
+        assert fresh == program and hash(fresh) == hash(program) == hash((program.rules, program.extra_atoms))
+        assert {program: True}.get(fresh) and {fresh: True}.get(program)
         for rule, fresh_rule in zip(program.rules, fresh.rules):
-            assert {"atoms", "objective_atoms", "body_obj", "body_sub"} <= vars(rule).keys()
+            assert {"atoms", "objective_atoms", "body_obj", "body_sub", "_hash"} <= vars(rule).keys()
             assert "atoms" not in vars(fresh_rule)
-            assert fresh_rule == rule and hash(fresh_rule) == hash(rule)
+            assert fresh_rule == rule and hash(fresh_rule) == hash(rule) == hash((rule.head, rule.body))
     assert min(seen.values()) > 10, seen
