@@ -170,11 +170,11 @@ class Rule:
         return self.head.union(l.atom for l in self.body_obj if l.atom is not None)
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.head, self.body))
+        # kept by hand: a cached_property's first read costs twice the hash
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.head, self.body))
+        return h
 
     @property
     def is_constraint(self) -> bool:
@@ -219,11 +219,10 @@ class Program:
         return self.atoms | self.extra_atoms
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.rules, self.extra_atoms))
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.rules, self.extra_atoms))
+        return h
 
 
 def atom_key(a: Atom) -> str:
