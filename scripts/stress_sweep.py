@@ -14,12 +14,11 @@ Checks, over seeded random programs:
   - guess-based world views match the brute-force oracle, and foundedness
     matches its brute-force search on K-only programs and on programs with
     M literals,
-  - stratified programs have at most one world view and the layered
-    evaluator agrees with the direct computation,
   - G91 and C19 solved component by component agree with the direct
-    whole-program guess loop on unions of 3-5 random blocks (8-12 atoms)
-    that read each other through subjective literals, beyond the reach of
-    the brute-force oracle.
+    whole-program guess loop, which shares no code with splitting: on
+    stratified programs, which have at most one world view, and on unions of
+    3-5 random blocks (8-12 atoms) that read each other through subjective
+    literals, beyond the reach of the brute-force oracle.
 
 Any violation raises with the offending program attached.
 """
@@ -51,7 +50,6 @@ from elps.splitting import (
     check_constraint_monotonicity,
     check_epistemic_splitting,
     enumerate_epistemic_splitting_sets,
-    layered_world_view,
     stratify,
 )
 from elps.syntax import Program, atom_key, eliminate_m, subsets
@@ -151,17 +149,6 @@ def main():
             same = is_founded(program, wv) == is_founded_brute(program, wv)
             check(same, program, "foundedness oracle with M", str(wv))
 
-    shape_s = GeneratorShape(n_atoms=6, max_rules=6, subjective_prob=0.5, m_prob=0.25)
-    for _ in range(args.trials):
-        program = random_stratified_program(rng, shape_s, n_layers=3)
-        stats["stratified"] += 1
-        stratify(program)
-        for semantics in (SemanticsId.G91, SemanticsId.C19):
-            unique = len(compute_world_views(program, semantics)) <= 1
-            check(unique, program, "stratified uniqueness", semantics.value)
-            layered_world_view(program, semantics)  # raises ElpError on disagreement
-
-    shape_b = GeneratorShape(max_rules=3, max_body=2, subjective_prob=0.5, m_prob=0.15, constraint_prob=0.2)
     # the references never split: C19 keeps the founded views of the
     # whole-program G91 loop (`c19_world_views` reads G91 by components)
     direct = {
@@ -170,6 +157,18 @@ def main():
             wv for wv in world_views(program, SemanticsId.G91) if is_founded(program, wv)
         ),
     }
+
+    shape_s = GeneratorShape(n_atoms=6, max_rules=6, subjective_prob=0.5, m_prob=0.25)
+    for _ in range(args.trials):
+        program = random_stratified_program(rng, shape_s, n_layers=3)
+        stats["stratified"] += 1
+        stratify(program)
+        for semantics, solve in direct.items():
+            views = compute_world_views(program, semantics)
+            check(len(views) <= 1, program, "stratified uniqueness", semantics.value)
+            check(views == solve(program), program, "stratified: components vs direct loop", semantics.value)
+
+    shape_b = GeneratorShape(max_rules=3, max_body=2, subjective_prob=0.5, m_prob=0.15, constraint_prob=0.2)
     for _ in range(args.trials):
         while True:  # at most 7 cores keep the direct loop within seconds
             sizes = [rng.randint(2, 3) for _ in range(rng.randint(3, 5))]

@@ -35,7 +35,6 @@ from .splitting import (
     enumerate_epistemic_splitting_sets,
     epistemic_solutions,
     epistemic_split,
-    layered_world_view,
     stratify,
     top_simplification,
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import resolve_limits
 from .eht import total_model_countermodels
-from .engine import REGISTRY, compute_world_views, once, solve_memo
+from .engine import REGISTRY, compute_world_views, solve_memo
 from .errors import CapacityError, ElpError
 from .foundedness import unfounded_certificate
 from .harness import PROPERTY_ROWS, SEMANTICS_COLUMNS, FixtureMismatch, build_property_matrix
@@ -26,10 +26,10 @@ from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId
 from .splitting import (
-    check_epistemic_splitting,
     enumerate_epistemic_splitting_sets,
-    epistemic_split,
     epistemic_solutions,
+    epistemic_split,
+    equation_report,
     top_simplification,
 )
 from .syntax import Program, eliminate_m, interp_key, load_program, parse_atom
@@ -123,7 +123,7 @@ def cmd_split(args) -> int:
     program = _load(args.file, args)
     if args.enumerate_splits:
         sets = sorted(
-            enumerate_epistemic_splitting_sets(program, limits),
+            enumerate_epistemic_splitting_sets(program),
             key=lambda u: (len(u), tuple(sorted(map(str, u)))),
         )
         if args.json:
@@ -138,11 +138,11 @@ def cmd_split(args) -> int:
     U = _parse_atom_set(args.split)
     split = epistemic_split(program, U, args.placement)
     with solve_memo():
-        solutions = sorted(
-            once(epistemic_solutions, program, U, semantics, args.placement, limits),
-            key=lambda s: (wv_key(s.wv_b), wv_key(s.wv_t)),
-        )
-        report = check_epistemic_splitting(program, U, semantics, args.placement, limits)
+        solutions = epistemic_solutions(program, U, semantics, args.placement, limits)
+        direct = compute_world_views(program, semantics, limits)
+    report = equation_report(
+        "epistemic_splitting", semantics, program, direct, (s.combined for s in solutions), U=U
+    )
     payload = {
         "file": args.file,
         "semantics": semantics.value,
@@ -156,7 +156,7 @@ def cmd_split(args) -> int:
                 "wv_top": s.wv_t.as_lists(),
                 "combined": s.combined.as_lists(),
             }
-            for s in solutions
+            for s in sorted(solutions, key=lambda s: (wv_key(s.wv_b), wv_key(s.wv_t)))
         ],
         "combined": report.rhs,
         "direct": report.lhs,

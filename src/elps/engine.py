@@ -22,9 +22,8 @@ program to their `direct` solver.
 `solve_memo()` opens a run memo for a `with` block; `once(fn, *args)` alone
 reads and writes it, computing `fn(*args)` once for equal arguments.  What a
 run repeats goes through `once`: `solve` (every solver reads world views
-through it), the component split, the epistemic solutions of `elps split`,
-and a matrix build's fixture parses, splitting sets and `is_founded`.
-Nothing is memoized outside such a block.
+through it), the component split, and a matrix build's fixture parses,
+splitting sets and `is_founded`.  Nothing is memoized outside such a block.
 """
 
 from __future__ import annotations

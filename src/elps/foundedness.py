@@ -15,9 +15,9 @@ fixpoint is the unique ⊆-greatest unfounded set among the eligible pairs.
 The fixpoint compiles the rules once per call (`objective.AtomBits` and
 `objective.compile_rule`): condition (1) is the compiled total reading
 (`objective._point_rules` and `objective._violated` with h the identity),
-and (2) and (4) test the `pos` and `k` masks.  Two independent brute-force
-searches validate it on small instances; they read the rule AST through
-`has_justifying_rule` and `modal_satisfies`.
+and (2) and (4) test the `pos` and `k` masks.  An independent brute-force
+search, `is_founded_brute`, validates it on small instances; it reads the
+rule AST through `has_justifying_rule` and `modal_satisfies`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
-from .errors import CapacityError
 from .modal import WorldView, modal_satisfies
 from .objective import AtomBits, Interpretation, _and_or, _point_rules, _violated, compile_rule
 from .semantics import SemanticsId, brute_world_views
@@ -123,18 +122,10 @@ def is_founded(program: Program, wv: WorldView, limits: SolverLimits = DEFAULT_L
     return not greatest_unfounded_set(program, wv, limits)
 
 
-def is_founded_brute(
-    program: Program,
-    wv: WorldView,
-    limits: SolverLimits = DEFAULT_LIMITS,
-    method: str = "union",
-) -> bool:
-    """Brute-force foundedness, independent of the fixpoint computation.
-
-    "union": guess the union Y directly; the pairs that survive w.r.t. Y form
-    an unfounded set iff their X-components cover Y exactly.
-    "subsets": literal enumeration of candidate pair sets (tiny inputs only).
-    """
+def is_founded_brute(program: Program, wv: WorldView, limits: SolverLimits = DEFAULT_LIMITS) -> bool:
+    """Brute-force foundedness, independent of the fixpoint computation:
+    guess the union Y directly; the pairs that survive w.r.t. Y form an
+    unfounded set iff their X-components cover Y exactly."""
     atoms = capped_atoms(program, limits.founded_max_atoms, "foundedness")
     eligible = [
         UnfoundedPair(x, interp)
@@ -142,27 +133,13 @@ def is_founded_brute(
         for x in subsets(atoms)
         if x & interp
     ]
-    if method == "union":
-        for y in subsets(atoms):
-            if not y:
-                continue
-            surviving = [
-                p for p in eligible if p.X <= y and not has_justifying_rule(program, wv, p, y)
-            ]
-            if surviving and frozenset().union(*(p.X for p in surviving)) == y:
-                return False
-        return True
-    if method == "subsets":
-        if len(eligible) > 16:
-            raise CapacityError(f"{len(eligible)} candidate pairs exceed the subset-search cap")
-        for chosen in subsets(eligible):
-            if not chosen:
-                continue
-            y = frozenset().union(*(p.X for p in chosen))
-            if all(not has_justifying_rule(program, wv, p, y) for p in chosen):
-                return False
-        return True
-    raise ValueError(f"unknown method {method!r}")
+    for y in subsets(atoms):
+        if not y:
+            continue
+        surviving = [p for p in eligible if p.X <= y and not has_justifying_rule(program, wv, p, y)]
+        if surviving and frozenset().union(*(p.X for p in surviving)) == y:
+            return False
+    return True
 
 
 def c19_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:

@@ -348,7 +348,7 @@ def _matrix_checks(semantics, corpus, seed, count, limits):
         )
 
     for program in [*corpus.values(), *drawn(random_epistemic_program)]:
-        split_sets = once(_checked, enumerate_epistemic_splitting_sets, program, limits)
+        split_sets = once(_checked, enumerate_epistemic_splitting_sets, program)
         if split_sets is None:
             yield "epistemic_splitting", None
         for U in sorted(split_sets or (), key=lambda u: tuple(sorted(map(str, u))))[:4]:

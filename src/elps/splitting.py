@@ -17,10 +17,10 @@ composes the world views; each part is split and solved through
 A bottom and an unsimplified top keep the program's `Rule` objects, and
 with them the atom sets already computed.
 
-Stratified programs (modal dependencies strictly decrease levels) are
-evaluated by iterated splitting: the lowest level splits off as an objective
-bottom, its stable models form its world view, and the rest is simplified
-against it before the next level splits off.
+`stratify` is the paper's stratification: levels on which modal
+dependencies strictly decrease.  By the splitting theorem a stratified
+program has at most one world view under G91 and C19, and the component
+solver reaches it without consulting the levels.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from dataclasses import asdict, dataclass, field
 
 from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
-from .errors import CapacityError, ElpError, NotAnEpistemicSplittingSet, NotStratified
+from .errors import CapacityError, NotAnEpistemicSplittingSet, NotStratified
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
-from .objective import AtomBits, Split, partition, split_solutions, stable_models
+from .objective import AtomBits, Split, partition, split_solutions
 from .semantics import SemanticsId
 from .syntax import Atom, Program, Rule, atom_key, capped_atoms
 
@@ -171,17 +171,13 @@ def component_world_views(
 SPLIT_ENUM_MAX_ATOMS = 12  # splitting-set enumeration over 2^n subsets
 
 
-def enumerate_epistemic_splitting_sets(
-    program: Program,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[frozenset[Atom]]:
+def enumerate_epistemic_splitting_sets(program: Program) -> frozenset[frozenset[Atom]]:
     """All proper non-empty U that split the program.
 
     Each rule is compiled once to two `AtomBits` masks, its atoms and its
     objective atoms (head and objective body); U splits iff every rule has
     all its atoms in U or no objective atom in U (the test of
-    `epistemic_split`).  The cap is `SPLIT_ENUM_MAX_ATOMS`; `limits` is
-    accepted like the solvers' and sets nothing here.
+    `epistemic_split`).  The cap is `SPLIT_ENUM_MAX_ATOMS`.
     """
     bits = AtomBits(capped_atoms(program, SPLIT_ENUM_MAX_ATOMS, "split-enumeration"))
     rules = {(bits.mask(r.atoms), bits.mask(r.objective_atoms)) for r in program.rules}
@@ -258,7 +254,7 @@ def check_epistemic_splitting(
         placements = (placement,)
     lhs = engine.compute_world_views(program, semantics, limits)
     for place in placements:
-        rhs = {s.combined for s in engine.once(epistemic_solutions, program, U, semantics, place, limits)}
+        rhs = {s.combined for s in epistemic_solutions(program, U, semantics, place, limits)}
         if rhs != lhs:
             break
     return equation_report("epistemic_splitting", semantics, program, lhs, rhs, seed, U)
@@ -289,14 +285,10 @@ def check_constraint_monotonicity(
 # stratification
 
 
-@dataclass
-class Stratification:
-    layers: dict[Atom, int]
-
-
-def stratify(program: Program) -> Stratification:
-    """Layer atoms so modal dependencies strictly decrease; objective
-    co-occurrence (head and objective body) groups atoms on one layer."""
+def stratify(program: Program) -> dict[Atom, int]:
+    """The level of each atom, so that modal dependencies strictly decrease;
+    objective co-occurrence (head and objective body) groups atoms on one
+    level.  NotStratified, with a witness, when no such levels exist."""
     atoms = sorted(program.atom_universe, key=atom_key)
     # each group is named by its first atom
     groups = _classes(atoms, (r.objective_atoms for r in program.rules))
@@ -329,44 +321,4 @@ def stratify(program: Program) -> Stratification:
         level[g] = value
         return value
 
-    return Stratification({a: height(name[a]) for a in atoms})
-
-
-def layered_world_view(
-    program: Program,
-    semantics: SemanticsId,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> WorldView | None:
-    """The world view of a stratified program by iterated epistemic
-    splitting, None when it has none.
-
-    Each level of the stratification splits off the rest as an objective
-    bottom (constraints on it go to the top); its stable models are its
-    world view, and the top is simplified against them.  What remains after
-    the last level are constraints without atoms.  The result is always
-    checked against the direct computation under `semantics` (ElpError if
-    they differ).
-    """
-    layers = stratify(program).layers
-    result: WorldView | None = None
-    wv = WorldView(frozenset([frozenset()]))
-    rest = program
-    for level in sorted(set(layers.values())):
-        split = epistemic_split(rest, {a for a in layers if layers[a] == level}, "top")
-        models = stable_models(split.bottom, limits)
-        if not models:
-            break
-        bottom = WorldView(models)
-        wv, rest = combine(wv, bottom), top_simplification(split, bottom)
-    else:
-        if stable_models(rest, limits):
-            result = wv
-
-    direct = engine.compute_world_views(program, semantics, limits)
-    expected = frozenset() if result is None else frozenset([result])
-    if direct != expected:
-        raise ElpError(
-            f"layered evaluation disagrees with {semantics}: "
-            f"layered={world_views_to_json(expected)} direct={world_views_to_json(direct)}"
-        )
-    return result
+    return {a: height(name[a]) for a in atoms}

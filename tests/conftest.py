@@ -5,8 +5,12 @@ import pytest
 
 from elps import semantics
 from elps.config import DEFAULT_LIMITS
+from elps.engine import compute_world_views
+from elps.foundedness import is_founded
 from elps.harness import fixtures_dir, load_fixture
 from elps.modal import WorldView, world_views_to_json
+from elps.semantics import SemanticsId
+from elps.splitting import stratify
 from elps.syntax import parse_atom
 
 
@@ -47,3 +51,35 @@ def guess_loops(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(module, attr, world_views)
     return counts
+
+
+def _whole_g91(program, limits=DEFAULT_LIMITS):
+    return semantics.world_views(program, SemanticsId.G91, limits)
+
+
+@pytest.fixture(scope="session")
+def whole_program():
+    """References for g91 and c19 that never split: the guess loop on the
+    whole program.  C19's founded views are read off that loop, not off
+    `c19_world_views`, whose G91 base goes by components."""
+    return {
+        SemanticsId.G91: _whole_g91,
+        SemanticsId.C19: lambda program, limits=DEFAULT_LIMITS: frozenset(
+            wv for wv in _whole_g91(program, limits) if is_founded(program, wv, limits)
+        ),
+    }
+
+
+@pytest.fixture(scope="session")
+def stratified_world_views(whole_program):
+    """The world views of a stratified program under g91 or c19, checked
+    against the whole-program loop.  By the paper's corollary to epistemic
+    splitting there is at most one."""
+
+    def check(program, sem):
+        stratify(program)  # NotStratified otherwise
+        views = compute_world_views(program, sem)
+        assert len(views) <= 1 and views == whole_program[sem](program), (sem, str(program))
+        return views
+
+    return check

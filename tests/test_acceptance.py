@@ -37,8 +37,6 @@ from elps.splitting import (
     check_constraint_monotonicity,
     check_epistemic_splitting,
     enumerate_epistemic_splitting_sets,
-    layered_world_view,
-    stratify,
 )
 from elps.syntax import parse_atom, parse_program, parse_rule
 
@@ -110,19 +108,16 @@ def test_criterion_4_self_support():
         assert UnfoundedPair(frozenset([a]), frozenset([a])) in certificate
 
 
-def test_criterion_5_college(corpus):
-    with criterion(5, "college example direct + layered", 1.0):
+def test_criterion_5_college(corpus, stratified_world_views):
+    with criterion(5, "college example by components + whole program", 1.0):
         expected2 = wv_of("fair(mike) interview(mike)",
                           "high(mike) eligible(mike) interview(mike)")
         appointment = parse_atom("appointment(mike)")
         for semantics in (SemanticsId.G91, SemanticsId.C19):
-            direct2 = compute_world_views(corpus["college"], semantics)
-            assert direct2 == {expected2}
-            assert layered_world_view(corpus["college"], semantics) == expected2
-            (direct3,) = compute_world_views(corpus["college3"], semantics)
+            assert stratified_world_views(corpus["college"], semantics) == {expected2}
+            (direct3,) = stratified_world_views(corpus["college3"], semantics)
             assert all(appointment in i for i in direct3.interps)
             assert len(direct3) == 2
-            assert layered_world_view(corpus["college3"], semantics) == direct3
 
 
 def test_criterion_6_objective_splitting():
@@ -190,18 +185,14 @@ def test_criterion_8_oracle_equivalence():
                 assert compute_world_views(program, semantics) == brute_force_world_views(program, semantics)
 
 
-def test_criterion_9_stratified_uniqueness():
-    with criterion(9, "stratified uniqueness + layered evaluation", 60.0):
+def test_criterion_9_stratified_uniqueness(stratified_world_views):
+    with criterion(9, "stratified uniqueness, by components + whole program", 60.0):
         rng = random.Random(2028)
         shape = GeneratorShape(n_atoms=5, max_rules=5, subjective_prob=0.5, m_prob=0.2)
         for _ in range(200):
             program = random_stratified_program(rng, shape)
-            stratify(program)
             for semantics in (SemanticsId.G91, SemanticsId.C19):
-                direct = compute_world_views(program, semantics)
-                assert len(direct) <= 1, str(program)
-                layered = layered_world_view(program, semantics)  # asserts equality itself
-                assert (frozenset([layered]) if layered else frozenset()) == direct
+                stratified_world_views(program, semantics)  # asserts at most one, as the whole program
 
 
 def test_criterion_10_property_matrix():

@@ -1,6 +1,6 @@
 """The component-by-component solver of g91 and c19 against the direct
-whole-program guess loop, and against the brute-force oracle on small
-programs.
+whole-program guess loop (the `whole_program` fixture), and against the
+brute-force oracle on small programs.
 
 Criterion 7 checks epistemic splitting with the component solver on both
 sides of the equation; this differential test keeps its verdicts resting on
@@ -16,10 +16,9 @@ import pytest
 from elps import engine, modal
 from elps import semantics as semantics_module
 from elps import splitting
-from elps.config import DEFAULT_LIMITS, SolverLimits
+from elps.config import SolverLimits
 from elps.engine import REGISTRY, brute_force_world_views, compute_world_views
 from elps.errors import CapacityError
-from elps.foundedness import is_founded
 from elps.generators import (
     GeneratorShape,
     random_block,
@@ -28,33 +27,18 @@ from elps.generators import (
     random_subjective_constraint,
 )
 from elps.modal import WorldView
-from elps.semantics import SemanticsId, subjective_cores, world_views
+from elps.semantics import SemanticsId, subjective_cores
 from elps.splitting import closed_component, combine, component_world_views
 from elps.syntax import Atom, Program, load_program, parse_program, parse_rule
 
 SPLITTING = (SemanticsId.G91, SemanticsId.C19)
-
-
-def _whole_g91(program: Program, limits: SolverLimits = DEFAULT_LIMITS):
-    return world_views(program, SemanticsId.G91, limits)
-
-
-# references that never split: C19's founded views are read off the G91 guess
-# loop on the whole program, not off `c19_world_views`, whose G91 base goes
-# by components
-DIRECT = {
-    SemanticsId.G91: _whole_g91,
-    SemanticsId.C19: lambda program, limits=DEFAULT_LIMITS: frozenset(
-        wv for wv in _whole_g91(program, limits) if is_founded(program, wv, limits)
-    ),
-}
 BRUTE_MAX_ATOMS = 3  # the oracle walks 2^(2^n) candidates: about 5 s a program at 4 atoms
 
 
-def assert_same_as_direct(program: Program) -> None:
+def assert_same_as_direct(program: Program, whole_program) -> None:
     for sem in SPLITTING:
         views = compute_world_views(program, sem)
-        assert views == DIRECT[sem](program), (sem, str(program))
+        assert views == whole_program[sem](program), (sem, str(program))
         if len(program.atom_universe) <= BRUTE_MAX_ATOMS:
             assert views == brute_force_world_views(program, sem), (sem, str(program))
 
@@ -73,18 +57,18 @@ def test_registry_routes_splitting_semantics_by_components(monkeypatch):
     assert calls == [program]  # no splitting claim: the whole program at once
 
 
-def test_random_programs_at_the_matrix_shape():
+def test_random_programs_at_the_matrix_shape(whole_program):
     rng = random.Random(4242)
     for sem in SPLITTING:
         for _ in range(150):
-            assert_same_as_direct(random_epistemic_program(rng, REGISTRY[sem].shape))
+            assert_same_as_direct(random_epistemic_program(rng, REGISTRY[sem].shape), whole_program)
 
 
-def test_criterion_7_sample():
+def test_criterion_7_sample(whole_program):
     rng = random.Random(2026)
     shape = GeneratorShape(n_atoms=4, max_rules=5, subjective_prob=0.45, m_prob=0.2)
     for _ in range(500):
-        assert_same_as_direct(random_epistemic_program(rng, shape))
+        assert_same_as_direct(random_epistemic_program(rng, shape), whole_program)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +119,7 @@ def direct_solves(monkeypatch, sem) -> list[Program]:
     return calls
 
 
-def test_unions_of_random_blocks(monkeypatch):
+def test_unions_of_random_blocks(monkeypatch, whole_program):
     splits = []  # per split: whether it is independent, None for no split
 
     def recorded(program: Program):
@@ -152,7 +136,7 @@ def test_unions_of_random_blocks(monkeypatch):
     for n in range(240):
         splits.clear()
         program = random_union(rng, cross=n % 2 == 0)
-        assert_same_as_direct(program)
+        assert_same_as_direct(program, whole_program)
         seen["independent split"] += True in splits
         seen["dependent split"] += False in splits
         has_views = bool(compute_world_views(program, SemanticsId.G91))
@@ -186,25 +170,25 @@ def test_disjoint_blocks_are_solved_once_each(monkeypatch):
 
 
 @pytest.mark.parametrize("sem", SPLITTING)
-def test_constraints_on_the_bottom_prune_it_before_the_top_is_solved(sem, monkeypatch):
+def test_constraints_on_the_bottom_prune_it_before_the_top_is_solved(sem, monkeypatch, whole_program):
     """`:- not K a` mentions only the bottom {a, b}, so it stays there and
     drops the view [[b]]; the top `c :- K a` is solved for [[a]] alone."""
     program = parse_program("a :- not K b. b :- not K a. :- not K a. c :- K a.")
     calls = direct_solves(monkeypatch, sem)
     views = component_world_views(program, sem)
-    assert views == DIRECT[sem](program) == {WorldView.of([{Atom("a"), Atom("c")}])}
+    assert views == whole_program[sem](program) == {WorldView.of([{Atom("a"), Atom("c")}])}
     assert [len(p.rules) for p in calls] == [3, 1]
 
 
 @pytest.mark.parametrize("sem", SPLITTING)
-def test_equal_simplified_tops_are_solved_once(sem, monkeypatch):
+def test_equal_simplified_tops_are_solved_once(sem, monkeypatch, whole_program):
     """Both bottom views [[a, e]] and [[b, e]] make K e true, so the top
     `c :- K e` simplifies to the same program under each: one direct solve
     for the bottom {a, b, e} and one for that top."""
     program = parse_program("a :- not K b. b :- not K a. e :- a. e :- b. c :- K e.")
     calls = direct_solves(monkeypatch, sem)
     views = component_world_views(program, sem)
-    assert views == DIRECT[sem](program) and len(views) == 2
+    assert views == whole_program[sem](program) and len(views) == 2
     assert [len(p.rules) for p in calls] == [4, 1]
 
 
@@ -245,11 +229,11 @@ def test_c19_and_its_g91_base_split_each_part_once(monkeypatch):
 
 
 @pytest.mark.parametrize("sem", SPLITTING)
-def test_eight_blocks_under_default_caps(sem):
+def test_eight_blocks_under_default_caps(sem, whole_program):
     """16 cores are past the whole-program guess cap of 4096; per block there are 2."""
     views = compute_world_views(k_blocks(8), sem)
     blocks = [load_program(f"a{i} :- not K b{i}. b{i} :- not K a{i}.\n") for i in range(8)]
-    assert len(views) == 256 and views == product(DIRECT[sem](b) for b in blocks)
+    assert len(views) == 256 and views == product(whole_program[sem](b) for b in blocks)
 
 
 @pytest.mark.parametrize("sem", SPLITTING)

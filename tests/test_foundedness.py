@@ -19,7 +19,7 @@ from elps.generators import GeneratorShape, random_epistemic_program, random_obj
 from elps.modal import WorldView
 from elps.objective import stable_models
 from elps.semantics import SemanticsId, world_views
-from elps.syntax import Atom, parse_atom, parse_program, parse_rule, subsets
+from elps.syntax import Atom, atom_key, parse_atom, parse_program, parse_rule, subsets
 
 A, B = Atom("a"), Atom("b")
 KA = parse_program("a :- K a.")
@@ -144,6 +144,20 @@ def test_brute_force_agreement_union_method():
             assert is_founded(program, wv) == is_founded_brute(program, wv), str(program)
 
 
+def _founded_by_pair_sets(program, wv):
+    """Foundedness by the definition: no non-empty set of eligible pairs is
+    unfounded w.r.t. the union Y of its X-components.  None past 16 pairs."""
+    atoms = sorted(program.atom_universe, key=atom_key)
+    eligible = [UnfoundedPair(x, i) for i in wv.sorted_interps for x in subsets(atoms) if x & i]
+    if len(eligible) > 16:
+        return None
+    for chosen in subsets(eligible):
+        y = frozenset().union(*(p.X for p in chosen))
+        if chosen and all(not has_justifying_rule(program, wv, p, y) for p in chosen):
+            return False
+    return True
+
+
 def test_brute_force_agreement_subset_method():
     rng = random.Random(53)
     shape = GeneratorShape(n_atoms=2, max_rules=3, subjective_prob=0.5)
@@ -151,9 +165,8 @@ def test_brute_force_agreement_subset_method():
     for _ in range(50):
         program = random_epistemic_program(rng, shape)
         for wv in world_views(program, SemanticsId.G91):
-            try:
-                literal = is_founded_brute(program, wv, method="subsets")
-            except CapacityError:
+            literal = _founded_by_pair_sets(program, wv)
+            if literal is None:
                 continue
             checked += 1
             assert is_founded(program, wv) == literal, str(program)

@@ -157,9 +157,9 @@ def test_matrix_build_runs_each_guess_loop_and_split_enumeration_once(monkeypatc
     enumerations = Counter()
     real = harness.enumerate_epistemic_splitting_sets
 
-    def enumerate_epistemic_splitting_sets(program, limits=DEFAULT_LIMITS):
+    def enumerate_epistemic_splitting_sets(program):
         enumerations[program] += 1
-        return real(program, limits)
+        return real(program)
 
     monkeypatch.setattr(harness, "enumerate_epistemic_splitting_sets", enumerate_epistemic_splitting_sets)
     build_property_matrix(seed=3, count=2)
@@ -173,6 +173,25 @@ def test_matrix_build_runs_each_guess_loop_and_split_enumeration_once(monkeypatc
     build_property_matrix(seed=3, count=2)  # nothing kept between builds
     assert guess_loops == Counter({key: 2 for key in first_loops})
     assert enumerations == Counter({program: 2 for program in first_enumerations})
+
+
+def test_matrix_build_does_not_memoize_epistemic_solutions(monkeypatch):
+    """A splitting check composes its solutions and no other check asks for
+    them, so they stay out of the run memo."""
+    asked = Counter()
+    real = engine.once
+
+    def once(fn, *args):
+        asked[fn.__name__] += 1
+        return real(fn, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "elps" or name.startswith("elps."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, once)
+    build_property_matrix(count=1)
+    assert asked["_solve"] and asked["epistemic_solutions"] == 0
 
 
 def test_matrix_build_parses_each_fixture_once(monkeypatch):

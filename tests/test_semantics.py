@@ -178,19 +178,6 @@ def test_guess_capacity():
         world_views(program, SemanticsId.G91, SolverLimits(max_guesses=4))
 
 
-def test_oracle_equivalence_randomized():
-    rng = random.Random(41)
-    shape = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5)
-    for _ in range(60):
-        program = random_epistemic_program(rng, shape)
-        for semantics in (SemanticsId.G91, SemanticsId.G11, SemanticsId.K15):
-            assert world_views(program, semantics) == brute_force_world_views(program, semantics), (
-                str(program),
-                semantics,
-            )
-        assert s17_world_views(program) == brute_force_world_views(program, SemanticsId.S17)
-
-
 def test_g91_brute_force_handles_m():
     rng = random.Random(42)
     shape = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.5)

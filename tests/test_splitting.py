@@ -20,7 +20,6 @@ from elps.splitting import (
     enumerate_epistemic_splitting_sets,
     epistemic_solutions,
     epistemic_split,
-    layered_world_view,
     stratify,
     top_simplification,
 )
@@ -159,13 +158,13 @@ def test_check_constraint_monotonicity_examples():
 
 
 def test_stratify_college3(corpus):
-    strat = stratify(corpus["college3"])
+    layers = stratify(corpus["college3"])
     interview = parse_atom("interview(mike)")
     appointment = parse_atom("appointment(mike)")
     base = [parse_atom(t) for t in "high(mike) fair(mike) minority(mike) eligible(mike)".split()]
-    assert {strat.layers[a] for a in base} == {0}
-    assert strat.layers[interview] == 1
-    assert strat.layers[appointment] == 2
+    assert {layers[a] for a in base} == {0}
+    assert layers[interview] == 1
+    assert layers[appointment] == 2
 
 
 def test_stratify_self_loop_fails():
@@ -179,11 +178,10 @@ def test_stratify_modal_cycle_fails():
 
 
 def test_stratify_objective_program_single_layer():
-    strat = stratify(parse_program("a :- not b. c | d :- a."))
-    assert set(strat.layers.values()) == {0}
+    assert set(stratify(parse_program("a :- not b. c | d :- a.")).values()) == {0}
 
 
-def test_layered_world_view_college(corpus):
+def test_stratified_world_view_college(corpus, stratified_world_views):
     expected3 = wv_of(
         "appointment(mike) eligible(mike) high(mike) interview(mike)",
         "appointment(mike) fair(mike) interview(mike)",
@@ -192,13 +190,14 @@ def test_layered_world_view_college(corpus):
         "fair(mike) interview(mike)", "high(mike) eligible(mike) interview(mike)"
     )
     for semantics in (SemanticsId.G91, SemanticsId.C19):
-        assert layered_world_view(corpus["college3"], semantics) == expected3
-        assert layered_world_view(corpus["college"], semantics) == expected2
+        assert stratified_world_views(corpus["college3"], semantics) == {expected3}
+        assert stratified_world_views(corpus["college"], semantics) == {expected2}
 
 
-def test_layered_world_view_failing_bottom():
+def test_stratified_world_view_failing_bottom(stratified_world_views):
     program = parse_program("a :- not a. b :- K a.")
-    assert layered_world_view(program, SemanticsId.G91) is None
+    for semantics in (SemanticsId.G91, SemanticsId.C19):
+        assert stratified_world_views(program, semantics) == frozenset()
 
 
 @pytest.mark.parametrize(
@@ -211,17 +210,21 @@ def test_layered_world_view_failing_bottom():
         ("a | b. c :- K a. :- not K c.", None),
     ],
 )
-def test_layered_world_view_edge_cases(text, expected):
+def test_stratified_world_view_edge_cases(text, expected, stratified_world_views):
     program = parse_program(text)
     wv = None if expected is None else WorldView.of([Atom(x) for x in interp] for interp in expected)
     for semantics in (SemanticsId.G91, SemanticsId.C19):
-        assert compute_world_views(program, semantics) == (set() if wv is None else {wv})
-        assert layered_world_view(program, semantics) == wv
+        assert stratified_world_views(program, semantics) == (set() if wv is None else {wv})
 
 
-def test_layered_requires_stratified():
+def test_layered_requires_stratified(whole_program):
+    """The corollary's hypothesis is needed: `a :- K a` has no levels and two
+    G91 world views."""
+    program = parse_program("a :- K a.")
     with pytest.raises(NotStratified):
-        layered_world_view(parse_program("a :- K a."), SemanticsId.G91)
+        stratify(program)
+    views = compute_world_views(program, SemanticsId.G91)
+    assert views == whole_program[SemanticsId.G91](program) == {wv_of(""), wv_of("a")}
 
 
 def test_enumerate_epistemic_splitting_sets_examples():
@@ -322,7 +325,7 @@ def test_g91_c19_satisfy_epistemic_splitting_randomized():
     assert checked >= 40
 
 
-def test_stratified_uniqueness_randomized():
+def test_stratified_uniqueness_randomized(stratified_world_views):
     rng = random.Random(74)
     shape = GeneratorShape(n_atoms=5, max_rules=5, subjective_prob=0.5, m_prob=0.2)
     programs = [random_stratified_program(rng, shape) for _ in range(50)]
@@ -340,13 +343,9 @@ def test_stratified_uniqueness_randomized():
         constrained += bool(extra)
         programs.append(Program.of(program.rules + tuple(extra)))
     assert constrained >= 40
-    for program in programs:
-        stratify(program)  # generator guarantees stratifiability
+    for program in programs:  # the generator guarantees stratifiability
         for semantics in (SemanticsId.G91, SemanticsId.C19):
-            direct = compute_world_views(program, semantics)
-            assert len(direct) <= 1, str(program)
-            layered = layered_world_view(program, semantics)  # asserts agreement
-            assert (layered is None) == (not direct)
+            stratified_world_views(program, semantics)
 
 
 def test_stratified_generator_reads_constraint_prob():
