@@ -11,14 +11,18 @@ Checks, over seeded random programs:
     h(I) ⊆ I at each point; the equilibria found among the per-signature
     stable points are those of the total models, at 3 atoms and on a few
     4-atom programs under the raised EHT cap,
-  - guess-based world views match the brute-force oracle, and foundedness
-    matches its brute-force search on K-only programs and on programs with
-    M literals,
+  - guess-based world views match the brute-force oracle, also under G91 and
+    C19 on programs whose rules carry 2-3 subjective literals (where many
+    guesses share one reduct), and foundedness matches its brute-force search
+    on K-only programs and on programs with M literals,
   - G91 and C19 solved component by component agree with the direct
     whole-program guess loop, which shares no code with splitting: on
     stratified programs, which have at most one world view, and on unions of
     3-5 random blocks (8-12 atoms) that read each other through subjective
-    literals, beyond the reach of the brute-force oracle.
+    literals, beyond the reach of the brute-force oracle,
+  - the ring `a_i :- not K not a_i, not K a_{i+1}.` for k = 4..7, in a
+    shuffled rule order, has under G91 and C19 exactly the singleton views
+    [I] for I an independent set of the cycle C_k (its closed form).
 
 Any violation raises with the offending program attached.
 """
@@ -43,7 +47,7 @@ from elps.generators import (
     random_stratified_program,
     random_subjective_constraint,
 )
-from elps.modal import candidate_world_views, is_s5_model
+from elps.modal import WorldView, candidate_world_views, is_s5_model
 from elps.objective import classical_satisfies
 from elps.semantics import SemanticsId, s17_world_views, subjective_cores, world_views
 from elps.splitting import (
@@ -52,7 +56,7 @@ from elps.splitting import (
     enumerate_epistemic_splitting_sets,
     stratify,
 )
-from elps.syntax import Program, atom_key, eliminate_m, subsets
+from elps.syntax import Atom, Program, atom_key, eliminate_m, parse_program, subsets
 
 
 def check(ok: bool, program, *context) -> None:
@@ -69,7 +73,7 @@ def main():
 
     rng = random.Random(args.seed)
     t0 = time.time()
-    stats = {"mixed": 0, "splitting": 0, "scm": 0, "f15": 0, "oracle": 0, "stratified": 0, "split": 0}
+    stats = dict.fromkeys(("mixed", "splitting", "scm", "f15", "oracle", "stratified", "split", "ring"), 0)
 
     shape4 = GeneratorShape(n_atoms=4, max_rules=5, subjective_prob=0.5, m_prob=0.25)
     for _ in range(args.trials):
@@ -140,6 +144,18 @@ def main():
             same = is_founded(program, wv) == is_founded_brute(program, wv)
             check(same, program, "foundedness oracle", str(wv))
 
+    # 2-3 subjective literals per rule: many guesses keep the same rules,
+    # so the G91 loop searches once for many guesses
+    shape_many = GeneratorShape(
+        n_atoms=3, max_rules=3, max_body=3, subjective_prob=0.5, m_prob=0.2, min_subjective=2
+    )
+    for _ in range(args.trials):
+        program = random_epistemic_program(rng, shape_many)
+        stats["oracle"] += 1
+        for semantics in (SemanticsId.G91, SemanticsId.C19):
+            same = compute_world_views(program, semantics) == brute_force_world_views(program, semantics)
+            check(same, program, "oracle, 2-3 subjective literals per rule", semantics.value)
+
     # the fixpoint reads `M a`, `not M` and `K not a` through masks
     shape_m = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.3)
     for _ in range(args.trials):
@@ -180,6 +196,21 @@ def main():
         for semantics, solve in direct.items():
             same = compute_world_views(program, semantics) == solve(program)
             check(same, program, "components vs direct loop", semantics.value)
+
+    # 2k cores in one component: 4^k guesses, 2^k distinct G91 reducts
+    for k in range(4, 8):
+        rules = [f"a{i} :- not K not a{i}, not K a{(i + 1) % k}." for i in range(k)]
+        rng.shuffle(rules)
+        program = parse_program(" ".join(rules))
+        independent = [
+            s for s in range(1 << k) if not any(s >> i & 1 and s >> (i + 1) % k & 1 for i in range(k))
+        ]
+        expected = {WorldView.of([[Atom(f"a{i}") for i in range(k) if s >> i & 1]]) for s in independent}
+        limits = SolverLimits(max_guesses=1 << (2 * k))
+        stats["ring"] += 1
+        for semantics in (SemanticsId.G91, SemanticsId.C19):
+            same = compute_world_views(program, semantics, limits) == expected
+            check(same, program, "ring closed form", k, semantics.value)
 
     print(f"stress sweep clean: {stats} in {time.time() - t0:.1f}s (seed={args.seed})")
 

@@ -2,9 +2,10 @@
 
 The solver is a desk-scale oracle: every enumeration is bounded and refuses
 (with CapacityError) instead of running away.  `SolverLimits` holds the caps
-a caller may set; the two that none sets are constants beside their one use,
-`semantics.BRUTE_MAX_ATOMS` (4, the brute-force oracles) and
-`splitting.SPLIT_ENUM_MAX_ATOMS` (12, splitting-set enumeration).
+a caller may set; the three that none sets are constants beside their one
+use, `semantics.BRUTE_MAX_ATOMS` (4, the brute-force oracles),
+`splitting.SPLIT_ENUM_MAX_ATOMS` (12, splitting-set enumeration) and
+`syntax.GROUND_MAX_RULES` (10,000 rule instances, grounding).
 """
 
 from __future__ import annotations

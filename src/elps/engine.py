@@ -15,9 +15,12 @@ semantics marked `splitting` (g91 and c19) it decomposes before it guesses:
 `splitting.component_world_views` runs the semantics' `direct`
 whole-program solver on one closed component at a time (a top once per
 distinct simplification) and pairs the world views by `split_solutions`,
-exact by the epistemic splitting theorem.  The other semantics fail
-splitting on the paper's counterexamples, so `solve` gives the whole
-program to their `direct` solver.
+exact by the epistemic splitting theorem.  On a component that does not
+split further the G91 guess loop searches stable models once per distinct
+compiled reduct (the key of `semantics.world_views`), which C19 inherits
+through its G91 base.  The other semantics fail splitting on the paper's
+counterexamples, so `solve` gives the whole program to their `direct`
+solver, where each guess gets its own search.
 
 `solve_memo()` opens a run memo for a `with` block; `once(fn, *args)` alone
 reads and writes it, computing `fn(*args)` once for equal arguments.  What a

@@ -20,6 +20,7 @@ class GeneratorShape:
     subjective_prob: float = 0.4  # body literal is subjective
     m_prob: float = 0.0           # modality is M instead of K
     constraint_prob: float = 0.15
+    min_subjective: int = 0       # subjective literals added to each rule that has fewer
 
 
 _POOL = tuple(Atom(name) for name in "abcdefgh")
@@ -61,6 +62,9 @@ def _rule(rng: random.Random, atoms, shape: GeneratorShape, modal_atoms=()) -> R
             body.append(_subjective_literal(rng, modal_atoms, shape))
         else:
             body.append(_objective_literal(rng, atoms, shape))
+    if modal_atoms:
+        for _ in range(shape.min_subjective - sum(isinstance(l, SubjLit) for l in body)):
+            body.append(_subjective_literal(rng, modal_atoms, shape))
     if not head and not body:
         body.append(_objective_literal(rng, atoms, shape))
     return Rule(head, tuple(body))

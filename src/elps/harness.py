@@ -148,7 +148,8 @@ FIXTURE_CASES: tuple[FixtureCase, ...] = (
             SemanticsId.C19: _COLLEGE_WV,
             SemanticsId.F15: "skip",  # 8 atoms exceed the EHT cap
         },
-        "hand-derived two-belief-set world view; matches layered evaluation",
+        "hand-derived two-belief-set world view; "
+        "matches the component solver and the whole-program guess loop",
     ),
     FixtureCase(
         "college3",

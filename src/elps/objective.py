@@ -15,13 +15,16 @@ interpretation over the atom universe is checked to be a ⊆-minimal model of
 the reduct.  Minimality only needs to look at proper subsets of the candidate
 (a smaller incomparable model never witnesses non-minimality), which cuts the
 search from 4^n to 2^n·2^|I|.  A second, set-based implementation path is kept
-around as an independent oracle.
+around as an independent oracle.  `stable_models` is `compile_objective` (the
+atom cap and the masks of the live rules) followed by that walk; the G91
+guess loop keys its searches by the compiled form, since equal forms have
+equal stable models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import NotASplittingSet, NotObjectiveError
@@ -178,12 +181,19 @@ def _violated(rules, here: int, h_and: int, h_or: int) -> bool:
     )
 
 
-def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:
-    """All ⊆-minimal models I of the reduct w.r.t. I, over the atom universe.
+class ObjectiveMasks(NamedTuple):
+    """An objective program as the stable-model walk reads it: its atoms in
+    canonical order (bit i stands for `atoms[i]`) and the (head, pos, not1,
+    not2) masks of its live rules, in rule order.  Programs with equal masks
+    have equal stable models."""
 
-    A compiled rule survives the reduct for candidate mask m iff it is not
-    dead, m & not1 == 0 and m & not2 == not2; its reduct is then head <- pos.
-    """
+    atoms: tuple[Atom, ...]
+    rules: tuple[tuple[int, int, int, int], ...]
+
+
+def compile_objective(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> ObjectiveMasks:
+    """The masks of an objective program; CapacityError past the atom cap,
+    NotObjectiveError on a subjective literal."""
     bits = AtomBits(capped_atoms(program, limits.max_atoms, "exhaustive-search"))
     compiled = []
     for rule in program.rules:
@@ -193,11 +203,21 @@ def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> fr
             raise NotObjectiveError(f"subjective literal {lit} in stable-model search")
         if not dead:
             compiled.append((head, pos, not1, not2))
+    return ObjectiveMasks(bits.atoms, tuple(compiled))
+
+
+def _stable_masks(masks: ObjectiveMasks) -> frozenset[Interpretation]:
+    """All ⊆-minimal models I of the reduct w.r.t. I, over the atoms.
+
+    A compiled rule survives the reduct for candidate mask m iff m & not1 == 0
+    and m & not2 == not2; its reduct is then head <- pos.
+    """
+    atoms, rules = masks
     models = []
-    for m in range(1 << len(bits.atoms)):
+    for m in range(1 << len(atoms)):
         reduct = [
             (head, pos)
-            for (head, pos, not1, not2) in compiled
+            for (head, pos, not1, not2) in rules
             if not (m & not1) and (m & not2) == not2
         ]
         if any((m & pos) == pos and not (m & head) for head, pos in reduct):
@@ -214,8 +234,13 @@ def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> fr
                     break
                 sub = (sub - 1) & m
         if minimal:
-            models.append(bits.interp(m))
+            models.append(frozenset(a for i, a in enumerate(atoms) if m >> i & 1))
     return frozenset(models)
+
+
+def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:
+    """All stable models of an objective program over its atom universe."""
+    return _stable_masks(compile_objective(program, limits))
 
 
 def stable_models_ref(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:

@@ -8,6 +8,13 @@ the reducts only depend on whether the candidate world view satisfies each
 core.  Verification always re-evaluates every core against the computed
 world view; the K-implies-M pruning is an optimisation on top.
 
+Under G91 the stable models are searched once per distinct reduct, keyed by
+its compiled form (`objective.compile_objective`).  The argument: a G91
+guess only keeps or deletes rules, since each subjective literal becomes ⊤
+or ⊥; equal compiled reducts have equal stable models, so equal world views
+and equal core values; and a guess is accepted iff it equals those core
+values, so the only guess a key can accept is its own core valuation.
+
 The brute-force oracles enumerate candidate world views directly against the
 defining fixpoint (no guessing) and are the provenance source for the
 randomized differential tests.
@@ -22,7 +29,7 @@ from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError, UnsupportedMLiteral
 from .modal import WorldView, candidate_world_views, modal_satisfies, subjective_reduct
-from .objective import stable_models
+from .objective import ObjectiveMasks, compile_objective, stable_models
 from .syntax import (
     BOT,
     TOP,
@@ -130,12 +137,37 @@ def _consistent(guess: dict[SubjLit, bool]) -> bool:
     return True
 
 
+def _g91_view(reduct: Program, cores, limits: SolverLimits) -> tuple[WorldView | None, int]:
+    """The world view of the reduct's stable models (None if it has none),
+    with the guess that view makes true: bit i set iff it satisfies cores[i].
+    The one guess of a G91 key that can be accepted is that one."""
+    models = stable_models(reduct, limits)
+    if not models:
+        return None, -1
+    wv = WorldView(models)
+    return wv, sum(1 << i for i, core in enumerate(cores) if modal_satisfies(wv, frozenset(), core))
+
+
 def world_views(
     program: Program,
     semantics: SemanticsId,
     limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
-    """Guess-and-check world views for the reduct-based semantics."""
+    """Guess-and-check world views for the reduct-based semantics: a guess is
+    accepted iff its reduct has stable models and their world view makes
+    exactly the guessed cores true.
+
+    Under G91 a guess only keeps or deletes rules: each subjective literal
+    becomes ⊤ or ⊥, so the reduct is the objective part of the kept rules,
+    and many guesses share one.  The stable models and the core values of
+    their world view are computed once per distinct `compile_objective` form
+    of the reduct (equal forms have equal stable models), in a dict local to
+    the call.  A form's world view makes one guess true, its own core
+    valuation, and that is the only guess with this form that can be
+    accepted; every other guess with it is rejected without a search.  Each
+    guess still gets its reduct built.  Under G11 and K15 a true `K l`
+    becomes `l`, so each guess gets its own search, and its check stops at
+    the first core whose value differs from the guess."""
     if semantics not in _REDUCT_SEMANTICS:
         raise ValueError(f"world_views handles G91/G11/K15, not {semantics}")
     cores = subjective_cores(program)
@@ -143,12 +175,22 @@ def world_views(
         raise CapacityError(
             f"{len(cores)} subjective cores exceed the guess cap of {limits.max_guesses}"
         )
+    # G91 only: compiled reduct -> (its world view or None, that view's guess)
+    views: dict[ObjectiveMasks, tuple[WorldView | None, int]] = {}
     accepted = set()
     for bits in range(1 << len(cores)):
         guess = {core: bool(bits & (1 << i)) for i, core in enumerate(cores)}
         if not _consistent(guess):
             continue
         reduct = semantics_reduct(program, guess, semantics)
+        if semantics is SemanticsId.G91:
+            key = compile_objective(reduct, limits)
+            if key not in views:
+                views[key] = _g91_view(reduct, cores, limits)
+            wv, own = views[key]
+            if own == bits:
+                accepted.add(wv)
+            continue
         models = stable_models(reduct, limits)
         if not models:
             continue

@@ -470,12 +470,22 @@ def _substitute_rule(rule: Rule, binding: dict[str, str]) -> Rule:
     return Rule(head, tuple(sub_lit(l) for l in rule.body))
 
 
+GROUND_MAX_RULES = 10_000  # rule instances `ground` may build, Σ |constants|^|variables|
+
+
 def ground(program: Program) -> Program:
-    """Full Herbrand instantiation: each variable ranges over every constant."""
+    """Full Herbrand instantiation: each variable ranges over every constant.
+    The instance count is checked before any is built: CapacityError past
+    `GROUND_MAX_RULES`."""
     constants = sorted({t for a in program.atom_universe for t in a.args if not is_variable(t)})
+    variables_of = [_rule_variables(rule) for rule in program.rules]
+    count = sum(len(constants) ** len(variables) for variables in variables_of)
+    if count > GROUND_MAX_RULES:
+        raise CapacityError(
+            f"grounding makes {count} rule instances, over the grounding cap of {GROUND_MAX_RULES}"
+        )
     rules: list[Rule] = []
-    for rule in program.rules:
-        variables = _rule_variables(rule)
+    for rule, variables in zip(program.rules, variables_of):
         if not variables:
             rules.append(rule)
             continue

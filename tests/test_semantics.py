@@ -235,3 +235,57 @@ def test_brute_force_objective_fact():
     assert brute_force_world_views(program, SemanticsId.G91) == {wv_of("a")}
     for semantics in (SemanticsId.G11, SemanticsId.K15, SemanticsId.S17, SemanticsId.C19):
         assert brute_force_world_views(program, semantics) == {wv_of("a")}
+
+
+def ring(k):
+    """`a_i :- not K not a_i, not K a_{i+1}.` around a cycle of k atoms: all
+    cores in one component, so no split helps, and 4^k guesses share 2^k
+    distinct G91 reducts (a guess keeps rule i or deletes it)."""
+    return parse_program(" ".join(f"a{i} :- not K not a{i}, not K a{(i + 1) % k}." for i in range(k)))
+
+
+def ring_closed_form(k):
+    """The singleton views [I] for I an independent set of the cycle C_k."""
+    independent = [
+        s for s in range(1 << k) if not any(s >> i & 1 and s >> (i + 1) % k & 1 for i in range(k))
+    ]
+    return {wv_of(" ".join(f"a{i}" for i in range(k) if s >> i & 1)) for s in independent}
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+@pytest.mark.parametrize("semantics", [SemanticsId.G91, SemanticsId.C19])
+def test_ring_matches_its_closed_form(k, semantics):
+    # beyond the 4-atom oracle; the closed form has one view per independent set
+    expected = ring_closed_form(k)
+    assert len(expected) == {4: 7, 5: 11, 6: 18}[k]
+    assert compute_world_views(ring(k), semantics) == expected
+
+
+def test_g91_searches_once_per_distinct_reduct(monkeypatch):
+    calls = {"semantics_reduct": 0, "stable_models": 0}
+    for name in calls:
+        real = getattr(semantics_module, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(semantics_module, name, counted)
+    assert world_views(ring(5), SemanticsId.G91) == ring_closed_form(5)
+    # every guess gets its reduct, every distinct reduct one search
+    assert calls == {"semantics_reduct": 1024, "stable_models": 32}
+
+
+def test_g91_and_c19_match_the_oracle_with_many_subjective_literals(whole_program):
+    # 2-3 subjective literals per rule: many guesses keep the same rules
+    rng = random.Random(91)
+    shape = GeneratorShape(
+        n_atoms=3, max_rules=3, max_body=3, subjective_prob=0.5, m_prob=0.2, min_subjective=2
+    )
+    for _ in range(60):
+        program = random_epistemic_program(rng, shape)
+        assert all(len(rule.body_sub) in (2, 3) for rule in program.rules)
+        for semantics in (SemanticsId.G91, SemanticsId.C19):
+            expected = brute_force_world_views(program, semantics)
+            assert compute_world_views(program, semantics) == expected, (str(program), semantics)
+            assert whole_program[semantics](program) == expected, (str(program), semantics)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import elps
-from elps.errors import GroundingError, ParseError
+from elps import syntax
+from elps.errors import CapacityError, GroundingError, ParseError
 from elps.modal import WorldView, modal_satisfies
 from elps.syntax import (
     BOT,
@@ -152,6 +153,23 @@ def test_ground_two_constants():
     assert parse_rule("p(c1) :- q(c1).") in grounded.rules
     assert parse_rule("p(c2) :- q(c2).") in grounded.rules
     assert len(grounded.rules) == 4
+
+
+def test_ground_refuses_past_its_cap_before_building(monkeypatch):
+    facts = " ".join(f"q(c{i})." for i in range(20))
+    rule = "p(X1,X2,X3,X4,X5,X6) :- q(X1), q(X2), q(X3), q(X4), q(X5), q(X6)."
+    monkeypatch.setattr(syntax, "_substitute_rule", lambda *args: pytest.fail("an instance was built"))
+    with pytest.raises(CapacityError, match="grounding makes 64000020 rule instances"):
+        ground(parse_program(facts + rule))
+
+
+def test_ground_cap_counts_every_instance(monkeypatch):
+    program = parse_program("p(X) :- q(X). q(c1). q(c2).")  # 2 + 1 + 1 instances
+    monkeypatch.setattr(syntax, "GROUND_MAX_RULES", 4)
+    assert len(ground(program).rules) == 4
+    monkeypatch.setattr(syntax, "GROUND_MAX_RULES", 3)
+    with pytest.raises(CapacityError, match="4 rule instances, over the grounding cap of 3"):
+        ground(program)
 
 
 def test_ground_requires_constants():
