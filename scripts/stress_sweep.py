@@ -13,8 +13,10 @@ Checks, over seeded random programs:
     4-atom programs under the raised EHT cap,
   - guess-based world views match the brute-force oracle, also under G91 and
     C19 on programs whose rules carry 2-3 subjective literals (where many
-    guesses share one reduct), and foundedness matches its brute-force search
-    on K-only programs and on programs with M literals,
+    guesses share one reduct) and on programs where every K core has its M
+    twin (where the loop skips each guess with `K l` true and `M l` false),
+    and foundedness matches its brute-force search on K-only programs and on
+    programs with M literals,
   - G91 and C19 solved component by component agree with the direct
     whole-program guess loop, which shares no code with splitting: on
     stratified programs, which have at most one world view, and on unions of
@@ -56,7 +58,7 @@ from elps.splitting import (
     enumerate_epistemic_splitting_sets,
     stratify,
 )
-from elps.syntax import Atom, Program, atom_key, eliminate_m, parse_program, subsets
+from elps.syntax import Atom, Program, Rule, SubjLit, atom_key, eliminate_m, parse_program, subsets
 
 
 def check(ok: bool, program, *context) -> None:
@@ -73,7 +75,7 @@ def main():
 
     rng = random.Random(args.seed)
     t0 = time.time()
-    stats = dict.fromkeys(("mixed", "splitting", "scm", "f15", "oracle", "stratified", "split", "ring"), 0)
+    stats = dict.fromkeys(("mixed", "splitting", "scm", "f15", "oracle", "twins", "stratified", "split", "ring"), 0)
 
     shape4 = GeneratorShape(n_atoms=4, max_rules=5, subjective_prob=0.5, m_prob=0.25)
     for _ in range(args.trials):
@@ -173,6 +175,28 @@ def main():
             wv for wv in world_views(program, SemanticsId.G91) if is_founded(program, wv)
         ),
     }
+
+    # each K core gets its M twin, `M l` or `not M l` added to a random rule,
+    # so the loop skips every guess that makes a `K l` true and its `M l` false
+    shape_t = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.3)
+    for _ in range(args.trials):
+        while True:
+            program = random_epistemic_program(rng, shape_t)
+            if any(core.modality == "K" for core in subjective_cores(program)):
+                break
+        rules = list(program.rules)
+        for core in subjective_cores(program):
+            if core.modality == "K":
+                i = rng.randrange(len(rules))
+                twin = SubjLit("M", core.inner, neg=rng.random() < 0.5)
+                rules[i] = Rule(rules[i].head, (*rules[i].body, twin))
+        program = Program.of(rules)
+        stats["twins"] += 1
+        for semantics, solve in direct.items():
+            expected = brute_force_world_views(program, semantics)
+            check(solve(program) == expected, program, "oracle, K cores with M twins", semantics.value)
+            same = compute_world_views(program, semantics) == expected
+            check(same, program, "oracle, K cores with M twins, by components", semantics.value)
 
     shape_s = GeneratorShape(n_atoms=6, max_rules=6, subjective_prob=0.5, m_prob=0.25)
     for _ in range(args.trials):

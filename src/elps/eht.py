@@ -86,7 +86,7 @@ from __future__ import annotations
 from .config import DEFAULT_LIMITS, SolverLimits
 from .modal import WorldView
 from .objective import AtomBits, _and_or, _point_rules, _violated, compile_rule
-from .syntax import Program, capped_atoms, subsets
+from .syntax import Program, atom_key, capped_atoms, subsets
 
 
 def _submasks(mask: int) -> list[int]:
@@ -118,7 +118,7 @@ class _Compiled(AtomBits):
     @classmethod
     def over(cls, program: Program, interps) -> "_Compiled":
         """Compiled over the program's atoms and those of `interps`."""
-        return cls(program, program.atom_universe.union(*interps))
+        return cls(program, sorted(program.atom_universe.union(*interps), key=atom_key))
 
     @classmethod
     def capped(cls, program: Program, limits: SolverLimits) -> "_Compiled":

@@ -36,7 +36,6 @@ from .syntax import (
     Program,
     Rule,
     SubjLit,
-    atom_key,
     capped_atoms,
     const_truth,
     subsets,
@@ -85,11 +84,12 @@ def objective_reduct(program: Program, interp: Interpretation) -> Program:
 
 
 class AtomBits:
-    """Atoms as bits: bit i stands for the i-th atom in `atom_key` order, and
-    a set of atoms (an interpretation, a here-value) is the mask of its bits."""
+    """Atoms as bits: bit i stands for the i-th atom, and a set of atoms (an
+    interpretation, a here-value) is the mask of its bits.  The atoms come in
+    `atom_key` order, as `capped_atoms` gives them; they are not sorted again."""
 
     def __init__(self, atoms):
-        self.atoms = tuple(sorted(atoms, key=atom_key))
+        self.atoms = tuple(atoms)
         self.bit = {a: 1 << i for i, a in enumerate(self.atoms)}
 
     def mask(self, atoms) -> int:

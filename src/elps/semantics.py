@@ -6,7 +6,10 @@ core, builds the corresponding reduct, and accepts the stable-model set iff
 it reproduces the guess.  The guess space is over cores, not occurrences:
 the reducts only depend on whether the candidate world view satisfies each
 core.  Verification always re-evaluates every core against the computed
-world view; the K-implies-M pruning is an optimisation on top.
+world view.  On top of that, a guess that makes `K l` true and `M l` false
+is skipped unchecked, since a non-empty world view that satisfies `K l`
+satisfies `M l`: the loop finds the pairs of core bits (`K l`, `M l`) once,
+and each guess is tested against them on its bits alone.
 
 Under G91 the stable models are searched once per distinct reduct, keyed by
 its compiled form (`objective.compile_objective`).  The argument: a G91
@@ -127,14 +130,16 @@ def semantics_reduct(program: Program, guess: ModalGuess, semantics: SemanticsId
     return Program.of(rules, program.extra_atoms)
 
 
-def _consistent(guess: dict[SubjLit, bool]) -> bool:
-    # K l true forces M l true whenever both cores occur (wv is non-empty)
-    for core, value in guess.items():
-        if core.modality == "K" and value:
-            twin = SubjLit("M", core.inner)
-            if guess.get(twin) is False:
-                return False
-    return True
+def _twin_bits(cores) -> list[tuple[int, int]]:
+    """(bit of `K l`, bit of `M l`) for each K core whose M twin is also a
+    core.  A non-empty world view that satisfies `K l` satisfies `M l`, so a
+    guess that sets the first bit and clears the second is never accepted."""
+    bit = {core: 1 << i for i, core in enumerate(cores)}
+    return [
+        (k, bit[twin])
+        for core, k in bit.items()
+        if core.modality == "K" and (twin := SubjLit("M", core.inner)) in bit
+    ]
 
 
 def _g91_view(reduct: Program, cores, limits: SolverLimits) -> tuple[WorldView | None, int]:
@@ -178,10 +183,11 @@ def world_views(
     # G91 only: compiled reduct -> (its world view or None, that view's guess)
     views: dict[ObjectiveMasks, tuple[WorldView | None, int]] = {}
     accepted = set()
+    twins = _twin_bits(cores)
     for bits in range(1 << len(cores)):
-        guess = {core: bool(bits & (1 << i)) for i, core in enumerate(cores)}
-        if not _consistent(guess):
+        if twins and any(bits & k and not bits & m for k, m in twins):
             continue
+        guess = {core: bool(bits & (1 << i)) for i, core in enumerate(cores)}
         reduct = semantics_reduct(program, guess, semantics)
         if semantics is SemanticsId.G91:
             key = compile_objective(reduct, limits)

@@ -23,6 +23,10 @@ next to its `body_obj` and `body_sub`; a program carries `atoms` (its rules'
 atoms) and `atom_universe` (those and its extra atoms).  Each is computed on
 first use and kept on the object, and so is the hash of a rule or program,
 which memo keys ask again and again; equality reads the fields only.
+A subjective literal keeps its `core()` and its hash the same way, since the
+guess loops look each literal's core up in a guess on every guess.  A cached
+hash is left out of the pickled state: a `str` hash differs between
+interpreters, so a loaded object hashes its fields afresh.
 A rule is objective iff its `body_sub` is empty.
 """
 
@@ -48,6 +52,13 @@ class TruthConst(enum.Enum):
 
 TOP = TruthConst.TRUE
 BOT = TruthConst.FALSE
+
+
+def _without_hash(obj) -> dict:
+    """The pickled state of an object that caches its hash: all but `_hash`."""
+    state = dict(obj.__dict__)
+    state.pop("_hash", None)
+    return state
 
 
 def is_variable(term: str) -> bool:
@@ -130,8 +141,22 @@ class SubjLit:
         return self.inner.base
 
     def core(self) -> "SubjLit":
-        """The literal stripped of its outer default negation."""
-        return SubjLit(self.modality, self.inner, False) if self.neg else self
+        """The literal stripped of its outer default negation; the same
+        object on every call."""
+        if not self.neg:
+            return self
+        core = self.__dict__.get("_core")
+        if core is None:
+            core = self.__dict__["_core"] = SubjLit(self.modality, self.inner, False)
+        return core
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.modality, self.inner, self.neg))
+        return h
+
+    __getstate__ = _without_hash
 
 
 Literal = Union[ObjLit, SubjLit]
@@ -175,6 +200,8 @@ class Rule:
         if h is None:
             h = self.__dict__["_hash"] = hash((self.head, self.body))
         return h
+
+    __getstate__ = _without_hash
 
     @property
     def is_constraint(self) -> bool:
@@ -223,6 +250,8 @@ class Program:
         if h is None:
             h = self.__dict__["_hash"] = hash((self.rules, self.extra_atoms))
         return h
+
+    __getstate__ = _without_hash
 
 
 def atom_key(a: Atom) -> str:

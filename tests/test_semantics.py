@@ -16,7 +16,7 @@ from elps.semantics import (
     subjective_cores,
     world_views,
 )
-from elps.syntax import eliminate_m, parse_atom, parse_program, parse_rule
+from elps.syntax import SubjLit, eliminate_m, parse_atom, parse_program, parse_rule
 
 CE1A = parse_program("a | b. c :- K a.")
 CE1B = parse_program("a | b. c :- K a. :- not c.")
@@ -289,3 +289,38 @@ def test_g91_and_c19_match_the_oracle_with_many_subjective_literals(whole_progra
             expected = brute_force_world_views(program, semantics)
             assert compute_world_views(program, semantics) == expected, (str(program), semantics)
             assert whole_program[semantics](program) == expected, (str(program), semantics)
+
+
+TWINS = {
+    # one pair: `K b` and `M b`
+    "a :- K b. a :- not M b. b | c.": (4, 3),
+    # two pairs and a core without a twin
+    "a | b. c :- not K a, M a. c :- M b, not K b. b :- not K c.": (32, 18),
+}
+
+
+@pytest.mark.parametrize("text", TWINS)
+@pytest.mark.parametrize("semantics", [SemanticsId.G91, SemanticsId.C19])
+def test_guesses_with_k_true_and_its_m_twin_false_are_skipped(text, semantics, whole_program, monkeypatch):
+    program = parse_program(text)
+    cores = subjective_cores(program)
+    guesses, consistent = TWINS[text]
+    assert 2 ** len(cores) == guesses
+    reducts = []
+    real = semantics_module.semantics_reduct
+
+    def recorded(*args):
+        reducts.append(dict(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(semantics_module, "semantics_reduct", recorded)
+    views = whole_program[semantics](program)
+    # once per guess that no twin pair rules out, and only for those
+    assert len(reducts) == consistent
+    for guess in reducts:
+        for core, value in guess.items():
+            twin = SubjLit("M", core.inner)
+            assert not (core.modality == "K" and value and guess.get(twin) is False), guess
+    monkeypatch.undo()
+    assert views and views == brute_force_world_views(program, semantics)
+    assert compute_world_views(program, semantics) == views

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -360,3 +362,79 @@ def test_atom_sets_match_the_walked_syntax_tree():
             assert "atoms" not in vars(fresh_rule)
             assert fresh_rule == rule and hash(fresh_rule) == hash(rule) == hash((rule.head, rule.body))
     assert min(seen.values()) > 10, seen
+
+
+def test_subjective_literal_keeps_its_core_and_hash():
+    program = parse_program("a :- not K b, not M not c, K d. e :- not K b.")
+    for lit in (l for r in program.rules for l in r.body_sub):
+        core = lit.core()
+        assert lit.core() is core and core.core() is core
+        assert core == SubjLit(lit.modality, lit.inner) and not core.neg
+        fresh = SubjLit(lit.modality, lit.inner, lit.neg)
+        hash(lit)
+        assert "_hash" in vars(lit) and not {"_hash", "_core"} & vars(fresh).keys()
+        assert hash(lit) == hash(fresh) == hash((lit.modality, lit.inner, lit.neg))
+        assert hash(core) == hash(fresh.core())
+        # the cached entries are not fields: equality, repr and asdict ignore them
+        assert lit == fresh and repr(lit) == repr(fresh)
+        assert dataclasses.asdict(lit) == dataclasses.asdict(fresh)
+        assert dataclasses.asdict(lit).keys() == {"modality", "inner", "neg"}
+    # only a negated literal stores its core; any other is its own core
+    negated, positive = program.rules[0].body[0], program.rules[0].body[2]
+    assert "_core" in vars(negated) and "_core" not in vars(positive) and positive.core() is positive
+
+
+_PICKLE_DUMP = """
+import pickle, sys
+from elps.syntax import parse_program
+program = parse_program(sys.argv[2])
+hash(program)
+for rule in program.rules:
+    rule.atoms
+    for lit in rule.body_sub:
+        hash(lit), hash(lit.core())
+with open(sys.argv[1], "wb") as f:
+    pickle.dump(program, f)
+"""
+
+_PICKLE_LOAD = """
+import pickle, sys
+from elps.syntax import Program, parse_program
+with open(sys.argv[1], "rb") as f:
+    loaded = pickle.load(f)
+fresh = parse_program(sys.argv[2])
+lits = [(l, f) for r, q in zip(loaded.rules, fresh.rules) for l, f in zip(r.body_sub, q.body_sub)]
+checks = [
+    loaded == fresh,
+    loaded in {fresh},
+    Program.of(loaded.rules) in {Program.of(fresh.rules)},
+    all(r == q and r in {q} and r.atoms == q.atoms for r, q in zip(loaded.rules, fresh.rules)),
+    all(l in {f} and l.core() in {f.core()} for l, f in lits),
+]
+print(checks)
+"""
+
+
+def test_pickled_objects_hash_afresh_in_another_interpreter(tmp_path):
+    # a str hash differs between interpreters: a cached hash that crossed
+    # over would put an equal object in another bucket
+    text = "a :- not K b, M c, not d. b | c :- not M not a. :- K a, not K c."
+    src = str(Path(elps.__file__).resolve().parent.parent)
+    path = tmp_path / "program.pickle"
+    for hash_seed, code in (("1", _PICKLE_DUMP), ("2", _PICKLE_LOAD)):
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path), text],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    assert done.stdout.strip() == str([True] * 5)
+    program = parse_program(text)
+    hash(program)
+    loaded = pickle.loads(pickle.dumps(program))
+    assert "_hash" not in vars(loaded)
+    for rule in loaded.rules:
+        assert "_hash" not in vars(rule)
+        for lit in rule.body_sub:
+            assert "_hash" not in vars(lit)
