@@ -26,7 +26,8 @@ solver, where each guess gets its own search.
 reads and writes it, computing `fn(*args)` once for equal arguments.  What a
 run repeats goes through `once`: `solve` (every solver reads world views
 through it), the component split, and a matrix build's fixture parses,
-splitting sets and `is_founded`.  Nothing is memoized outside such a block.
+random samples, splitting sets and `is_founded`.  Nothing is memoized
+outside such a block.
 """
 
 from __future__ import annotations

@@ -319,36 +319,44 @@ _SCM_FIXTURES = (("ab", ":- not K a."), ("ka", ":- K a."), ("ce1a", ":- not K c.
 _OBJECTIVE_FIXTURES = ("pi1", "ab")
 
 
+def _sample(seed, shape, count):
+    """The random programs a build checks under every semantics of `shape`:
+    `count` epistemic programs, `count` objective programs and one
+    subjective constraint per epistemic program, drawn in that order from
+    one generator seeded by (seed, shape)."""
+    rng = random.Random(repr((seed, shape)))
+    epistemic = [random_epistemic_program(rng, shape) for _ in range(count)]
+    objective = [random_objective_program(rng, shape) for _ in range(count)]
+    constraints = [random_subjective_constraint(rng, program, shape) for program in epistemic]
+    return epistemic, objective, constraints
+
+
 def _matrix_checks(semantics, corpus, seed, count, limits):
     """(row, report or None for a skip) for every check of one semantics.
 
-    The rows come in `ROW_NAMES` order and draw their random programs from
-    one generator seeded by (seed, semantics).  A splitting check runs on
-    each of a program's first four splitting sets; a program whose sets
-    cannot be enumerated is one skip.  The foundness column checks the
-    corpus world views, and only a `founded` semantics backs a pass."""
-    shape = REGISTRY[semantics].shape
-    rng = random.Random((seed, semantics.value).__repr__())
+    The rows come in `ROW_NAMES` order.  Their random programs are the
+    sample of the semantics' shape (`_sample`): the supra-S5,
+    subjective-constraint-monotonicity and splitting rows check the same
+    epistemic programs, and every semantics of one shape checks the same
+    sample, so the run memo solves each sampled program once for all of
+    them.  A splitting check runs on each of a program's first four
+    splitting sets; a program whose sets cannot be enumerated is one skip.
+    The foundness column checks the corpus world views, and only a
+    `founded` semantics backs a pass."""
+    epistemic, objective, constraints = once(_sample, seed, REGISTRY[semantics].shape, count)
 
-    def drawn(generate):
-        return [generate(rng, shape) for _ in range(count)]
-
-    for program in [*corpus.values(), *drawn(random_epistemic_program)]:
+    for program in [*corpus.values(), *epistemic]:
         yield "supra_s5", _checked(_supra_s5_report, program, semantics, limits, seed)
-    objective = [corpus[name] for name in _OBJECTIVE_FIXTURES] + drawn(random_objective_program)
-    for program in objective:
+    for program in [*(corpus[name] for name in _OBJECTIVE_FIXTURES), *objective]:
         yield "supra_asp", _checked(_supra_asp_report, program, semantics, limits, seed)
 
     cases = [(corpus[name], parse_rule(text)) for name, text in _SCM_FIXTURES]
-    for _ in range(count):
-        program = random_epistemic_program(rng, shape)
-        cases.append((program, random_subjective_constraint(rng, program, shape)))
-    for program, constraint in cases:
+    for program, constraint in [*cases, *zip(epistemic, constraints)]:
         yield "subjective_constraint_monotonicity", _checked(
             check_constraint_monotonicity, program, constraint, semantics, limits, seed
         )
 
-    for program in [*corpus.values(), *drawn(random_epistemic_program)]:
+    for program in [*corpus.values(), *epistemic]:
         split_sets = once(_checked, enumerate_epistemic_splitting_sets, program)
         if split_sets is None:
             yield "epistemic_splitting", None
@@ -386,11 +394,14 @@ def build_property_matrix(
 ) -> PropertyMatrix:
     """Fixture expectations first, then `count` random programs per cell.
 
-    Each call runs in a fresh `engine.solve_memo()`, and what the build
-    repeats goes through `engine.once`: a (program, semantics, limits) met
-    twice is solved once, whether by the fixture replay, a check, S17's K15
-    base views, C19's G91 base views or a part of the component solver.
-    Each fixture is parsed once for the replay and the corpus, each
+    The random programs are drawn once per generator shape, so columns of
+    one shape check one sample (`_sample`).  Each call runs in a fresh
+    `engine.solve_memo()`, and what the build repeats goes through
+    `engine.once`: a (program, semantics, limits) met twice is solved once,
+    whether by the fixture replay, a check, S17's K15 base views of the K15
+    column's programs, C19's G91 base views of the G91 column's programs or
+    a part of the component solver.  Each fixture is parsed once for the
+    replay and the corpus, each shape's sample is drawn once, each
     program's splitting sets are enumerated once however many columns check
     it, and `is_founded` is asked once per (program, world view).  All of it
     is dropped when the build returns or raises.  A semantics listed twice

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import elps
 from elps import cli, splitting
 from elps.cli import main
 from elps.harness import SEMANTICS_COLUMNS
@@ -351,6 +355,24 @@ def test_properties_text_deterministic(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_properties_json_does_not_depend_on_string_hashing():
+    """The matrix sample is keyed by the shape's repr, so the same seed
+    prints the same bytes whatever the interpreter's hash seed."""
+    src = str(Path(elps.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "elps", "properties", "--json", "--seed", "7", "--count", "3"]
+    outputs = {
+        subprocess.run(
+            argv,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in range(3)
+    }
+    assert outputs == {(GOLDEN / "properties_seed7_count3.json").read_text(encoding="utf-8")}
 
 
 def test_conformant_check(capsys, fx):

@@ -175,6 +175,43 @@ def test_matrix_build_runs_each_guess_loop_and_split_enumeration_once(monkeypatc
     assert enumerations == Counter({program: 2 for program in first_enumerations})
 
 
+@pytest.mark.parametrize("base", [SemanticsId.K15, SemanticsId.G91])
+def test_matrix_columns_of_one_shape_check_one_sample(guess_loops, base):
+    """S17 reads its K15 base views and C19 its G91 base views from the
+    solves of the K15 and G91 columns, because a column checks the sample
+    of its shape: the full build runs the base guess loop on exactly the
+    programs that a build of the base column alone does."""
+
+    def looped(semantics_list):
+        guess_loops.clear()
+        build_property_matrix(semantics_list, seed=3, count=2)
+        return {program for program, sem in guess_loops if sem is base}
+
+    alone = looped([base])
+    assert alone and looped(SEMANTICS_COLUMNS) == alone
+
+
+def _column(matrix, semantics: SemanticsId) -> list:
+    """The JSON cells of one column: its property rows, then its foundness."""
+    payload = matrix.to_json()
+    rows = [payload["rows"][row][semantics.value] for row in PROPERTY_ROWS]
+    return [*rows, payload["foundness"][semantics.value]]
+
+
+@pytest.fixture(scope="module")
+def matrix_seed3():
+    return build_property_matrix(seed=3, count=2)
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS_COLUMNS, ids=lambda s: s.value)
+def test_matrix_column_does_not_depend_on_the_other_columns(matrix_seed3, semantics):
+    """The sample a column shares with the columns of its shape shares work
+    only: its cells are the same whether it is built alone or with every
+    other column."""
+    alone = build_property_matrix([semantics], seed=3, count=2)
+    assert _column(alone, semantics) == _column(matrix_seed3, semantics)
+
+
 def test_matrix_build_does_not_memoize_epistemic_solutions(monkeypatch):
     """A splitting check composes its solutions and no other check asks for
     them, so they stay out of the run memo."""

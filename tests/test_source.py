@@ -37,3 +37,9 @@ def test_the_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names | {"elps"}
             ]
     assert not found, "imports outside the standard library: " + ", ".join(found)
+
+
+def test_the_package_parses_as_python_3_10():
+    """`requires-python = ">=3.10"`: no module uses syntax newer than 3.10."""
+    for path in sorted(SOURCE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
