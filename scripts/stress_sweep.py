@@ -37,9 +37,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from elps.config import SolverLimits
+from elps.config import DEFAULT_LIMITS, SolverLimits
 from elps.eht import equilibrium_eht_models, f15_world_views, total_model_countermodels
-from elps.engine import brute_force_world_views, compute_world_views
+from elps.engine import REGISTRY, brute_force_world_views, compute_world_views
 from elps.errors import UnsupportedMLiteral
 from elps.foundedness import is_founded, is_founded_brute
 from elps.generators import (
@@ -107,7 +107,7 @@ def main():
         program = random_epistemic_program(rng, shape3)
         stats["f15"] += 1
         total = total_model_countermodels(program)
-        atoms = sorted(program.atom_universe, key=atom_key)
+        atoms = sorted(program.atoms, key=atom_key)
         s5 = [wv for wv in candidate_world_views(subsets(atoms)) if is_s5_model(wv, program)]
         check([wv for wv, _ in total] == s5, program, "EHT total models are the S5 models")
         for wv, h in total:
@@ -167,14 +167,8 @@ def main():
             same = is_founded(program, wv) == is_founded_brute(program, wv)
             check(same, program, "foundedness oracle with M", str(wv))
 
-    # the references never split: C19 keeps the founded views of the
-    # whole-program G91 loop (`c19_world_views` reads G91 by components)
-    direct = {
-        SemanticsId.G91: lambda program: world_views(program, SemanticsId.G91),
-        SemanticsId.C19: lambda program: frozenset(
-            wv for wv in world_views(program, SemanticsId.G91) if is_founded(program, wv)
-        ),
-    }
+    # the references never split: the registry's whole-program solvers
+    direct = {semantics: REGISTRY[semantics].direct for semantics in (SemanticsId.G91, SemanticsId.C19)}
 
     # each K core gets its M twin, `M l` or `not M l` added to a random rule,
     # so the loop skips every guess that makes a `K l` true and its `M l` false
@@ -194,7 +188,8 @@ def main():
         stats["twins"] += 1
         for semantics, solve in direct.items():
             expected = brute_force_world_views(program, semantics)
-            check(solve(program) == expected, program, "oracle, K cores with M twins", semantics.value)
+            same = solve(program, DEFAULT_LIMITS) == expected
+            check(same, program, "oracle, K cores with M twins", semantics.value)
             same = compute_world_views(program, semantics) == expected
             check(same, program, "oracle, K cores with M twins, by components", semantics.value)
 
@@ -206,7 +201,8 @@ def main():
         for semantics, solve in direct.items():
             views = compute_world_views(program, semantics)
             check(len(views) <= 1, program, "stratified uniqueness", semantics.value)
-            check(views == solve(program), program, "stratified: components vs direct loop", semantics.value)
+            same = views == solve(program, DEFAULT_LIMITS)
+            check(same, program, "stratified: components vs direct loop", semantics.value)
 
     shape_b = GeneratorShape(max_rules=3, max_body=2, subjective_prob=0.5, m_prob=0.15, constraint_prob=0.2)
     for _ in range(args.trials):
@@ -218,7 +214,7 @@ def main():
                     break
         stats["split"] += 1
         for semantics, solve in direct.items():
-            same = compute_world_views(program, semantics) == solve(program)
+            same = compute_world_views(program, semantics) == solve(program, DEFAULT_LIMITS)
             check(same, program, "components vs direct loop", semantics.value)
 
     # 2k cores in one component: 4^k guesses, 2^k distinct G91 reducts

@@ -118,7 +118,7 @@ class _Compiled(AtomBits):
     @classmethod
     def over(cls, program: Program, interps) -> "_Compiled":
         """Compiled over the program's atoms and those of `interps`."""
-        return cls(program, sorted(program.atom_universe.union(*interps), key=atom_key))
+        return cls(program, sorted(program.atoms.union(*interps), key=atom_key))
 
     @classmethod
     def capped(cls, program: Program, limits: SolverLimits) -> "_Compiled":

@@ -15,19 +15,22 @@ semantics marked `splitting` (g91 and c19) it decomposes before it guesses:
 `splitting.component_world_views` runs the semantics' `direct`
 whole-program solver on one closed component at a time (a top once per
 distinct simplification) and pairs the world views by `split_solutions`,
-exact by the epistemic splitting theorem.  On a component that does not
-split further the G91 guess loop searches stable models once per distinct
-compiled reduct (the key of `semantics.world_views`), which C19 inherits
-through its G91 base.  The other semantics fail splitting on the paper's
+exact by the epistemic splitting theorem.  No `direct` splits.  On a
+component that does not split further the G91 guess loop searches stable
+models once per distinct compiled reduct (the key of
+`semantics.world_views`).  C19's `direct` reads its G91 base views off
+G91's `direct` on the same component, so a C19 solve decomposes once and
+inherits that search.  The other semantics fail splitting on the paper's
 counterexamples, so `solve` gives the whole program to their `direct`
 solver, where each guess gets its own search.
 
 `solve_memo()` opens a run memo for a `with` block; `once(fn, *args)` alone
 reads and writes it, computing `fn(*args)` once for equal arguments.  What a
 run repeats goes through `once`: `solve` (every solver reads world views
-through it), the component split, and a matrix build's fixture parses,
-random samples, splitting sets and `is_founded`.  Nothing is memoized
-outside such a block.
+through it), the component split, the `direct` solve of a component (which
+G91 and C19's base share), and a matrix build's fixture parses, random
+samples, splitting sets and `is_founded`.  Nothing is memoized outside such
+a block.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ Solver = Callable[[Program, SolverLimits], frozenset[WorldView]]
 
 @dataclass(frozen=True)
 class SemanticsEntry:
-    direct: Solver  # the guess loop (and selection) on the whole program
+    direct: Solver  # the guess loop (and selection) on the whole program, never split
     oracle: Solver  # independent brute-force route the differential tests compare against
     accepts_m: bool  # defined for M literals; the others are for K-literals only
     splitting: bool  # satisfies epistemic splitting (the source paper's table), so `solve` goes by components

@@ -143,12 +143,12 @@ def is_founded_brute(program: Program, wv: WorldView, limits: SolverLimits = DEF
 
 
 def c19_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
-    """Founded G91 world views; the G91 views come from `engine.solve`, so
-    they go by components, and a memo open around the solve shares them
-    with G91."""
-    return frozenset(
-        wv for wv in engine.solve(program, SemanticsId.G91, limits) if is_founded(program, wv, limits)
-    )
+    """Founded G91 world views, on the whole program.  The G91 views come
+    from the G91 entry's `direct` through `engine.once`, the key under which
+    `splitting.component_world_views` solves a single component, so a memo
+    open around the solve shares them with G91 and nothing splits twice."""
+    g91 = engine.once(engine.REGISTRY[SemanticsId.G91].direct, program, limits)
+    return frozenset(wv for wv in g91 if is_founded(program, wv, limits))
 
 
 def c19_brute_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:

@@ -83,7 +83,7 @@ def random_epistemic_program(rng: random.Random, shape: GeneratorShape) -> Progr
 
 
 def random_subjective_constraint(rng: random.Random, program: Program, shape: GeneratorShape) -> Rule:
-    atoms = sorted(program.atom_universe) or list(_atoms(shape))
+    atoms = sorted(program.atoms) or list(_atoms(shape))
     body = tuple(
         _subjective_literal(rng, atoms, shape) for _ in range(rng.randint(1, 2))
     )

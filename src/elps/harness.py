@@ -371,15 +371,8 @@ def _matrix_checks(semantics, corpus, seed, count, limits):
             yield "foundness", None
         for wv in wvs or ():
             founded = once(is_founded, program, wv, limits)
-            report = PropertyReport(
-                property="foundness",
-                semantics=semantics.value,
-                verdict="holds" if founded else "violated",
-                program=str(program),
-                lhs=[wv.as_lists()],
-                rhs=[],
-                seed=seed,
-            )
+            unfounded = [] if founded else [wv]
+            report = equation_report("foundness", semantics, program, unfounded, [], seed)
             # a pass under a semantics not founded by construction backs no general claim
             yield "foundness", report if REGISTRY[semantics].founded or not founded else None
 

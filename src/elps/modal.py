@@ -121,4 +121,4 @@ def subjective_reduct(program: Program, wv: WorldView, U=None) -> Program:
             else:
                 body.append(lit)
         rules.append(Rule(rule.head, tuple(body)))
-    return Program.of(rules, program.extra_atoms)
+    return Program.of(rules)

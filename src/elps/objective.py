@@ -80,7 +80,7 @@ def objective_reduct(program: Program, interp: Interpretation) -> Program:
             else:
                 body.append(ObjLit(TOP if _objlit_truth(lit, interp) else BOT))
         rules.append(Rule(rule.head, tuple(body)))
-    return Program.of(rules, program.extra_atoms)
+    return Program.of(rules)
 
 
 class AtomBits:

@@ -38,12 +38,12 @@ def wrap_action_atoms(program: Program, actions) -> Program:
         return lit
 
     rules = tuple(Rule(r.head, tuple(wrap(l) for l in r.body)) for r in program.rules)
-    return Program.of(rules, program.extra_atoms)
+    return Program.of(rules)
 
 
 def conformant_check_program(domain: Program, plan, goal: Atom) -> Program:
     facts = tuple(Rule(frozenset([a]), ()) for a in sorted(plan))
-    return Program.of(domain.rules + facts + (goal_constraint(goal),), domain.extra_atoms)
+    return Program.of(domain.rules + facts + (goal_constraint(goal),))
 
 
 def is_conformant_plan(
@@ -61,7 +61,7 @@ def generate_define_test_program(domain: Program, actions, goal: Atom) -> Progra
     actions = frozenset(actions)
     wrapped = wrap_action_atoms(domain, actions)
     rules = choice_rules(actions) + wrapped.rules + (goal_constraint(goal),)
-    return Program.of(rules, domain.extra_atoms | actions)
+    return Program.of(rules)
 
 
 def generate_conformant_world_views(

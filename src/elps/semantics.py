@@ -127,7 +127,7 @@ def semantics_reduct(program: Program, guess: ModalGuess, semantics: SemanticsId
             else:  # K15: remaining K l becomes l, an outer `not` keeps wrapping
                 body.append(default_negate(lit.inner) if lit.neg else lit.inner)
         rules.append(Rule(rule.head, tuple(body)))
-    return Program.of(rules, program.extra_atoms)
+    return Program.of(rules)
 
 
 def _twin_bits(cores) -> list[tuple[int, int]]:

@@ -145,7 +145,8 @@ def component_world_views(
     distinct `top_simplification` against a bottom world view.  A top that
     does not mention U (U is a block) is used as it is.  A program of one
     component, such as the bottom of a sink component, goes to `direct`
-    whole.
+    whole through `engine.once`, under the key that C19's `direct` reads its
+    G91 base views by, so in a memo C19 takes them from the G91 solve.
 
     Caps: `max_atoms` bounds the whole program, so no world view has more
     than 2^max_atoms interpretations.  `direct` applies the other caps, such
@@ -157,7 +158,7 @@ def component_world_views(
     capped_atoms(program, limits.max_atoms, "exhaustive-search")
     U = engine.once(closed_component, program)
     if U is None:
-        return engine.REGISTRY[semantics].direct(program, limits)
+        return engine.once(engine.REGISTRY[semantics].direct, program, limits)
     split = epistemic_split(program, U, "bottom")
     simplify = top_simplification if split.top.atoms & U else lambda s, _: s.top
     views = set()
@@ -270,7 +271,7 @@ def check_constraint_monotonicity(
     """World views of the extended program vs. the filtered world views."""
     if not constraint.is_subjective_constraint:
         raise ValueError(f"{constraint} is not a subjective constraint")
-    extended = Program.of(program.rules + (constraint,), program.extra_atoms)
+    extended = Program.of(program.rules + (constraint,))
     lhs = engine.compute_world_views(extended, semantics, limits)
     rhs = frozenset(
         wv
@@ -289,7 +290,7 @@ def stratify(program: Program) -> dict[Atom, int]:
     """The level of each atom, so that modal dependencies strictly decrease;
     objective co-occurrence (head and objective body) groups atoms on one
     level.  NotStratified, with a witness, when no such levels exist."""
-    atoms = sorted(program.atom_universe, key=atom_key)
+    atoms = sorted(program.atoms, key=atom_key)
     # each group is named by its first atom
     groups = _classes(atoms, (r.objective_atoms for r in program.rules))
     name = {a: min(g, key=atom_key) for g in groups for a in g}

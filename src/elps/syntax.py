@@ -19,10 +19,11 @@ output downstream is canonicalised with that order.
 
 A rule carries its atom sets: `atoms` (the head and every body atom, the atom
 under K/M included) and `objective_atoms` (the head and the objective body),
-next to its `body_obj` and `body_sub`; a program carries `atoms` (its rules'
-atoms) and `atom_universe` (those and its extra atoms).  Each is computed on
-first use and kept on the object, and so is the hash of a rule or program,
-which memo keys ask again and again; equality reads the fields only.
+next to its `body_obj` and `body_sub`.  A program is its rules alone and
+carries `atoms`, the atoms of those rules: an atom that no rule mentions is
+false in every stable model, so it changes no world view.  Each set is
+computed on first use and kept on the object, and so is the hash of a rule or
+program, which memo keys ask again and again; equality reads the fields only.
 A subjective literal keeps its `core()` and its hash the same way, since the
 guess loops look each literal's core up in a guess on every guess.  A cached
 hash is left out of the pickled state: a `str` hash differs between
@@ -219,12 +220,10 @@ class Rule:
 @dataclass(frozen=True)
 class Program:
     rules: tuple[Rule, ...]
-    extra_atoms: frozenset[Atom] = frozenset()
 
     @classmethod
-    def of(cls, rules: Iterable[Rule], extra_atoms: Iterable[Atom] = ()) -> "Program":
-        deduped = tuple(dict.fromkeys(rules))
-        return cls(deduped, frozenset(extra_atoms))
+    def of(cls, rules: Iterable[Rule]) -> "Program":
+        return cls(tuple(dict.fromkeys(rules)))
 
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)
@@ -240,15 +239,10 @@ class Program:
         """The atoms of the rules."""
         return frozenset(a for r in self.rules for a in r.atoms)
 
-    @cached_property
-    def atom_universe(self) -> frozenset[Atom]:
-        """The atoms of the rules and the extra atoms."""
-        return self.atoms | self.extra_atoms
-
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
-            h = self.__dict__["_hash"] = hash((self.rules, self.extra_atoms))
+            h = self.__dict__["_hash"] = hash(self.rules)
         return h
 
     __getstate__ = _without_hash
@@ -264,7 +258,7 @@ def interp_key(interp: frozenset[Atom]) -> tuple[str, ...]:
 
 def capped_atoms(program: Program, cap: int, search: str) -> list[Atom]:
     """The program's atoms in canonical order; CapacityError past the cap."""
-    atoms = sorted(program.atom_universe, key=atom_key)
+    atoms = sorted(program.atoms, key=atom_key)
     if len(atoms) > cap:
         raise CapacityError(f"{len(atoms)} atoms exceed the {search} cap of {cap}")
     return atoms
@@ -506,7 +500,7 @@ def ground(program: Program) -> Program:
     """Full Herbrand instantiation: each variable ranges over every constant.
     The instance count is checked before any is built: CapacityError past
     `GROUND_MAX_RULES`."""
-    constants = sorted({t for a in program.atom_universe for t in a.args if not is_variable(t)})
+    constants = sorted({t for a in program.atoms for t in a.args if not is_variable(t)})
     variables_of = [_rule_variables(rule) for rule in program.rules]
     count = sum(len(constants) ** len(variables) for variables in variables_of)
     if count > GROUND_MAX_RULES:
@@ -522,7 +516,7 @@ def ground(program: Program) -> Program:
             raise GroundingError(f"rule {rule} has variables but the program has no constants")
         for values in product(constants, repeat=len(variables)):
             rules.append(_substitute_rule(rule, dict(zip(variables, values))))
-    return Program.of(rules, program.extra_atoms)
+    return Program.of(rules)
 
 
 def eliminate_m(program: Program) -> Program:
@@ -534,7 +528,7 @@ def eliminate_m(program: Program) -> Program:
         return lit
 
     rules = tuple(Rule(r.head, tuple(rewrite(l) for l in r.body)) for r in program.rules)
-    return Program.of(rules, program.extra_atoms)
+    return Program.of(rules)
 
 
 def add_strong_negation_constraints(program: Program) -> Program:
@@ -542,10 +536,10 @@ def add_strong_negation_constraints(program: Program) -> Program:
     atom; `Program.of` keeps a constraint already present where it is."""
     constraints = (
         Rule(frozenset(), (ObjLit(atom.positive()), ObjLit(atom)))
-        for atom in sorted(program.atom_universe, key=atom_key)
+        for atom in sorted(program.atoms, key=atom_key)
         if atom.strong_neg
     )
-    return Program.of((*program.rules, *constraints), program.extra_atoms)
+    return Program.of((*program.rules, *constraints))
 
 
 def load_program(text: str) -> Program:
@@ -554,7 +548,7 @@ def load_program(text: str) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# canonical simplification
+# truth constants
 
 
 def const_truth(lit: ObjLit) -> bool | None:
@@ -562,37 +556,3 @@ def const_truth(lit: ObjLit) -> bool | None:
     if lit.atom is not None:
         return None
     return (lit.base is TOP) ^ (lit.negs % 2 == 1)
-
-
-def literal_sort_key(lit: Literal) -> tuple:
-    return (isinstance(lit, SubjLit), str(lit))
-
-
-def canonicalize_program(program: Program) -> Program:
-    """Evaluate constant literals, drop true conjuncts and dead rules, sort.
-
-    Reducts are produced verbatim (with ⊤/⊥ left in place); program-level
-    comparisons go through this explicit pass instead.
-    """
-    rules = []
-    for rule in program.rules:
-        body = []
-        dead = False
-        for lit in rule.body:
-            value = const_truth(lit) if isinstance(lit, ObjLit) else None
-            if value is True:
-                continue
-            if value is False:
-                dead = True
-                break
-            body.append(lit)
-        if dead:
-            continue
-        rules.append(Rule(rule.head, tuple(sorted(body, key=literal_sort_key))))
-    rules = sorted(set(rules), key=str)
-    return Program.of(rules)
-
-
-def same_program(p1: Program, p2: Program) -> bool:
-    """Equality modulo canonical simplification."""
-    return canonicalize_program(p1).rules == canonicalize_program(p2).rules

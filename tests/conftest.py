@@ -5,8 +5,7 @@ import pytest
 
 from elps import semantics
 from elps.config import DEFAULT_LIMITS
-from elps.engine import compute_world_views
-from elps.foundedness import is_founded
+from elps.engine import REGISTRY, compute_world_views
 from elps.harness import fixtures_dir, load_fixture
 from elps.modal import WorldView, world_views_to_json
 from elps.semantics import SemanticsId
@@ -53,21 +52,15 @@ def guess_loops(monkeypatch):
     return counts
 
 
-def _whole_g91(program, limits=DEFAULT_LIMITS):
-    return semantics.world_views(program, SemanticsId.G91, limits)
-
-
 @pytest.fixture(scope="session")
 def whole_program():
-    """References for g91 and c19 that never split: the guess loop on the
-    whole program.  C19's founded views are read off that loop, not off
-    `c19_world_views`, whose G91 base goes by components."""
-    return {
-        SemanticsId.G91: _whole_g91,
-        SemanticsId.C19: lambda program, limits=DEFAULT_LIMITS: frozenset(
-            wv for wv in _whole_g91(program, limits) if is_founded(program, wv, limits)
-        ),
-    }
+    """References for g91 and c19 that never split: the registry's `direct`
+    whole-program solvers, as they are before a test rebinds them."""
+
+    def whole(direct):
+        return lambda program, limits=DEFAULT_LIMITS: direct(program, limits)
+
+    return {sem: whole(REGISTRY[sem].direct) for sem in (SemanticsId.G91, SemanticsId.C19)}
 
 
 @pytest.fixture(scope="session")

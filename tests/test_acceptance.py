@@ -127,7 +127,7 @@ def test_criterion_6_objective_splitting():
         for _ in range(1000):
             program = random_objective_program(rng, shape)
             expected = stable_models(program)
-            atoms = sorted(program.atom_universe)
+            atoms = sorted(program.atoms)
             for mask in range(1 << len(atoms)):
                 u = frozenset(a for i, a in enumerate(atoms) if mask & (1 << i))
                 try:

@@ -39,7 +39,7 @@ def assert_same_as_direct(program: Program, whole_program) -> None:
     for sem in SPLITTING:
         views = compute_world_views(program, sem)
         assert views == whole_program[sem](program), (sem, str(program))
-        if len(program.atom_universe) <= BRUTE_MAX_ATOMS:
+        if len(program.atoms) <= BRUTE_MAX_ATOMS:
             assert views == brute_force_world_views(program, sem), (sem, str(program))
 
 
@@ -51,7 +51,7 @@ def test_registry_routes_splitting_semantics_by_components(monkeypatch):
     )
     program = parse_program("a :- not K b. b :- not K a. c :- not K d. d :- not K c.")
     compute_world_views(program, SemanticsId.G91)
-    assert len(calls) == 2 and all(len(p.atom_universe) == 2 for p in calls)
+    assert len(calls) == 2 and all(len(p.atoms) == 2 for p in calls)
     calls.clear()
     compute_world_views(program, SemanticsId.G11)
     assert calls == [program]  # no splitting claim: the whole program at once
@@ -82,7 +82,7 @@ def random_union(rng: random.Random, cross: bool) -> Program:
     """2-4 blocks of 1-3 atoms with at most 6 subjective cores, so the direct
     loop stays fast.  With `cross`, a block may read earlier blocks through
     subjective literals, and a subjective constraint may span the blocks.
-    Some unions get a constraint without atoms or an extra atom."""
+    Some unions get a constraint without atoms."""
     while True:
         sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
         program = random_block_union(rng, BLOCK, sizes, cross_prob=0.5 if cross else 0.0)
@@ -91,8 +91,7 @@ def random_union(rng: random.Random, cross: bool) -> Program:
             rules.append(random_subjective_constraint(rng, program, BLOCK))
         if rng.random() < 0.06:
             rules.append(parse_rule(":- #true."))
-        extra = [Atom("e")] if rng.random() < 0.1 else []
-        program = Program.of(rules, extra)
+        program = Program.of(rules)
         if len(subjective_cores(program)) <= 6:
             return program
 
@@ -142,7 +141,6 @@ def test_unions_of_random_blocks(monkeypatch, whole_program):
         has_views = bool(compute_world_views(program, SemanticsId.G91))
         seen["world views"] += has_views
         seen["no world view"] += not has_views
-        seen["extra atoms"] += bool(program.extra_atoms)
         seen["atomless rule"] += any(not r.atoms for r in program.rules)
     assert min(seen.values()) >= 10, seen
 
@@ -213,9 +211,9 @@ def k_blocks(k: int) -> Program:
 
 
 def test_c19_and_its_g91_base_split_each_part_once(monkeypatch):
-    """In a memo, a C19 solve and the G91 solve of its base views split each
-    part once between them; without one, each part of one component is
-    split by both."""
+    """A C19 solve and the G91 solve of its base views split each part once
+    between them, in a memo and without one: C19 reads its base off the G91
+    `direct` solver on a component, which does not split again."""
     calls = Counter()
     real = splitting.closed_component
     monkeypatch.setattr(splitting, "closed_component", lambda p: calls.update([p]) or real(p))
@@ -225,7 +223,18 @@ def test_c19_and_its_g91_base_split_each_part_once(monkeypatch):
     parts = set(calls)
     calls.clear()
     assert compute_world_views(k_blocks(4), SemanticsId.C19) == views
-    assert set(calls) == parts and max(calls.values()) == 2
+    assert set(calls) == parts and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("sem", list(SemanticsId))
+def test_no_direct_solver_splits(sem, monkeypatch):
+    """A registry `direct` solver takes the program it is given whole: only
+    `component_world_views` asks for a closed component."""
+    calls = []
+    real = splitting.closed_component
+    monkeypatch.setattr(splitting, "closed_component", lambda p: calls.append(p) or real(p))
+    views = REGISTRY[sem].direct(parse_program("a :- not K b. b :- not K a. c."), SolverLimits())
+    assert views and calls == []
 
 
 @pytest.mark.parametrize("sem", SPLITTING)

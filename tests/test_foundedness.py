@@ -91,7 +91,7 @@ def test_capacity_error():
 
 def _gfp_random_order(program, wv, rng):
     """One-at-a-time deletion in random order; must reach the same fixpoint."""
-    atoms = sorted(program.atom_universe)
+    atoms = sorted(program.atoms)
     pairs = set()
     for interp in wv.interps:
         for mask in range(1, 1 << len(atoms)):
@@ -109,7 +109,7 @@ def _gfp_random_order(program, wv, rng):
 def _views(program, rng, candidates):
     """The program's G91 world views, then `candidates` random candidate world
     views over its atoms; these reach bodies that G91 views falsify."""
-    interps = list(subsets(sorted(program.atom_universe)))
+    interps = list(subsets(sorted(program.atoms)))
     return list(world_views(program, SemanticsId.G91)) + [
         WorldView(frozenset(rng.sample(interps, rng.randint(1, len(interps)))))
         for _ in range(candidates)
@@ -147,7 +147,7 @@ def test_brute_force_agreement_union_method():
 def _founded_by_pair_sets(program, wv):
     """Foundedness by the definition: no non-empty set of eligible pairs is
     unfounded w.r.t. the union Y of its X-components.  None past 16 pairs."""
-    atoms = sorted(program.atom_universe, key=atom_key)
+    atoms = sorted(program.atoms, key=atom_key)
     eligible = [UnfoundedPair(x, i) for i in wv.sorted_interps for x in subsets(atoms) if x & i]
     if len(eligible) > 16:
         return None

@@ -121,7 +121,7 @@ def test_objective_split_pi1():
 
 
 def test_objective_split_whole_universe():
-    split = objective_split(PI1, PI1.atom_universe)
+    split = objective_split(PI1, PI1.atoms)
     assert split.bottom == PI1
     assert split.top.rules == ()
 
@@ -176,7 +176,7 @@ def test_splitting_theorem_randomized():
     for _ in range(120):
         program = random_objective_program(rng, shape)
         expected = sm(program)
-        for U in _every_subset(program.atom_universe):
+        for U in _every_subset(program.atoms):
             try:
                 sols = objective_solutions(program, U)
             except NotASplittingSet:
@@ -203,10 +203,8 @@ def test_two_oracle_paths_agree():
         program = random_objective_program(rng, shape)
         assert stable_models(program) == stable_models_ref(program), str(program)
     # truth constants under 0-2 negations (a false one kills its rule, a
-    # true one such as `not ⊥` drops out), constraints, and atoms that
-    # occur in no rule
-    pool = [Atom(x) for x in "abcde"]
-    seen = {"dead": 0, "not ⊥": 0, "constraint": 0, "widened": 0}
+    # true one such as `not ⊥` drops out) and constraints
+    seen = {"dead": 0, "not ⊥": 0, "constraint": 0}
     for _ in range(300):
         shape = GeneratorShape(n_atoms=rng.randint(1, 5), max_rules=4, constraint_prob=0.3)
         rules = []
@@ -215,12 +213,11 @@ def test_two_oracle_paths_agree():
             for _ in range(rng.randint(0, 2)):
                 body.insert(rng.randint(0, len(body)), ObjLit(rng.choice((TOP, BOT)), rng.randint(0, 2)))
             rules.append(Rule(rule.head, tuple(body)))
-        program = Program.of(rules, rng.sample(pool, rng.randint(0, 2)))
+        program = Program.of(rules)
         lits = [l for r in program.rules for l in r.body]
         seen["dead"] += any(const_truth(l) is False for l in lits)
         seen["not ⊥"] += ObjLit(BOT, 1) in lits
         seen["constraint"] += any(not r.head for r in program.rules)
-        seen["widened"] += bool(program.extra_atoms - program.atoms)
         assert stable_models(program) == stable_models_ref(program), str(program)
     assert min(seen.values()) > 30, seen
 

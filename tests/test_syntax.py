@@ -25,7 +25,6 @@ from elps.syntax import (
     SubjLit,
     TruthConst,
     add_strong_negation_constraints,
-    canonicalize_program,
     default_negate,
     eliminate_m,
     ground,
@@ -131,7 +130,7 @@ def test_ground_college_instantiates_to_five_rules(corpus_dir):
     parsed = parse_program((corpus_dir / "college.elp").read_text(encoding="utf-8"))
     grounded = ground(parsed)
     assert len(grounded.rules) == 5
-    assert all(a.is_ground for a in grounded.atom_universe)
+    assert all(a.is_ground for a in grounded.atoms)
     assert parse_rule("eligible(mike) :- high(mike).") in grounded.rules
     assert parse_rule(
         "interview(mike) :- not K eligible(mike), not K -eligible(mike)."
@@ -267,19 +266,11 @@ def test_strong_negation_constraints_added():
     assert add_strong_negation_constraints(program) == program
 
 
-def test_canonicalize_program():
-    program = parse_program("a :- ⊤, b. c :- ⊥. d :- not ⊥. e :- not ⊤, a.")
-    canonical = canonicalize_program(program)
-    assert parse_rule("a :- b.") in canonical.rules
-    assert parse_rule("d.") in canonical.rules
-    assert len(canonical.rules) == 2
-
-
 def test_program_dedup_and_universe():
-    program = Program.of([parse_rule("a :- b."), parse_rule("a :- b.")], extra_atoms=[Atom("z")])
-    assert len(program.rules) == 1
-    assert Atom("z") in program.atom_universe
-    assert Atom("a") in program.atom_universe
+    program = Program.of([parse_rule("a :- b."), parse_rule("c."), parse_rule("a :- b.")])
+    assert program.rules == (parse_rule("a :- b."), parse_rule("c."))
+    assert program.atoms == {Atom("a"), Atom("b"), Atom("c")}
+    assert [f.name for f in dataclasses.fields(Program)] == ["rules"]
 
 
 def _walked_atoms(construct) -> frozenset:
@@ -316,8 +307,8 @@ def _random_literal(rng: random.Random, atoms):
 
 
 def _random_program(rng: random.Random) -> Program:
-    """1-6 atoms; truth constants, strong negation, K and M literals,
-    atomless constraints and extra atoms that no rule mentions."""
+    """1-6 atoms; truth constants, strong negation, K and M literals and
+    atomless constraints."""
     atoms = rng.sample(_POOL, rng.randint(1, 6))
     rules = []
     for _ in range(rng.randint(1, 4)):
@@ -326,8 +317,7 @@ def _random_program(rng: random.Random) -> Program:
             continue
         head = frozenset(rng.sample(atoms, rng.randint(0, min(2, len(atoms)))))
         rules.append(Rule(head, tuple(_random_literal(rng, atoms) for _ in range(rng.randint(not head, 3)))))
-    extra = rng.sample(_POOL, rng.randint(0, 2)) if rng.random() < 0.3 else ()
-    return Program.of(rules, extra)
+    return Program.of(rules)
 
 
 def test_atom_sets_match_the_walked_syntax_tree():
@@ -339,7 +329,6 @@ def test_atom_sets_match_the_walked_syntax_tree():
         seen["truth constant"] += any(isinstance(l, ObjLit) and l.atom is None for l in lits)
         seen["strong negation"] += any(a.strong_neg for a in _walked_atoms(program))
         seen["M literal"] += any(isinstance(l, SubjLit) and l.modality == "M" for l in lits)
-        seen["widened"] += bool(program.extra_atoms - _walked_atoms(program))
         seen["atomless constraint"] += any(not r.head and not _walked_atoms(r) for r in program.rules)
         for rule in program.rules:
             objective = tuple(l for l in rule.body if isinstance(l, ObjLit))
@@ -348,14 +337,13 @@ def test_atom_sets_match_the_walked_syntax_tree():
             assert rule.body_obj == objective
             assert rule.body_sub == tuple(l for l in rule.body if isinstance(l, SubjLit))
         assert program.atoms == _walked_atoms(program), str(program)
-        assert program.atom_universe == _walked_atoms(program) | program.extra_atoms, str(program)
         # the cached sets and hash leave equality to the fields, and the hash
         # is the one of the fields' values
         hash(program)
-        fresh = Program(tuple(Rule(r.head, r.body) for r in program.rules), program.extra_atoms)
-        assert {"atom_universe", "_hash"} <= vars(program).keys()
-        assert not {"atom_universe", "_hash"} & vars(fresh).keys()
-        assert fresh == program and hash(fresh) == hash(program) == hash((program.rules, program.extra_atoms))
+        fresh = Program(tuple(Rule(r.head, r.body) for r in program.rules))
+        assert {"atoms", "_hash"} <= vars(program).keys()
+        assert not {"atoms", "_hash"} & vars(fresh).keys()
+        assert fresh == program and hash(fresh) == hash(program) == hash(program.rules)
         assert {program: True}.get(fresh) and {fresh: True}.get(program)
         for rule, fresh_rule in zip(program.rules, fresh.rules):
             assert {"atoms", "objective_atoms", "body_obj", "body_sub", "_hash"} <= vars(rule).keys()
