@@ -26,6 +26,7 @@ from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId
 from .splitting import (
+    combine,
     enumerate_epistemic_splitting_sets,
     epistemic_solutions,
     epistemic_split,
@@ -136,12 +137,16 @@ def cmd_split(args) -> int:
         print("error: provide --split U=a,b,... or --enumerate-splits", file=sys.stderr)
         return 2
     U = _parse_atom_set(args.split)
+    unknown = ",".join(sorted(map(str, U - program.atoms)))
+    if unknown:
+        print(f"error: --split names atoms the program does not mention: {unknown}", file=sys.stderr)
+        return 2
     split = epistemic_split(program, U, args.placement)
     with solve_memo():
         solutions = epistemic_solutions(program, U, semantics, args.placement, limits)
         direct = compute_world_views(program, semantics, limits)
     report = equation_report(
-        "epistemic_splitting", semantics, program, direct, (s.combined for s in solutions), U=U
+        "epistemic_splitting", semantics, program, direct, (combine(*pair) for pair in solutions), U=U
     )
     payload = {
         "file": args.file,
@@ -151,12 +156,12 @@ def cmd_split(args) -> int:
         "top": [str(r) for r in split.top.rules],
         "solutions": [
             {
-                "wv_bottom": s.wv_b.as_lists(),
-                "top_simplified": [str(r) for r in top_simplification(split, s.wv_b).rules],
-                "wv_top": s.wv_t.as_lists(),
-                "combined": s.combined.as_lists(),
+                "wv_bottom": wv_b.as_lists(),
+                "top_simplified": [str(r) for r in top_simplification(split, wv_b).rules],
+                "wv_top": wv_t.as_lists(),
+                "combined": combine(wv_b, wv_t).as_lists(),
             }
-            for s in sorted(solutions, key=lambda s: (wv_key(s.wv_b), wv_key(s.wv_t)))
+            for wv_b, wv_t in sorted(solutions, key=lambda pair: (wv_key(pair[0]), wv_key(pair[1])))
         ],
         "combined": report.rhs,
         "direct": report.lhs,

@@ -259,11 +259,6 @@ class PropertyMatrix:
     def cell(self, prop: str, semantics: SemanticsId) -> MatrixCell:
         return self.cells[(prop, semantics.value)]
 
-    @property
-    def foundness(self) -> dict:
-        """semantics value -> MatrixCell of the foundness column."""
-        return {s.value: self.cells[("foundness", s.value)] for s in SEMANTICS_COLUMNS}
-
     def to_json(self) -> dict:
         def row_json(row: str) -> dict:
             cells = {s.value: self.cells[(row, s.value)] for s in SEMANTICS_COLUMNS}

@@ -57,28 +57,20 @@ def combine(wv_b: WorldView, wv_t: WorldView) -> WorldView:
     return WorldView.of(i_b | i_t for i_b in wv_b.interps for i_t in wv_t.interps)
 
 
-@dataclass(frozen=True)
-class EpistemicSolution:
-    wv_b: WorldView
-    wv_t: WorldView
-
-    @property
-    def combined(self) -> WorldView:
-        return combine(self.wv_b, self.wv_t)
-
-
 def epistemic_solutions(
     program: Program,
     U,
     semantics: SemanticsId,
     placement: str = "bottom",
     limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[EpistemicSolution]:
+) -> frozenset[tuple[WorldView, WorldView]]:
+    """All pairs (wv_b, wv_t) with wv_b a world view of the bottom and wv_t
+    one of the top simplified by wv_b; `combine` composes each pair."""
     split = epistemic_split(program, U, placement)
     pairs = split_solutions(
         split, lambda p: engine.compute_world_views(p, semantics, limits), top_simplification
     )
-    return frozenset(EpistemicSolution(*pair) for pair in pairs)
+    return frozenset(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +247,7 @@ def check_epistemic_splitting(
         placements = (placement,)
     lhs = engine.compute_world_views(program, semantics, limits)
     for place in placements:
-        rhs = {s.combined for s in epistemic_solutions(program, U, semantics, place, limits)}
+        rhs = {combine(*pair) for pair in epistemic_solutions(program, U, semantics, place, limits)}
         if rhs != lhs:
             break
     return equation_report("epistemic_splitting", semantics, program, lhs, rhs, seed, U)

@@ -81,10 +81,6 @@ class Atom:
     def __lt__(self, other: "Atom") -> bool:
         return str(self) < str(other)
 
-    @property
-    def is_ground(self) -> bool:
-        return not any(is_variable(t) for t in self.args)
-
     def positive(self) -> "Atom":
         return Atom(self.name, self.args, False)
 
@@ -203,14 +199,6 @@ class Rule:
         return h
 
     __getstate__ = _without_hash
-
-    @property
-    def is_constraint(self) -> bool:
-        return not self.head
-
-    @property
-    def is_fact(self) -> bool:
-        return not self.body and bool(self.head)
 
     @property
     def is_subjective_constraint(self) -> bool:

@@ -304,6 +304,17 @@ def test_split_invalid_set_names_rule(capsys, tmp_path):
     assert "s :- p, K q." in err
 
 
+def test_split_refuses_atoms_the_program_does_not_mention(capsys, tmp_path):
+    path = tmp_path / "typo.elp"
+    path.write_text("a | b. c :- K a.\n", encoding="utf-8")
+    code, out, err = run(capsys, "split", str(path), "--split", "U=a,zz,b,yy")
+    assert code == 2 and out == ""
+    assert "yy,zz" in err
+    # an empty U names no atom, and splits off nothing
+    code, out, _ = run(capsys, "split", str(path), "--split", "U=")
+    assert code == 0 and out.startswith("U = {}\n") and out.endswith("MATCH\n")
+
+
 def test_split_enumerate(capsys, fx):
     code, out, _ = run(capsys, "split", fx("ce1a"), "--enumerate-splits")
     assert code == 0

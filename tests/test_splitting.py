@@ -106,10 +106,8 @@ def test_combine_examples():
 
 
 def test_epistemic_solutions_college(corpus):
-    solutions = epistemic_solutions(corpus["college"], COLLEGE_U, SemanticsId.G91)
-    assert len(solutions) == 1
-    combined = next(iter(solutions)).combined
-    assert combined == wv_of(
+    (pair,) = epistemic_solutions(corpus["college"], COLLEGE_U, SemanticsId.G91)
+    assert combine(*pair) == wv_of(
         "fair(mike) interview(mike)", "high(mike) eligible(mike) interview(mike)"
     )
 
@@ -122,8 +120,8 @@ def test_epistemic_solutions_college3_layer(corpus):
     # splitting off the appointment layer simplifies its body to ⊤
     u = frozenset(corpus["college3"].atoms) - {parse_atom("appointment(mike)")}
     split = epistemic_split(corpus["college3"], u)
-    (solution,) = epistemic_solutions(corpus["college3"], u, SemanticsId.G91)
-    simplified = top_simplification(split, solution.wv_b)
+    ((wv_b, _),) = epistemic_solutions(corpus["college3"], u, SemanticsId.G91)
+    simplified = top_simplification(split, wv_b)
     assert simplified.rules == (parse_rule("appointment(mike) :- ⊤."),)
 
 

@@ -28,6 +28,7 @@ from elps.syntax import (
     default_negate,
     eliminate_m,
     ground,
+    is_variable,
     load_program,
     parse_atom,
     parse_program,
@@ -55,9 +56,10 @@ def test_parse_disjunction_both_spellings():
 
 
 def test_parse_fact_and_constraint():
-    assert parse_rule("a.").is_fact
+    fact = parse_rule("a.")
+    assert fact.head and not fact.body
     constraint = parse_rule(":- a, not b.")
-    assert constraint.is_constraint and not constraint.is_subjective_constraint
+    assert not constraint.head and not constraint.is_subjective_constraint
     assert parse_rule(":- K a, not M b.").is_subjective_constraint
 
 
@@ -130,7 +132,7 @@ def test_ground_college_instantiates_to_five_rules(corpus_dir):
     parsed = parse_program((corpus_dir / "college.elp").read_text(encoding="utf-8"))
     grounded = ground(parsed)
     assert len(grounded.rules) == 5
-    assert all(a.is_ground for a in grounded.atoms)
+    assert not any(is_variable(t) for a in grounded.atoms for t in a.args)
     assert parse_rule("eligible(mike) :- high(mike).") in grounded.rules
     assert parse_rule(
         "interview(mike) :- not K eligible(mike), not K -eligible(mike)."
