@@ -22,15 +22,17 @@ models once per distinct compiled reduct (the key of
 G91's `direct` on the same component, so a C19 solve decomposes once and
 inherits that search.  The other semantics fail splitting on the paper's
 counterexamples, so `solve` gives the whole program to their `direct`
-solver, where each guess gets its own search.
+solver, where each guess gets its own search outside a run memo.
 
 `solve_memo()` opens a run memo for a `with` block; `once(fn, *args)` alone
 reads and writes it, computing `fn(*args)` once for equal arguments.  What a
 run repeats goes through `once`: `solve` (every solver reads world views
 through it), the component split, the `direct` solve of a component (which
-G91 and C19's base share), and a matrix build's fixture parses, random
-samples, splitting sets and `is_founded`.  Nothing is memoized outside such
-a block.
+G91 and C19's base share), every stable-model search (`objective.stable_models`,
+keyed by the compiled program, so G11 and K15 guesses, the semantics and the
+checks of a run share one search per distinct `ObjectiveMasks`), and a
+matrix build's fixture parses, random samples, splitting sets and
+`is_founded`.  Nothing is memoized outside such a block.
 """
 
 from __future__ import annotations

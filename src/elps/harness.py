@@ -388,12 +388,14 @@ def build_property_matrix(
     `engine.once`: a (program, semantics, limits) met twice is solved once,
     whether by the fixture replay, a check, S17's K15 base views of the K15
     column's programs, C19's G91 base views of the G91 column's programs or
-    a part of the component solver.  Each fixture is parsed once for the
-    replay and the corpus, each shape's sample is drawn once, each
-    program's splitting sets are enumerated once however many columns check
-    it, and `is_founded` is asked once per (program, world view).  All of it
-    is dropped when the build returns or raises.  A semantics listed twice
-    is checked once.  A negative count is refused with a ValueError."""
+    a part of the component solver, and a compiled program is searched for
+    stable models once, whichever loop or check asks.  Each fixture is
+    parsed once for the replay and the corpus, each shape's sample is drawn
+    once, each program's splitting sets are enumerated once however many
+    columns check it, and `is_founded` is asked once per (program, world
+    view).  All of it is dropped when the build returns or raises.  A
+    semantics listed twice is checked once.  A negative count is refused
+    with a ValueError."""
     if count < 0:
         raise ValueError(f"--count must not be negative, got {count}")
     fixtures = require_fixtures(limits, corpus_dir)

@@ -16,9 +16,12 @@ the reduct.  Minimality only needs to look at proper subsets of the candidate
 (a smaller incomparable model never witnesses non-minimality), which cuts the
 search from 4^n to 2^n·2^|I|.  A second, set-based implementation path is kept
 around as an independent oracle.  `stable_models` is `compile_objective` (the
-atom cap and the masks of the live rules) followed by that walk; the G91
-guess loop keys its searches by the compiled form, since equal forms have
-equal stable models.
+atom cap and the masks of the live rules) followed by that walk, asked
+through the run memo (`engine.once`) with the compiled form as its key:
+equal forms have equal stable models, so inside an open `engine.solve_memo()`
+each form is searched once per run, and outside one every call searches.
+The G91 guess loop also keys its searches by the compiled form, in a dict of
+its own, so it shares them outside a memo as well.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
+from . import engine
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import NotASplittingSet, NotObjectiveError
 from .syntax import (
@@ -239,8 +243,15 @@ def _stable_masks(masks: ObjectiveMasks) -> frozenset[Interpretation]:
 
 
 def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:
-    """All stable models of an objective program over its atom universe."""
-    return _stable_masks(compile_objective(program, limits))
+    """All stable models of an objective program over its atom universe.
+
+    The search goes through the run memo, keyed by the compiled form: inside
+    an open `engine.solve_memo()` each distinct `ObjectiveMasks` is searched
+    once, whichever program, guess, semantics or check compiled to it.  The
+    atom cap and `NotObjectiveError` are raised by `compile_objective`,
+    before the memo is read, so a program they refuse is refused on every
+    call and nothing is stored for it."""
+    return engine.once(_stable_masks, compile_objective(program, limits))
 
 
 def stable_models_ref(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:

@@ -171,8 +171,9 @@ def world_views(
     valuation, and that is the only guess with this form that can be
     accepted; every other guess with it is rejected without a search.  Each
     guess still gets its reduct built.  Under G11 and K15 a true `K l`
-    becomes `l`, so each guess gets its own search, and its check stops at
-    the first core whose value differs from the guess."""
+    becomes `l`, so outside a run memo each guess gets its own search (inside
+    one, `stable_models` searches each compiled reduct once per run), and its
+    check stops at the first core whose value differs from the guess."""
     if semantics not in _REDUCT_SEMANTICS:
         raise ValueError(f"world_views handles G91/G11/K15, not {semantics}")
     cores = subjective_cores(program)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from elps import semantics
+from elps import objective, semantics
 from elps.config import DEFAULT_LIMITS
 from elps.engine import REGISTRY, compute_world_views
 from elps.harness import fixtures_dir, load_fixture
@@ -49,6 +49,22 @@ def guess_loops(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, world_views)
+    return counts
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts the stable-model searches `objective._stable_masks` ran per
+    compiled program (`ObjectiveMasks`); one answered from the run memo is
+    not counted."""
+    counts = Counter()
+    real = objective._stable_masks
+
+    def _stable_masks(masks):
+        counts[masks] += 1
+        return real(masks)
+
+    monkeypatch.setattr(objective, "_stable_masks", _stable_masks)
     return counts
 
 

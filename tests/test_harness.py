@@ -138,6 +138,16 @@ def test_matrix_build_solves_each_pair_once(solved):
     assert set(solved) == first and set(solved.values()) == {2}  # nothing kept between builds
 
 
+def test_matrix_build_searches_each_compiled_program_once(searches):
+    """Every stable-model search of a build, whichever guess loop, semantics
+    or check asks for it, runs once per distinct compiled program."""
+    build_property_matrix(seed=3, count=2)
+    assert searches and max(searches.values()) == 1
+    first = set(searches)
+    build_property_matrix(seed=3, count=2)
+    assert searches == Counter({masks: 2 for masks in first})  # nothing kept between builds
+
+
 def test_matrix_build_runs_each_guess_loop_and_split_enumeration_once(monkeypatch, guess_loops):
     """One build runs the guess loop once per (program, semantics): S17's
     K15 base views, C19's G91 base views and the component parts are read

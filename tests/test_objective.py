@@ -1,13 +1,17 @@
 import random
 import re
+import threading
+from collections import Counter
 
 import pytest
 
+from elps import engine
 from elps.config import SolverLimits
 from elps.errors import CapacityError, NotASplittingSet, NotObjectiveError
 from elps.generators import GeneratorShape, random_objective_program
 from elps.objective import (
     classical_satisfies,
+    compile_objective,
     objective_reduct,
     objective_solutions,
     objective_split,
@@ -15,6 +19,7 @@ from elps.objective import (
     stable_models,
     stable_models_ref,
 )
+from elps.semantics import SemanticsId
 from elps.syntax import (
     BOT,
     TOP,
@@ -112,6 +117,74 @@ def test_stable_models_capacity():
     program = parse_program("a :- b, c, d, e.")
     with pytest.raises(CapacityError):
         stable_models(program, SolverLimits(max_atoms=3))
+
+
+def test_stable_models_searches_on_every_call_outside_a_memo(searches):
+    for _ in range(2):
+        stable_models(PI1)
+    assert list(searches.values()) == [2]
+
+
+def test_a_memo_is_not_used_by_another_thread(searches):
+    with engine.solve_memo():
+        stable_models(PI1)
+        worker = threading.Thread(target=stable_models, args=(PI1,))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        stable_models(PI1)  # from this thread's memo
+    assert list(searches.values()) == [2]
+
+
+def test_refused_programs_raise_on_every_call_in_a_memo(searches):
+    """The atom cap and the objective check come before the memo, so a
+    refused program is refused again and nothing is stored for it."""
+    too_big = parse_program("a :- b, c, d, e.")
+    subjective = parse_program("c :- not d.\na :- K b.")
+    with engine.solve_memo():
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                stable_models(too_big, SolverLimits(max_atoms=3))
+            with pytest.raises(NotObjectiveError):
+                stable_models(subjective)
+        assert engine._memo.get() == {}
+    assert not searches
+
+
+def _same_compiled_variant(rng, program):
+    """Other rules with the compiled form of `program`, and which change
+    made them: a body literal repeated in place, or a rule that ⊥ kills."""
+    rules = list(program.rules)
+    i = rng.randrange(len(rules))
+    head, body = rules[i].head, rules[i].body
+    if body and rng.random() < 0.5:
+        j = rng.randrange(len(body))
+        rules[i] = Rule(head, body[: j + 1] + body[j:])
+        return Program.of(rules), "repeated literal"
+    rules.append(Rule(head, (*body, ObjLit(BOT))))
+    return Program.of(rules), "dead rule"
+
+
+def test_memo_answers_an_equally_compiled_program_without_a_search(searches):
+    """In one run memo, random programs of the matrix's 4-atom shape and a
+    variant of each with the same compiled form all get the stable models
+    of the oracle on their own rules; the variant is answered from the
+    memo."""
+    rng = random.Random(23)
+    shape = engine.REGISTRY[SemanticsId.G91].shape
+    kinds = Counter()
+    with engine.solve_memo():
+        for _ in range(80):
+            program = random_objective_program(rng, shape)
+            variant, kind = _same_compiled_variant(rng, program)
+            kinds[kind] += 1
+            assert variant != program and compile_objective(variant) == compile_objective(program)
+            assert stable_models(program) == stable_models_ref(program), str(program)
+            searched = sum(searches.values())
+            assert stable_models(variant) == stable_models_ref(variant), str(variant)
+            assert sum(searches.values()) == searched, str(variant)
+    assert max(searches.values()) == 1
+    assert min(kinds.values()) > 20, kinds
 
 
 def test_objective_split_pi1():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from elps import engine
 from elps import semantics as semantics_module
 from elps.config import SolverLimits
 from elps.engine import brute_force_world_views, compute_world_views
@@ -274,6 +275,22 @@ def test_g91_searches_once_per_distinct_reduct(monkeypatch):
     assert world_views(ring(5), SemanticsId.G91) == ring_closed_form(5)
     # every guess gets its reduct, every distinct reduct one search
     assert calls == {"semantics_reduct": 1024, "stable_models": 32}
+
+
+def test_g11_and_k15_share_their_searches_in_a_run_memo(corpus, searches):
+    """Outside a run memo the G11 and K15 loops search once per guess; in
+    one memo they search each compiled reduct once between them."""
+    program = corpus["college3"]
+    loops = (SemanticsId.G11, SemanticsId.K15)
+    expected = {}
+    for sem in loops:
+        searches.clear()
+        expected[sem] = compute_world_views(program, sem)
+        assert sum(searches.values()) == 8
+    searches.clear()
+    with engine.solve_memo():
+        assert {sem: compute_world_views(program, sem) for sem in loops} == expected
+    assert sum(searches.values()) == len(searches) == 10
 
 
 def test_g91_and_c19_match_the_oracle_with_many_subjective_literals(whole_program):
