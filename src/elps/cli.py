@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -42,8 +43,9 @@ def _load(path: str, args) -> Program:
 
 
 def _parse_atom_set(text: str):
-    text = text.removeprefix("U=")
-    return frozenset(parse_atom(part.strip()) for part in text.split(",") if part.strip())
+    """Atoms separated by commas outside parentheses, as in `U=q(a,b),r`."""
+    parts = re.split(r",(?![^()]*\))", text.removeprefix("U="))
+    return frozenset(parse_atom(part.strip()) for part in parts if part.strip())
 
 
 def _eht_traces(candidates) -> list[dict]:
@@ -84,7 +86,7 @@ def cmd_solve(args) -> int:
         if args.explain_unfounded:
             try:
                 certificates = (
-                    {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv, limits)}
+                    {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv)}
                     for wv in sorted(compute_world_views(program, SemanticsId.G91, limits), key=wv_key)
                 )
                 payload["unfounded_certificates"] = [c for c in certificates if c["pairs"]]
@@ -94,7 +96,7 @@ def cmd_solve(args) -> int:
                 payload["unfounded_certificates_skipped"] = str(exc)
     if args.trace_eht:
         try:
-            payload["eht_traces"] = _eht_traces(total_model_countermodels(program, limits))
+            payload["eht_traces"] = _eht_traces(total_model_countermodels(program))
         except CapacityError as exc:
             print(f"eht trace skipped: {exc}", file=sys.stderr)
             payload["eht_traces"] = None

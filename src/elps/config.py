@@ -1,16 +1,24 @@
 """Search caps for the exhaustive procedures.
 
 The solver is a desk-scale oracle: every enumeration is bounded and refuses
-(with CapacityError) instead of running away.  `SolverLimits` holds the caps
-a caller may set; the three that none sets are constants beside their one
-use, `semantics.BRUTE_MAX_ATOMS` (4, the brute-force oracles),
-`splitting.SPLIT_ENUM_MAX_ATOMS` (12, splitting-set enumeration) and
-`syntax.GROUND_MAX_RULES` (10,000 rule instances, grounding).
+(with CapacityError) instead of running away.  One cap is a setting:
+`SolverLimits.max_atoms` (20, stable-model enumeration), set by `--max-atoms`
+or `ELP_MAX_ATOMS`.  The six that no caller sets are constants beside their
+use:
+
+- `semantics.MAX_GUESSES` (4096, modal guesses and world views per answer)
+- `semantics.BRUTE_MAX_ATOMS` (4, the brute-force oracles)
+- `eht.F15_MAX_ATOMS` (3, EHT equilibria and the F15 sample shape)
+- `foundedness.FOUNDED_MAX_ATOMS` (12, the unfounded-pair fixpoint)
+- `splitting.SPLIT_ENUM_MAX_ATOMS` (12, splitting-set enumeration)
+- `syntax.GROUND_MAX_RULES` (10000 rule instances, grounding)
+
+Each constant is read from its module when its check runs, so a test can
+change it with `monkeypatch`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -19,16 +27,11 @@ ENV_MAX_ATOMS = "ELP_MAX_ATOMS"
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """G91 and C19 solve one closed component at a time: there `max_guesses`
-    and `founded_max_atoms` bound each component, `max_atoms` still bounds
-    the whole program (so no world view exceeds 2^max_atoms
-    interpretations), and an answer of more than `max_guesses` world views
-    is refused.  The other semantics apply every cap to the whole program."""
+    """The settable cap: `max_atoms` bounds a stable-model search to
+    2^max_atoms interpretations.  `splitting.component_world_views` says
+    which caps bound a component and which the whole program."""
 
-    max_atoms: int = 20          # stable-model candidate enumeration (2^n interpretations)
-    max_guesses: int = 4096      # modal-guess space for world-view search (2^#cores); world views per answer
-    f15_max_atoms: int = 3       # EHT equilibrium machinery
-    founded_max_atoms: int = 12  # unfounded-pair fixpoint
+    max_atoms: int = 20
 
 
 DEFAULT_LIMITS = SolverLimits()
@@ -50,4 +53,4 @@ def resolve_limits(max_atoms: int | None = None) -> SolverLimits:
             raise ValueError(f"{ENV_MAX_ATOMS} must be an integer, got {env!r}") from exc
     if max_atoms < 0:
         raise ValueError(f"{source} must not be negative, got {max_atoms}")
-    return dataclasses.replace(DEFAULT_LIMITS, max_atoms=max_atoms)
+    return SolverLimits(max_atoms)

@@ -83,10 +83,11 @@ they are returned.
 
 from __future__ import annotations
 
-from .config import DEFAULT_LIMITS, SolverLimits
 from .modal import WorldView
 from .objective import AtomBits, _and_or, _point_rules, _violated, compile_rule
 from .syntax import Program, atom_key, capped_atoms, subsets
+
+F15_MAX_ATOMS = 3  # EHT equilibrium machinery, over 2^(2^n) candidate world views
 
 
 def _submasks(mask: int) -> list[int]:
@@ -121,9 +122,9 @@ class _Compiled(AtomBits):
         return cls(program, sorted(program.atoms.union(*interps), key=atom_key))
 
     @classmethod
-    def capped(cls, program: Program, limits: SolverLimits) -> "_Compiled":
+    def capped(cls, program: Program) -> "_Compiled":
         """Compiled over the program's atoms, within the EHT cap."""
-        return cls(program, capped_atoms(program, limits.f15_max_atoms, "EHT"))
+        return cls(program, capped_atoms(program, F15_MAX_ATOMS, "EHT"))
 
     def world_view(self, points) -> WorldView:
         return WorldView(frozenset(self.interp(p) for p in points))
@@ -280,22 +281,16 @@ def equilibrium_countermodel(program: Program, wv: WorldView):
     return _countermodel(program, wv, wv.interps)
 
 
-def total_model_countermodels(
-    program: Program,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> list[tuple[WorldView, dict | None]]:
+def total_model_countermodels(program: Program) -> list[tuple[WorldView, dict | None]]:
     """Every candidate world view that is a total EHT model, in enumeration
     order, paired with its equilibrium countermodel (None for an equilibrium)."""
-    c = _Compiled.capped(program, limits)
+    c = _Compiled.capped(program)
     return [(c.world_view(wv), h if h is None else c.h_map(h)) for wv, h in c.total_models()]
 
 
-def equilibrium_eht_models(
-    program: Program,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[WorldView]:
+def equilibrium_eht_models(program: Program) -> frozenset[WorldView]:
     """Total EHT models with no strictly smaller "here" model."""
-    c = _Compiled.capped(program, limits)
+    c = _Compiled.capped(program)
     return frozenset(c.world_view(wv) for wv in c.equilibria())
 
 
@@ -341,15 +336,15 @@ def _f15_selection(c: _Compiled, equilibria) -> frozenset[WorldView]:
     )
 
 
-def f15_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+def f15_world_views(program: Program) -> frozenset[WorldView]:
     """Equilibrium models not dominated by a ⊃-larger or ≤-greater one,
     the equilibria sought among the per-signature stable points."""
-    c = _Compiled.capped(program, limits)
+    c = _Compiled.capped(program)
     return _f15_selection(c, c.equilibria())
 
 
-def f15_brute_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+def f15_brute_world_views(program: Program) -> frozenset[WorldView]:
     """Oracle for F15: the same selection over the equilibria of the walk
     over every total model, the candidates with no countermodel."""
-    c = _Compiled.capped(program, limits)
+    c = _Compiled.capped(program)
     return _f15_selection(c, [points for points, h in c.total_models() if h is None])

@@ -88,11 +88,11 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
     ),
     # the oracle walks every total model, the solver only the per-signature stable points
     SemanticsId.F15: SemanticsEntry(
-        direct=lambda p, limits: eht.f15_world_views(p, limits),
-        oracle=lambda p, limits: eht.f15_brute_world_views(p, limits),
+        direct=lambda p, limits: eht.f15_world_views(p),
+        oracle=lambda p, limits: eht.f15_brute_world_views(p),
         accepts_m=True,
         splitting=False,
-        shape=GeneratorShape(n_atoms=3, max_rules=3, subjective_prob=0.45),  # the EHT atom cap
+        shape=GeneratorShape(n_atoms=eht.F15_MAX_ATOMS, max_rules=3, subjective_prob=0.45),
     ),
     SemanticsId.C19: SemanticsEntry(
         direct=lambda p, limits: foundedness.c19_world_views(p, limits),

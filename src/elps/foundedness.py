@@ -31,6 +31,8 @@ from .objective import AtomBits, Interpretation, _and_or, _point_rules, _violate
 from .semantics import SemanticsId, brute_world_views
 from .syntax import Atom, Program, Rule, capped_atoms, interp_key, subsets
 
+FOUNDED_MAX_ATOMS = 12  # unfounded-pair fixpoint over 2^n atom sets per interpretation
+
 
 @dataclass(frozen=True)
 class UnfoundedPair:
@@ -70,13 +72,9 @@ def has_justifying_rule(program: Program, wv: WorldView, pair: UnfoundedPair, Y)
     return False
 
 
-def greatest_unfounded_set(
-    program: Program,
-    wv: WorldView,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[UnfoundedPair]:
+def greatest_unfounded_set(program: Program, wv: WorldView) -> frozenset[UnfoundedPair]:
     """Fixpoint of justified-pair deletion; empty iff wv is founded."""
-    bits = AtomBits(capped_atoms(program, limits.founded_max_atoms, "foundedness"))
+    bits = AtomBits(capped_atoms(program, FOUNDED_MAX_ATOMS, "foundedness"))
     rules = [compile_rule(r, bits.bit) for r in program.rules]
     points = [(interp, bits.mask(interp)) for interp in wv.sorted_interps]
     w_and, w_or = _and_or(p for _, p in points)
@@ -118,15 +116,15 @@ def greatest_unfounded_set(
     return frozenset(UnfoundedPair(bits.interp(x), interp) for x, interp, _ in survivors)
 
 
-def is_founded(program: Program, wv: WorldView, limits: SolverLimits = DEFAULT_LIMITS) -> bool:
-    return not greatest_unfounded_set(program, wv, limits)
+def is_founded(program: Program, wv: WorldView) -> bool:
+    return not greatest_unfounded_set(program, wv)
 
 
-def is_founded_brute(program: Program, wv: WorldView, limits: SolverLimits = DEFAULT_LIMITS) -> bool:
+def is_founded_brute(program: Program, wv: WorldView) -> bool:
     """Brute-force foundedness, independent of the fixpoint computation:
     guess the union Y directly; the pairs that survive w.r.t. Y form an
     unfounded set iff their X-components cover Y exactly."""
-    atoms = capped_atoms(program, limits.founded_max_atoms, "foundedness")
+    atoms = capped_atoms(program, FOUNDED_MAX_ATOMS, "foundedness")
     eligible = [
         UnfoundedPair(x, interp)
         for interp in wv.sorted_interps
@@ -148,7 +146,7 @@ def c19_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> 
     `splitting.component_world_views` solves a single component, so a memo
     open around the solve shares them with G91 and nothing splits twice."""
     g91 = engine.once(engine.REGISTRY[SemanticsId.G91].direct, program, limits)
-    return frozenset(wv for wv in g91 if is_founded(program, wv, limits))
+    return frozenset(wv for wv in g91 if is_founded(program, wv))
 
 
 def c19_brute_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
@@ -156,13 +154,13 @@ def c19_brute_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMIT
     return frozenset(
         wv
         for wv in brute_world_views(program, SemanticsId.G91, limits)
-        if is_founded_brute(program, wv, limits)
+        if is_founded_brute(program, wv)
     )
 
 
-def unfounded_certificate(program: Program, wv: WorldView, limits: SolverLimits = DEFAULT_LIMITS):
+def unfounded_certificate(program: Program, wv: WorldView):
     """JSON-friendly dump of the greatest unfounded set (the rejection witness)."""
-    pairs = greatest_unfounded_set(program, wv, limits)
+    pairs = greatest_unfounded_set(program, wv)
     return [
         {
             "X": list(interp_key(p.X)),

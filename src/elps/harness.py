@@ -365,7 +365,7 @@ def _matrix_checks(semantics, corpus, seed, count, limits):
         if wvs is None:
             yield "foundness", None
         for wv in wvs or ():
-            founded = once(is_founded, program, wv, limits)
+            founded = once(is_founded, program, wv)
             unfounded = [] if founded else [wv]
             report = equation_report("foundness", semantics, program, unfounded, [], seed)
             # a pass under a semantics not founded by construction backs no general claim

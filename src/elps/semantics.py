@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from typing import Mapping
 
-from . import engine
+from . import engine, objective
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError, UnsupportedMLiteral
 from .modal import WorldView, candidate_world_views, modal_satisfies, subjective_reduct
@@ -142,15 +142,19 @@ def _twin_bits(cores) -> list[tuple[int, int]]:
     ]
 
 
-def _g91_view(reduct: Program, cores, limits: SolverLimits) -> tuple[WorldView | None, int]:
-    """The world view of the reduct's stable models (None if it has none),
-    with the guess that view makes true: bit i set iff it satisfies cores[i].
-    The one guess of a G91 key that can be accepted is that one."""
-    models = stable_models(reduct, limits)
+def _g91_view(key: ObjectiveMasks, cores) -> tuple[WorldView | None, int]:
+    """The world view of the compiled reduct's stable models, searched under
+    the memo key of `stable_models` (None if it has none), with the guess
+    that view makes true: bit i set iff it satisfies cores[i].  The one
+    guess of a G91 key that can be accepted is that one."""
+    models = engine.once(objective._stable_masks, key)
     if not models:
         return None, -1
     wv = WorldView(models)
     return wv, sum(1 << i for i, core in enumerate(cores) if modal_satisfies(wv, frozenset(), core))
+
+
+MAX_GUESSES = 4096  # modal guesses (2^#cores) per guess loop; world views per answer
 
 
 def world_views(
@@ -177,10 +181,8 @@ def world_views(
     if semantics not in _REDUCT_SEMANTICS:
         raise ValueError(f"world_views handles G91/G11/K15, not {semantics}")
     cores = subjective_cores(program)
-    if 2 ** len(cores) > limits.max_guesses:
-        raise CapacityError(
-            f"{len(cores)} subjective cores exceed the guess cap of {limits.max_guesses}"
-        )
+    if 2 ** len(cores) > MAX_GUESSES:
+        raise CapacityError(f"{len(cores)} subjective cores exceed the guess cap of {MAX_GUESSES}")
     # G91 only: compiled reduct -> (its world view or None, that view's guess)
     views: dict[ObjectiveMasks, tuple[WorldView | None, int]] = {}
     accepted = set()
@@ -193,7 +195,7 @@ def world_views(
         if semantics is SemanticsId.G91:
             key = compile_objective(reduct, limits)
             if key not in views:
-                views[key] = _g91_view(reduct, cores, limits)
+                views[key] = _g91_view(key, cores)
             wv, own = views[key]
             if own == bits:
                 accepted.add(wv)

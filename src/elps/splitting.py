@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from . import engine
+from . import semantics as _semantics
 from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError, NotAnEpistemicSplittingSet, NotStratified
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
@@ -142,10 +143,11 @@ def component_world_views(
 
     Caps: `max_atoms` bounds the whole program, so no world view has more
     than 2^max_atoms interpretations.  `direct` applies the other caps, such
-    as `max_guesses` and `founded_max_atoms`, to one component at a time.
-    An assembled answer of more than `max_guesses` world views raises
-    CapacityError; the whole-program guess loop yields at most one view per
-    guess, so it never returns more.
+    as `semantics.MAX_GUESSES` and `foundedness.FOUNDED_MAX_ATOMS`, to one
+    component at a time.  An assembled answer of more than `MAX_GUESSES`
+    world views raises CapacityError; the whole-program guess loop yields at
+    most one view per guess, so it never returns more.  The semantics that
+    are not solved by components apply every cap to the whole program.
     """
     capped_atoms(program, limits.max_atoms, "exhaustive-search")
     U = engine.once(closed_component, program)
@@ -156,8 +158,8 @@ def component_world_views(
     views = set()
     for wv_b, wv_t in split_solutions(split, lambda p: engine.solve(p, semantics, limits), simplify):
         views.add(combine(wv_b, wv_t))
-        if len(views) > limits.max_guesses:
-            raise CapacityError(f"the world views exceed the guess cap of {limits.max_guesses}")
+        if len(views) > _semantics.MAX_GUESSES:
+            raise CapacityError(f"the world views exceed the guess cap of {_semantics.MAX_GUESSES}")
     return frozenset(views)
 
 

@@ -315,6 +315,15 @@ def test_split_refuses_atoms_the_program_does_not_mention(capsys, tmp_path):
     assert code == 0 and out.startswith("U = {}\n") and out.endswith("MATCH\n")
 
 
+def test_split_reads_atoms_with_several_arguments(capsys, tmp_path):
+    path = tmp_path / "args.elp"
+    path.write_text("q(a,b). s :- K q(a,b).\n", encoding="utf-8")
+    code, out, _ = run(capsys, "split", str(path), "--split", "U=q(a,b)", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["U"] == ["q(a,b)"] and payload["match"]
+    assert payload["bottom"] == ["q(a,b)."] and payload["top"] == ["s :- K q(a,b)."]
+
+
 def test_split_enumerate(capsys, fx):
     code, out, _ = run(capsys, "split", fx("ce1a"), "--enumerate-splits")
     assert code == 0
@@ -410,6 +419,17 @@ def test_conformant_generate(capsys, fx):
             ["light", "plugged(l1)", "plugged(l2)", "toggle(l1)"],
         ]
     ]
+
+
+def test_conformant_plan_of_atoms_with_several_arguments(capsys, tmp_path):
+    path = tmp_path / "args.elp"
+    path.write_text("g :- q(a,b), r.\n", encoding="utf-8")
+    code, out, _ = run(
+        capsys, "conformant", str(path), "--goal", "g", "--plan", "q(a,b),r", "--plan", "q(a,b)", "--json"
+    )
+    plans = json.loads(out)["plans"]
+    assert code == 1
+    assert [(p["plan"], p["conformant"]) for p in plans] == [(["q(a,b)", "r"], True), (["q(a,b)"], False)]
 
 
 def test_conformant_warns_for_non_splitting_semantics(capsys, fx):

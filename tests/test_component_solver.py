@@ -246,9 +246,10 @@ def test_eight_blocks_under_default_caps(sem, whole_program):
 
 
 @pytest.mark.parametrize("sem", SPLITTING)
-def test_assembled_answer_over_the_guess_cap_is_refused(sem):
-    with pytest.raises(CapacityError, match="guess cap of 64"):
-        compute_world_views(k_blocks(8), sem, SolverLimits(max_guesses=64))
+def test_assembled_answer_over_the_guess_cap_is_refused(sem, monkeypatch):
+    monkeypatch.setattr(semantics_module, "MAX_GUESSES", 64)
+    with pytest.raises(CapacityError, match="the world views exceed the guess cap of 64"):
+        compute_world_views(k_blocks(8), sem)
 
 
 @pytest.mark.parametrize("sem", SPLITTING)

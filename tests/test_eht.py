@@ -6,7 +6,6 @@ from typing import Iterable, Mapping
 import pytest
 
 from elps import eht
-from elps.config import SolverLimits
 from elps.eht import (
     _Compiled,
     _countermodel,
@@ -165,11 +164,12 @@ def test_f15_simple_programs():
     assert f15_world_views(pi4) == {wv_of("a", "b")}
 
 
-def test_f15_capacity():
+def test_f15_capacity(monkeypatch):
     program = parse_program("a :- b, c, d.")
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="4 atoms exceed the EHT cap of 3"):
         equilibrium_eht_models(program)
-    assert equilibrium_eht_models(program, SolverLimits(f15_max_atoms=4)) is not None
+    monkeypatch.setattr(eht, "F15_MAX_ATOMS", 4)
+    assert equilibrium_eht_models(program) is not None
 
 
 def test_supra_chain_randomized():
@@ -284,10 +284,10 @@ def test_countermodel_search_matches_product_walk():
     assert found > 400 and none > 400 and strict > 500
 
 
-def _total_model_countermodels_ref(program, limits=SolverLimits()):
+def _total_model_countermodels_ref(program):
     """Reference: every candidate world view checked against every rule, with
     no objective prefilter."""
-    atoms = capped_atoms(program, limits.f15_max_atoms, "EHT")
+    atoms = capped_atoms(program, eht.F15_MAX_ATOMS, "EHT")
     out = []
     for interps in subsets(list(subsets(atoms))):
         if not interps:
@@ -298,7 +298,7 @@ def _total_model_countermodels_ref(program, limits=SolverLimits()):
     return out
 
 
-def test_total_model_countermodels_match_unfiltered_enumeration():
+def test_total_model_countermodels_match_unfiltered_enumeration(monkeypatch):
     rng = random.Random(29)
     constrained = with_m = 0
     for _ in range(300):
@@ -314,17 +314,17 @@ def test_total_model_countermodels_match_unfiltered_enumeration():
     assert constrained > 30 and with_m > 30
     # one program past the default cap: 2^16 - 1 candidates
     program = parse_program("a | b. c :- not K d, a. d :- M b, not c. :- a, b. :- c, d.")
-    limits = SolverLimits(f15_max_atoms=4)
-    got = total_model_countermodels(program, limits)
-    assert got and got == _total_model_countermodels_ref(program, limits)
+    monkeypatch.setattr(eht, "F15_MAX_ATOMS", 4)
+    got = total_model_countermodels(program)
+    assert got and got == _total_model_countermodels_ref(program)
 
 
-def _f15_world_views_ref(program, limits=SolverLimits()):
+def _f15_world_views_ref(program):
     """Reference F15 from the definitions alone: total EHT models with no
     non-total model in the product walk, then the ⊂ / ≤ selection, with
     models* as (1) the total reading at the points of X and (2) no non-total
     model total outside X."""
-    atoms = capped_atoms(program, limits.f15_max_atoms, "EHT")
+    atoms = capped_atoms(program, eht.F15_MAX_ATOMS, "EHT")
     equilibria = []
     for interps in subsets(list(subsets(atoms))):
         if interps:
@@ -354,7 +354,7 @@ def _f15_world_views_ref(program, limits=SolverLimits()):
     return {wv for wv in equilibria if not any(dominates(o, wv) for o in equilibria if o != wv)}
 
 
-def test_f15_world_views_match_definitional_reference():
+def test_f15_world_views_match_definitional_reference(monkeypatch):
     rng = random.Random(41)
     constrained = with_m = selective = 0
     for _ in range(300):
@@ -369,8 +369,8 @@ def test_f15_world_views_match_definitional_reference():
         selective += len(expected) < len(equilibrium_eht_models(program))
     assert constrained > 30 and with_m > 30 and selective > 10
     program = parse_program("a | b. c :- not K d, a. d :- M b, not c. :- a, b. :- c, d.")
-    limits = SolverLimits(f15_max_atoms=4)
-    assert f15_world_views(program, limits) == _f15_world_views_ref(program, limits)
+    monkeypatch.setattr(eht, "F15_MAX_ATOMS", 4)
+    assert f15_world_views(program) == _f15_world_views_ref(program)
 
 
 def test_f15_decides_each_point_once_per_signature(monkeypatch, corpus):
@@ -394,10 +394,10 @@ def test_f15_decides_each_point_once_per_signature(monkeypatch, corpus):
         assert calls and max(calls.values()) == 1, str(program)
 
 
-def _equilibria_of_total_models(program, limits=SolverLimits()):
+def _equilibria_of_total_models(program):
     """The reference route: every total model, kept when it has no
     countermodel."""
-    return {wv for wv, h in total_model_countermodels(program, limits) if h is None}
+    return {wv for wv, h in total_model_countermodels(program) if h is None}
 
 
 def test_equilibrium_points_are_stable_in_the_g91_reduct():
@@ -415,7 +415,7 @@ def test_equilibrium_points_are_stable_in_the_g91_reduct():
         with_m += "M " in str(program)
         reference = _equilibria_of_total_models(program)
         assert equilibrium_eht_models(program) == reference, str(program)
-        c = _Compiled.capped(program, SolverLimits())
+        c = _Compiled.capped(program)
         interps = [c.interp(p) for p in range(1 << len(c.atoms))]
         drawn = WorldView(frozenset(rng.sample(interps, rng.randint(1, len(interps)))))
         for wv in [*reference, drawn]:
@@ -432,24 +432,24 @@ def test_equilibrium_points_are_stable_in_the_g91_reduct():
     assert constrained > 30 and with_m > 30
 
 
-def test_candidates_keep_every_equilibrium_at_four_atoms():
+def test_candidates_keep_every_equilibrium_at_four_atoms(monkeypatch):
     # where the rules with no subjective literal pass all 16 points, a 4-atom
     # program can have up to 2^16 - 1 total models, 10 s or more on the
     # reference route; the programs drawn here let at most 12 points pass
     rng = random.Random(53)
-    limits = SolverLimits(f15_max_atoms=4)
+    monkeypatch.setattr(eht, "F15_MAX_ATOMS", 4)
     shape = GeneratorShape(n_atoms=4, max_rules=6, subjective_prob=0.5, m_prob=0.25, constraint_prob=0.3)
     programs = []
     while len(programs) < 20:
         program = random_epistemic_program(rng, shape)
         if len(program.atoms) == 4:
-            c = _Compiled.capped(program, limits)
+            c = _Compiled.capped(program)
             if sum(p in c.here_values(p) for p in range(16)) <= 12:
                 programs.append(program)
     found = 0
     for program in programs:
-        reference = _equilibria_of_total_models(program, limits)
-        assert equilibrium_eht_models(program, limits) == reference, str(program)
+        reference = _equilibria_of_total_models(program)
+        assert equilibrium_eht_models(program) == reference, str(program)
         found += bool(reference)
     assert found >= 10
 
@@ -465,8 +465,9 @@ def test_f15_searches_one_candidate_for_a_four_atom_rule(monkeypatch):
         return real(self, points, free, rules)
 
     monkeypatch.setattr(_Compiled, "countermodel", countermodel)
+    monkeypatch.setattr(eht, "F15_MAX_ATOMS", 4)
     program = parse_program("a :- b, c, d.")
-    assert f15_world_views(program, SolverLimits(f15_max_atoms=4)) == {wv_of("")}
+    assert f15_world_views(program) == {wv_of("")}
     assert searches == {frozenset([0]): 1}
 
 

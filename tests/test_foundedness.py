@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from elps.config import SolverLimits
+from elps import foundedness
 from elps.errors import CapacityError
 from elps.foundedness import (
     UnfoundedPair,
@@ -83,10 +83,11 @@ def test_unfounded_certificate():
     assert {"X": ["a"], "I": ["a"]} in certs
 
 
-def test_capacity_error():
+def test_capacity_error(monkeypatch):
     program = parse_program("x :- a, b, c, d, e, f, g, h, i, j, k, l, m.")
-    with pytest.raises(CapacityError):
-        is_founded(program, wv_of(""), SolverLimits(founded_max_atoms=5))
+    monkeypatch.setattr(foundedness, "FOUNDED_MAX_ATOMS", 5)
+    with pytest.raises(CapacityError, match="14 atoms exceed the foundedness cap of 5"):
+        is_founded(program, wv_of(""))
 
 
 def _gfp_random_order(program, wv, rng):

@@ -1,9 +1,12 @@
 """Random texts through the whole pipeline: every input gives world views or
 a typed `ElpError`, under every semantics."""
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elps import semantics as semantics_module
 from elps.config import SolverLimits
 from elps.engine import compute_world_views
 from elps.errors import ElpError
@@ -32,8 +35,9 @@ _texts = st.builds(
     st.integers(0, 4),
 )
 
-# small caps keep each solve short; a program past them is refused with CapacityError
-_LIMITS = SolverLimits(max_atoms=6, max_guesses=64)
+# small caps (and a guess cap of 64 in the test) keep each solve short; a
+# program past them is refused with CapacityError
+_LIMITS = SolverLimits(max_atoms=6)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -43,8 +47,9 @@ def test_random_texts_give_world_views_or_a_typed_error(text):
         program = load_program(text)
     except ElpError:
         return
-    for semantics in SemanticsId:
-        try:
-            compute_world_views(program, semantics, _LIMITS)
-        except ElpError:
-            pass
+    with patch.object(semantics_module, "MAX_GUESSES", 64):
+        for semantics in SemanticsId:
+            try:
+                compute_world_views(program, semantics, _LIMITS)
+            except ElpError:
+                pass

@@ -243,9 +243,9 @@ def test_foundness_column_asks_each_pair_once(monkeypatch):
     calls = Counter()
     inner = harness.is_founded
 
-    def is_founded(program, wv, limits):
+    def is_founded(program, wv):
         calls[program, wv] += 1
-        return inner(program, wv, limits)
+        return inner(program, wv)
 
     monkeypatch.setattr(harness, "is_founded", is_founded)
     build_property_matrix(seed=1, count=1)

@@ -4,7 +4,6 @@ import pytest
 
 from elps import engine
 from elps import semantics as semantics_module
-from elps.config import SolverLimits
 from elps.engine import brute_force_world_views, compute_world_views
 from elps.errors import CapacityError, UnsupportedMLiteral
 from elps.generators import GeneratorShape, random_epistemic_program, random_objective_program
@@ -173,10 +172,11 @@ def test_brute_force_capacity():
         brute_force_world_views(program, SemanticsId.G91)
 
 
-def test_guess_capacity():
+def test_guess_capacity(monkeypatch):
     program = parse_program("x :- K a, K b, K c.")
-    with pytest.raises(CapacityError):
-        world_views(program, SemanticsId.G91, SolverLimits(max_guesses=4))
+    monkeypatch.setattr(semantics_module, "MAX_GUESSES", 4)
+    with pytest.raises(CapacityError, match="3 subjective cores exceed the guess cap of 4"):
+        world_views(program, SemanticsId.G91)
 
 
 def test_g91_brute_force_handles_m():
@@ -262,19 +262,20 @@ def test_ring_matches_its_closed_form(k, semantics):
     assert compute_world_views(ring(k), semantics) == expected
 
 
-def test_g91_searches_once_per_distinct_reduct(monkeypatch):
-    calls = {"semantics_reduct": 0, "stable_models": 0}
-    for name in calls:
-        real = getattr(semantics_module, name)
+def test_g91_searches_once_per_distinct_reduct(monkeypatch, searches):
+    reducts = 0
+    real = semantics_module.semantics_reduct
 
-        def counted(*args, name=name, real=real):
-            calls[name] += 1
-            return real(*args)
+    def semantics_reduct(*args):
+        nonlocal reducts
+        reducts += 1
+        return real(*args)
 
-        monkeypatch.setattr(semantics_module, name, counted)
+    monkeypatch.setattr(semantics_module, "semantics_reduct", semantics_reduct)
     assert world_views(ring(5), SemanticsId.G91) == ring_closed_form(5)
-    # every guess gets its reduct, every distinct reduct one search
-    assert calls == {"semantics_reduct": 1024, "stable_models": 32}
+    # every guess gets its reduct, every distinct compiled reduct one search
+    assert reducts == 1024
+    assert len(searches) == 32 and set(searches.values()) == {1}
 
 
 def test_g11_and_k15_share_their_searches_in_a_run_memo(corpus, searches):

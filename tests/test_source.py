@@ -1,8 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
+import importlib
+import re
 import sys
 from pathlib import Path
+
+from elps import config
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "elps"
 
@@ -43,3 +48,16 @@ def test_the_package_parses_as_python_3_10():
     """`requires-python = ">=3.10"`: no module uses syntax newer than 3.10."""
     for path in sorted(SOURCE.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_config_docstring_names_each_cap_where_it_is_used():
+    """`config` names the one settable cap, `SolverLimits.max_atoms`, and
+    each constant cap as `module.NAME` (value, use); every named constant
+    exists in its module with that value."""
+    caps = re.findall(r"`(\w+)\.([A-Z0-9_]+)` \((\d+)", config.__doc__)
+    assert len(caps) == 6
+    for module, name, value in caps:
+        assert getattr(importlib.import_module(f"elps.{module}"), name) == int(value), (module, name)
+    assert [f.name for f in dataclasses.fields(config.SolverLimits)] == ["max_atoms"]
+    settable = re.search(r"`SolverLimits\.max_atoms` \((\d+)", config.__doc__)
+    assert int(settable.group(1)) == config.DEFAULT_LIMITS.max_atoms
