@@ -17,7 +17,8 @@ import re
 import sys
 from pathlib import Path
 
-from .config import resolve_limits
+from . import objective
+from .config import resolve_max_atoms
 from .eht import total_model_countermodels
 from .engine import REGISTRY, compute_world_views, solve_memo
 from .errors import CapacityError, ElpError
@@ -71,12 +72,11 @@ def _eht_traces(candidates) -> list[dict]:
 
 
 def cmd_solve(args) -> int:
-    limits = resolve_limits(args.max_atoms)
     semantics = SemanticsId.from_string(args.semantics)
     program = _load(args.file, args)
     # the certificates read the G91 views, which C19 and G91 have solved
     with solve_memo():
-        wvs = sorted(compute_world_views(program, semantics, limits), key=wv_key)
+        wvs = sorted(compute_world_views(program, semantics), key=wv_key)
         payload = {
             "file": args.file,
             "semantics": semantics.value,
@@ -87,7 +87,7 @@ def cmd_solve(args) -> int:
             try:
                 certificates = (
                     {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv)}
-                    for wv in sorted(compute_world_views(program, SemanticsId.G91, limits), key=wv_key)
+                    for wv in sorted(compute_world_views(program, SemanticsId.G91), key=wv_key)
                 )
                 payload["unfounded_certificates"] = [c for c in certificates if c["pairs"]]
             except CapacityError as exc:
@@ -121,7 +121,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_split(args) -> int:
-    limits = resolve_limits(args.max_atoms)
     semantics = SemanticsId.from_string(args.semantics)
     program = _load(args.file, args)
     if args.enumerate_splits:
@@ -145,8 +144,8 @@ def cmd_split(args) -> int:
         return 2
     split = epistemic_split(program, U, args.placement)
     with solve_memo():
-        solutions = epistemic_solutions(program, U, semantics, args.placement, limits)
-        direct = compute_world_views(program, semantics, limits)
+        solutions = epistemic_solutions(program, U, semantics, args.placement)
+        direct = compute_world_views(program, semantics)
     report = equation_report(
         "epistemic_splitting", semantics, program, direct, (combine(*pair) for pair in solutions), U=U
     )
@@ -191,7 +190,6 @@ def cmd_split(args) -> int:
 
 
 def cmd_properties(args) -> int:
-    limits = resolve_limits(args.max_atoms)
     semantics_list = [SemanticsId.from_string(s) for s in args.semantics.split(",")]
     corpus_dir = Path(args.corpus) if args.corpus else None
     try:
@@ -199,7 +197,6 @@ def cmd_properties(args) -> int:
             semantics_list=semantics_list,
             seed=args.seed,
             count=args.count,
-            limits=limits,
             corpus_dir=corpus_dir,
         )
     except FixtureMismatch as exc:
@@ -224,7 +221,6 @@ def cmd_properties(args) -> int:
 
 
 def cmd_conformant(args) -> int:
-    limits = resolve_limits(args.max_atoms)
     semantics = SemanticsId.from_string(args.semantics)
     if not REGISTRY[semantics].splitting:
         print(
@@ -241,7 +237,7 @@ def cmd_conformant(args) -> int:
             return 2
         actions = _parse_atom_set(args.actions)
         surviving = sorted(
-            generate_conformant_world_views(program, actions, goal, semantics, limits), key=wv_key
+            generate_conformant_world_views(program, actions, goal, semantics), key=wv_key
         )
         payload["mode"] = "generate"
         payload["world_views"] = world_views_to_json(surviving)
@@ -262,7 +258,7 @@ def cmd_conformant(args) -> int:
     verdicts = []
     for plan_text in args.plan:
         plan = _parse_atom_set(plan_text)
-        ok, wvs = is_conformant_plan(program, plan, goal, semantics, limits)
+        ok, wvs = is_conformant_plan(program, plan, goal, semantics)
         verdicts.append(
             {
                 "plan": sorted(map(str, plan)),
@@ -333,13 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  `--max-atoms` or `ELP_MAX_ATOMS` sets
+    `objective.MAX_ATOMS` for the command, before it opens a run memo, and
+    the old cap is back when it returns."""
+    args = build_parser().parse_args(argv)
+    previous_cap = objective.MAX_ATOMS
     try:
+        cap = resolve_max_atoms(args.max_atoms)
+        if cap is not None:
+            objective.MAX_ATOMS = cap
         return args.func(args)
-    except (ElpError, ValueError, FileNotFoundError) as exc:
+    except (ElpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        objective.MAX_ATOMS = previous_cap
 
 
 if __name__ == "__main__":

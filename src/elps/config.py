@@ -1,10 +1,10 @@
 """Search caps for the exhaustive procedures.
 
 The solver is a desk-scale oracle: every enumeration is bounded and refuses
-(with CapacityError) instead of running away.  One cap is a setting:
-`SolverLimits.max_atoms` (20, stable-model enumeration), set by `--max-atoms`
-or `ELP_MAX_ATOMS`.  The six that no caller sets are constants beside their
-use:
+(with CapacityError) instead of running away.  Each cap is a constant beside
+its use.  One of them is a setting: the CLI sets `objective.MAX_ATOMS` (20,
+stable-model enumeration) from `--max-atoms` or `ELP_MAX_ATOMS` for the one
+command it runs.  No caller sets the other six:
 
 - `semantics.MAX_GUESSES` (4096, modal guesses and world views per answer)
 - `semantics.BRUTE_MAX_ATOMS` (4, the brute-force oracles)
@@ -13,39 +13,28 @@ use:
 - `splitting.SPLIT_ENUM_MAX_ATOMS` (12, splitting-set enumeration)
 - `syntax.GROUND_MAX_RULES` (10000 rule instances, grounding)
 
-Each constant is read from its module when its check runs, so a test can
-change it with `monkeypatch`.
+Each constant is read through its module when its check runs, never copied
+by a from-import, so the CLI and a test's `monkeypatch` reach every read.
+The run memo (`engine.solve_memo`) does not key its answers by a cap, so a
+cap must not change while a memo is open.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 ENV_MAX_ATOMS = "ELP_MAX_ATOMS"
 
 
-@dataclass(frozen=True)
-class SolverLimits:
-    """The settable cap: `max_atoms` bounds a stable-model search to
-    2^max_atoms interpretations.  `splitting.component_world_views` says
-    which caps bound a component and which the whole program."""
-
-    max_atoms: int = 20
-
-
-DEFAULT_LIMITS = SolverLimits()
-
-
-def resolve_limits(max_atoms: int | None = None) -> SolverLimits:
-    """Build limits for the CLI: an explicit --max-atoms sets the cap, else
-    the ELP_MAX_ATOMS env var does, else the default stands.  A negative
-    cap is refused with a ValueError that names it."""
+def resolve_max_atoms(max_atoms: int | None = None) -> int | None:
+    """The atom cap the CLI sets: an explicit --max-atoms, else the
+    ELP_MAX_ATOMS env var, else None (the default stands).  A negative cap
+    is refused with a ValueError that names it."""
     source = "--max-atoms"
     if max_atoms is None:
         env = os.environ.get(ENV_MAX_ATOMS)
         if env is None:
-            return DEFAULT_LIMITS
+            return None
         source = ENV_MAX_ATOMS
         try:
             max_atoms = int(env)
@@ -53,4 +42,4 @@ def resolve_limits(max_atoms: int | None = None) -> SolverLimits:
             raise ValueError(f"{ENV_MAX_ATOMS} must be an integer, got {env!r}") from exc
     if max_atoms < 0:
         raise ValueError(f"{source} must not be negative, got {max_atoms}")
-    return SolverLimits(max_atoms)
+    return max_atoms

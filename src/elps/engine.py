@@ -32,7 +32,10 @@ G91 and C19's base share), every stable-model search (`objective.stable_models`,
 keyed by the compiled program, so G11 and K15 guesses, the semantics and the
 checks of a run share one search per distinct `ObjectiveMasks`), and a
 matrix build's fixture parses, random samples, splitting sets and
-`is_founded`.  Nothing is memoized outside such a block.
+`is_founded`.  Nothing is memoized outside such a block.  A solve is keyed
+by (program, semantics) alone, not by the caps they are solved under, so a
+cap such as `objective.MAX_ATOMS` must not change while a memo is open (the
+CLI sets it before it opens one).
 """
 
 from __future__ import annotations
@@ -43,13 +46,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import eht, foundedness, semantics, splitting
-from .config import DEFAULT_LIMITS, SolverLimits
 from .generators import GeneratorShape
 from .modal import WorldView
 from .semantics import SemanticsId
 from .syntax import Program
 
-Solver = Callable[[Program, SolverLimits], frozenset[WorldView]]
+Solver = Callable[[Program], frozenset[WorldView]]
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,8 @@ class SemanticsEntry:
 
 def _reduct_based(sem: SemanticsId, splits: bool, shape: GeneratorShape) -> SemanticsEntry:
     return SemanticsEntry(
-        direct=lambda p, limits: semantics.world_views(p, sem, limits),
-        oracle=lambda p, limits: semantics.brute_world_views(p, sem, limits),
+        direct=lambda p: semantics.world_views(p, sem),
+        oracle=lambda p: semantics.brute_world_views(p, sem),
         accepts_m=sem is SemanticsId.G91,
         splitting=splits,
         shape=shape,
@@ -80,23 +82,23 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
     SemanticsId.G11: _reduct_based(SemanticsId.G11, splits=False, shape=_K_SHAPE),
     SemanticsId.K15: _reduct_based(SemanticsId.K15, splits=False, shape=_K_SHAPE),
     SemanticsId.S17: SemanticsEntry(
-        direct=lambda p, limits: semantics.s17_world_views(p, limits),
-        oracle=lambda p, limits: semantics.s17_brute_world_views(p, limits),
+        direct=lambda p: semantics.s17_world_views(p),
+        oracle=lambda p: semantics.s17_brute_world_views(p),
         accepts_m=False,
         splitting=False,
         shape=_K_SHAPE,
     ),
     # the oracle walks every total model, the solver only the per-signature stable points
     SemanticsId.F15: SemanticsEntry(
-        direct=lambda p, limits: eht.f15_world_views(p),
-        oracle=lambda p, limits: eht.f15_brute_world_views(p),
+        direct=lambda p: eht.f15_world_views(p),
+        oracle=lambda p: eht.f15_brute_world_views(p),
         accepts_m=True,
         splitting=False,
         shape=GeneratorShape(n_atoms=eht.F15_MAX_ATOMS, max_rules=3, subjective_prob=0.45),
     ),
     SemanticsId.C19: SemanticsEntry(
-        direct=lambda p, limits: foundedness.c19_world_views(p, limits),
-        oracle=lambda p, limits: foundedness.c19_brute_world_views(p, limits),
+        direct=lambda p: foundedness.c19_world_views(p),
+        oracle=lambda p: foundedness.c19_brute_world_views(p),
         accepts_m=True,
         splitting=True,
         shape=_M_SHAPE,
@@ -141,39 +143,27 @@ def _accepting(program: Program, sem: SemanticsId) -> SemanticsEntry:
     return entry
 
 
-def _solve(program: Program, sem: SemanticsId, limits: SolverLimits) -> frozenset[WorldView]:
+def _solve(program: Program, sem: SemanticsId) -> frozenset[WorldView]:
     """The world views of a program: by components under a semantics that
     satisfies epistemic splitting, else by its direct solver."""
     entry = REGISTRY[sem]
     if entry.splitting:
-        return splitting.component_world_views(program, sem, limits)
-    return entry.direct(program, limits)
+        return splitting.component_world_views(program, sem)
+    return entry.direct(program)
 
 
-def solve(
-    program: Program,
-    semantics: SemanticsId,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[WorldView]:
+def solve(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
     """The world views of a program in the semantics' language, from the
     open memo when there is one."""
-    return once(_solve, program, semantics, limits)
+    return once(_solve, program, semantics)
 
 
-def compute_world_views(
-    program: Program,
-    semantics: SemanticsId,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[WorldView]:
+def compute_world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
     _accepting(program, semantics)
-    return solve(program, semantics, limits)
+    return solve(program, semantics)
 
 
-def brute_force_world_views(
-    program: Program,
-    semantics: SemanticsId,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[WorldView]:
+def brute_force_world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
     """World views from the semantics' oracle: candidate world views checked
     against the defining condition, with no guessing."""
-    return _accepting(program, semantics).oracle(program, limits)
+    return _accepting(program, semantics).oracle(program)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import engine
-from .config import DEFAULT_LIMITS, SolverLimits
 from .modal import WorldView, modal_satisfies
 from .objective import AtomBits, Interpretation, _and_or, _point_rules, _violated, compile_rule
 from .semantics import SemanticsId, brute_world_views
@@ -140,21 +139,19 @@ def is_founded_brute(program: Program, wv: WorldView) -> bool:
     return True
 
 
-def c19_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+def c19_world_views(program: Program) -> frozenset[WorldView]:
     """Founded G91 world views, on the whole program.  The G91 views come
     from the G91 entry's `direct` through `engine.once`, the key under which
     `splitting.component_world_views` solves a single component, so a memo
     open around the solve shares them with G91 and nothing splits twice."""
-    g91 = engine.once(engine.REGISTRY[SemanticsId.G91].direct, program, limits)
+    g91 = engine.once(engine.REGISTRY[SemanticsId.G91].direct, program)
     return frozenset(wv for wv in g91 if is_founded(program, wv))
 
 
-def c19_brute_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+def c19_brute_world_views(program: Program) -> frozenset[WorldView]:
     """Oracle for C19: brute-forced G91 views kept by the brute-force foundedness search."""
     return frozenset(
-        wv
-        for wv in brute_world_views(program, SemanticsId.G91, limits)
-        if is_founded_brute(program, wv)
+        wv for wv in brute_world_views(program, SemanticsId.G91) if is_founded_brute(program, wv)
     )
 
 

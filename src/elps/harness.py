@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .config import DEFAULT_LIMITS, SolverLimits
 from .engine import REGISTRY, compute_world_views, once, solve_memo
 from .errors import CapacityError, NotObjectiveError, UnsupportedMLiteral
 from .foundedness import is_founded
@@ -185,17 +184,14 @@ class FixtureMismatch(Exception):
         super().__init__("fixture expectations failed:\n" + "\n".join(lines))
 
 
-def run_fixture_checks(
-    limits: SolverLimits = DEFAULT_LIMITS,
-    corpus_dir: Path | None = None,
-) -> list[FixtureResult]:
+def run_fixture_checks(corpus_dir: Path | None = None) -> list[FixtureResult]:
     results = []
     for case in FIXTURE_CASES:
         program = once(load_fixture, case.name, corpus_dir)
         for semantics, expected in case.expected.items():
             if expected == "skip":
                 continue
-            actual = world_views_to_json(compute_world_views(program, semantics, limits))
+            actual = world_views_to_json(compute_world_views(program, semantics))
             results.append(
                 FixtureResult(
                     case.name, semantics.value, actual == expected, expected, actual, case.provenance
@@ -204,9 +200,9 @@ def run_fixture_checks(
     return results
 
 
-def require_fixtures(limits: SolverLimits = DEFAULT_LIMITS, corpus_dir: Path | None = None):
+def require_fixtures(corpus_dir: Path | None = None):
     """Abort (with a diff) unless every fixture expectation passes."""
-    results = run_fixture_checks(limits, corpus_dir)
+    results = run_fixture_checks(corpus_dir)
     failures = [r for r in results if not r.ok]
     if failures:
         raise FixtureMismatch(failures)
@@ -295,16 +291,16 @@ def _checked(check, *args):
         return None
 
 
-def _supra_s5_report(program: Program, semantics: SemanticsId, limits, seed=None):
-    bad = [wv for wv in compute_world_views(program, semantics, limits) if not is_s5_model(wv, program)]
+def _supra_s5_report(program: Program, semantics: SemanticsId, seed=None):
+    bad = [wv for wv in compute_world_views(program, semantics) if not is_s5_model(wv, program)]
     return equation_report("supra_s5", semantics, program, bad, [], seed)
 
 
-def _supra_asp_report(program: Program, semantics: SemanticsId, limits, seed=None):
+def _supra_asp_report(program: Program, semantics: SemanticsId, seed=None):
     if any(r.body_sub for r in program.rules):
         raise NotObjectiveError(f"supra-ASP needs an objective program, got {program}")
-    wvs = compute_world_views(program, semantics, limits)
-    models = stable_models(program, limits)
+    wvs = compute_world_views(program, semantics)
+    models = stable_models(program)
     expected = [WorldView(models)] if models else []
     return equation_report("supra_asp", semantics, program, wvs, expected, seed)
 
@@ -326,7 +322,7 @@ def _sample(seed, shape, count):
     return epistemic, objective, constraints
 
 
-def _matrix_checks(semantics, corpus, seed, count, limits):
+def _matrix_checks(semantics, corpus, seed, count):
     """(row, report or None for a skip) for every check of one semantics.
 
     The rows come in `ROW_NAMES` order.  Their random programs are the
@@ -341,14 +337,14 @@ def _matrix_checks(semantics, corpus, seed, count, limits):
     epistemic, objective, constraints = once(_sample, seed, REGISTRY[semantics].shape, count)
 
     for program in [*corpus.values(), *epistemic]:
-        yield "supra_s5", _checked(_supra_s5_report, program, semantics, limits, seed)
+        yield "supra_s5", _checked(_supra_s5_report, program, semantics, seed)
     for program in [*(corpus[name] for name in _OBJECTIVE_FIXTURES), *objective]:
-        yield "supra_asp", _checked(_supra_asp_report, program, semantics, limits, seed)
+        yield "supra_asp", _checked(_supra_asp_report, program, semantics, seed)
 
     cases = [(corpus[name], parse_rule(text)) for name, text in _SCM_FIXTURES]
     for program, constraint in [*cases, *zip(epistemic, constraints)]:
         yield "subjective_constraint_monotonicity", _checked(
-            check_constraint_monotonicity, program, constraint, semantics, limits, seed
+            check_constraint_monotonicity, program, constraint, semantics, seed
         )
 
     for program in [*corpus.values(), *epistemic]:
@@ -357,11 +353,11 @@ def _matrix_checks(semantics, corpus, seed, count, limits):
             yield "epistemic_splitting", None
         for U in sorted(split_sets or (), key=lambda u: tuple(sorted(map(str, u))))[:4]:
             yield "epistemic_splitting", _checked(
-                check_epistemic_splitting, program, U, semantics, None, limits, seed
+                check_epistemic_splitting, program, U, semantics, None, seed
             )
 
     for program in corpus.values():
-        wvs = _checked(compute_world_views, program, semantics, limits)
+        wvs = _checked(compute_world_views, program, semantics)
         if wvs is None:
             yield "foundness", None
         for wv in wvs or ():
@@ -377,7 +373,6 @@ def build_property_matrix(
     semantics_list=SEMANTICS_COLUMNS,
     seed: int = 2025,
     count: int = 20,
-    limits: SolverLimits = DEFAULT_LIMITS,
     corpus_dir: Path | None = None,
 ) -> PropertyMatrix:
     """Fixture expectations first, then `count` random programs per cell.
@@ -385,7 +380,7 @@ def build_property_matrix(
     The random programs are drawn once per generator shape, so columns of
     one shape check one sample (`_sample`).  Each call runs in a fresh
     `engine.solve_memo()`, and what the build repeats goes through
-    `engine.once`: a (program, semantics, limits) met twice is solved once,
+    `engine.once`: a (program, semantics) met twice is solved once,
     whether by the fixture replay, a check, S17's K15 base views of the K15
     column's programs, C19's G91 base views of the G91 column's programs or
     a part of the component solver, and a compiled program is searched for
@@ -398,10 +393,10 @@ def build_property_matrix(
     with a ValueError."""
     if count < 0:
         raise ValueError(f"--count must not be negative, got {count}")
-    fixtures = require_fixtures(limits, corpus_dir)
+    fixtures = require_fixtures(corpus_dir)
     corpus = {case.name: once(load_fixture, case.name, corpus_dir) for case in FIXTURE_CASES}
     cells = {(row, s.value): MatrixCell() for row in ROW_NAMES for s in SEMANTICS_COLUMNS}
     for semantics in dict.fromkeys(semantics_list):
-        for row, report in _matrix_checks(semantics, corpus, seed, count, limits):
+        for row, report in _matrix_checks(semantics, corpus, seed, count):
             cells[(row, semantics.value)].add(report)
     return PropertyMatrix(cells, seed, count, fixtures)

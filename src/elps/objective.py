@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from . import engine
-from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import NotASplittingSet, NotObjectiveError
 from .syntax import (
     BOT,
@@ -195,10 +194,13 @@ class ObjectiveMasks(NamedTuple):
     rules: tuple[tuple[int, int, int, int], ...]
 
 
-def compile_objective(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> ObjectiveMasks:
+MAX_ATOMS = 20  # stable-model search over 2^n interpretations; the one cap the CLI sets
+
+
+def compile_objective(program: Program) -> ObjectiveMasks:
     """The masks of an objective program; CapacityError past the atom cap,
     NotObjectiveError on a subjective literal."""
-    bits = AtomBits(capped_atoms(program, limits.max_atoms, "exhaustive-search"))
+    bits = AtomBits(capped_atoms(program, MAX_ATOMS, "exhaustive-search"))
     compiled = []
     for rule in program.rules:
         dead, head, pos, not1, not2, *subjective = compile_rule(rule, bits.bit)
@@ -242,7 +244,7 @@ def _stable_masks(masks: ObjectiveMasks) -> frozenset[Interpretation]:
     return frozenset(models)
 
 
-def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:
+def stable_models(program: Program) -> frozenset[Interpretation]:
     """All stable models of an objective program over its atom universe.
 
     The search goes through the run memo, keyed by the compiled form: inside
@@ -251,12 +253,12 @@ def stable_models(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> fr
     atom cap and `NotObjectiveError` are raised by `compile_objective`,
     before the memo is read, so a program they refuse is refused on every
     call and nothing is stored for it."""
-    return engine.once(_stable_masks, compile_objective(program, limits))
+    return engine.once(_stable_masks, compile_objective(program))
 
 
-def stable_models_ref(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[Interpretation]:
+def stable_models_ref(program: Program) -> frozenset[Interpretation]:
     """Independent oracle path: minimal models taken over all subsets."""
-    atoms = capped_atoms(program, limits.max_atoms, "exhaustive-search")
+    atoms = capped_atoms(program, MAX_ATOMS, "exhaustive-search")
     interps = list(subsets(atoms))
     result = []
     for candidate in interps:
@@ -342,12 +344,9 @@ def objective_solutions(
     program: Program,
     U,
     placement: str = "bottom",
-    limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[tuple[Interpretation, Interpretation]]:
     """All pairs (I_b, I_t) with I_b stable in the bottom and I_t stable in the
     simplified top."""
     split = objective_split(program, U, placement)
-    pairs = split_solutions(
-        split, lambda p: stable_models(p, limits), lambda s, i_b: simplify_top(s.top, s.U, i_b)
-    )
+    pairs = split_solutions(split, stable_models, lambda s, i_b: simplify_top(s.top, s.U, i_b))
     return frozenset(pairs)

@@ -10,7 +10,6 @@ goal constraint as the test section.
 
 from __future__ import annotations
 
-from .config import DEFAULT_LIMITS, SolverLimits
 from .engine import compute_world_views
 from .errors import ElpError
 from .modal import WorldView
@@ -51,9 +50,8 @@ def is_conformant_plan(
     plan,
     goal: Atom,
     semantics: SemanticsId = SemanticsId.G91,
-    limits: SolverLimits = DEFAULT_LIMITS,
 ) -> tuple[bool, frozenset[WorldView]]:
-    wvs = compute_world_views(conformant_check_program(domain, plan, goal), semantics, limits)
+    wvs = compute_world_views(conformant_check_program(domain, plan, goal), semantics)
     return bool(wvs), wvs
 
 
@@ -69,10 +67,9 @@ def generate_conformant_world_views(
     actions,
     goal: Atom,
     semantics: SemanticsId = SemanticsId.G91,
-    limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[WorldView]:
     """World views surviving the goal constraint; each is a conformant plan."""
-    return compute_world_views(generate_define_test_program(domain, actions, goal), semantics, limits)
+    return compute_world_views(generate_define_test_program(domain, actions, goal), semantics)
 
 
 def plan_of_world_view(wv: WorldView, actions) -> frozenset[Atom]:

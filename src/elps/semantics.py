@@ -29,7 +29,6 @@ import enum
 from typing import Mapping
 
 from . import engine, objective
-from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError, UnsupportedMLiteral
 from .modal import WorldView, candidate_world_views, modal_satisfies, subjective_reduct
 from .objective import ObjectiveMasks, compile_objective, stable_models
@@ -157,11 +156,7 @@ def _g91_view(key: ObjectiveMasks, cores) -> tuple[WorldView | None, int]:
 MAX_GUESSES = 4096  # modal guesses (2^#cores) per guess loop; world views per answer
 
 
-def world_views(
-    program: Program,
-    semantics: SemanticsId,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[WorldView]:
+def world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
     """Guess-and-check world views for the reduct-based semantics: a guess is
     accepted iff its reduct has stable models and their world view makes
     exactly the guessed cores true.
@@ -193,14 +188,14 @@ def world_views(
         guess = {core: bool(bits & (1 << i)) for i, core in enumerate(cores)}
         reduct = semantics_reduct(program, guess, semantics)
         if semantics is SemanticsId.G91:
-            key = compile_objective(reduct, limits)
+            key = compile_objective(reduct)
             if key not in views:
                 views[key] = _g91_view(key, cores)
             wv, own = views[key]
             if own == bits:
                 accepted.add(wv)
             continue
-        models = stable_models(reduct, limits)
+        models = stable_models(reduct)
         if not models:
             continue
         wv = WorldView(models)
@@ -217,21 +212,17 @@ def _maximal_epistemic_negation(program: Program, base: frozenset[WorldView]) ->
     return frozenset(wv for wv in base if not any(phis[other] > phis[wv] for other in base))
 
 
-def s17_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+def s17_world_views(program: Program) -> frozenset[WorldView]:
     """K15 world views whose satisfied epistemic-negation set is ⊆-maximal;
     the K15 views come from `engine.solve`, so a memo open around the solve
     shares them with K15."""
-    return _maximal_epistemic_negation(program, engine.solve(program, SemanticsId.K15, limits))
+    return _maximal_epistemic_negation(program, engine.solve(program, SemanticsId.K15))
 
 
 BRUTE_MAX_ATOMS = 4  # direct world-view enumeration over 2^(2^n) candidates
 
 
-def brute_world_views(
-    program: Program,
-    semantics: SemanticsId,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[WorldView]:
+def brute_world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
     """Oracle for G91/G11/K15: every non-empty candidate world view checked
     against the defining fixpoint, with no guessing.  G91 takes the subjective
     reduct of the candidate, G11/K15 their reduct under its core values."""
@@ -242,11 +233,11 @@ def brute_world_views(
             reduct = subjective_reduct(program, wv)
         else:
             reduct = semantics_reduct(program, evaluate_cores(program, wv), semantics)
-        if stable_models(reduct, limits) == wv.interps:
+        if stable_models(reduct) == wv.interps:
             found.add(wv)
     return frozenset(found)
 
 
-def s17_brute_world_views(program: Program, limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[WorldView]:
+def s17_brute_world_views(program: Program) -> frozenset[WorldView]:
     """Oracle for S17: the maximality selection over the brute-forced K15 views."""
-    return _maximal_epistemic_negation(program, brute_world_views(program, SemanticsId.K15, limits))
+    return _maximal_epistemic_negation(program, brute_world_views(program, SemanticsId.K15))

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from . import engine
+from . import engine, objective
 from . import semantics as _semantics
-from .config import DEFAULT_LIMITS, SolverLimits
 from .errors import CapacityError, NotAnEpistemicSplittingSet, NotStratified
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
 from .objective import AtomBits, Split, partition, split_solutions
@@ -63,13 +62,12 @@ def epistemic_solutions(
     U,
     semantics: SemanticsId,
     placement: str = "bottom",
-    limits: SolverLimits = DEFAULT_LIMITS,
 ) -> frozenset[tuple[WorldView, WorldView]]:
     """All pairs (wv_b, wv_t) with wv_b a world view of the bottom and wv_t
     one of the top simplified by wv_b; `combine` composes each pair."""
     split = epistemic_split(program, U, placement)
     pairs = split_solutions(
-        split, lambda p: engine.compute_world_views(p, semantics, limits), top_simplification
+        split, lambda p: engine.compute_world_views(p, semantics), top_simplification
     )
     return frozenset(pairs)
 
@@ -123,11 +121,7 @@ def closed_component(program: Program) -> frozenset[Atom] | None:
     return U if len(U) < len(atoms) else None
 
 
-def component_world_views(
-    program: Program,
-    semantics: SemanticsId,
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> frozenset[WorldView]:
+def component_world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
     """World views under a semantics that satisfies epistemic splitting,
     from its registry `direct` whole-program solver, run on one closed
     component at a time.
@@ -141,22 +135,22 @@ def component_world_views(
     whole through `engine.once`, under the key that C19's `direct` reads its
     G91 base views by, so in a memo C19 takes them from the G91 solve.
 
-    Caps: `max_atoms` bounds the whole program, so no world view has more
-    than 2^max_atoms interpretations.  `direct` applies the other caps, such
-    as `semantics.MAX_GUESSES` and `foundedness.FOUNDED_MAX_ATOMS`, to one
-    component at a time.  An assembled answer of more than `MAX_GUESSES`
+    Caps: `objective.MAX_ATOMS` bounds the whole program, so no world view
+    has more than 2^MAX_ATOMS interpretations.  `direct` applies the other
+    caps, such as `semantics.MAX_GUESSES` and
+    `foundedness.FOUNDED_MAX_ATOMS`, to one component at a time.  An assembled answer of more than `MAX_GUESSES`
     world views raises CapacityError; the whole-program guess loop yields at
     most one view per guess, so it never returns more.  The semantics that
     are not solved by components apply every cap to the whole program.
     """
-    capped_atoms(program, limits.max_atoms, "exhaustive-search")
+    capped_atoms(program, objective.MAX_ATOMS, "exhaustive-search")
     U = engine.once(closed_component, program)
     if U is None:
-        return engine.once(engine.REGISTRY[semantics].direct, program, limits)
+        return engine.once(engine.REGISTRY[semantics].direct, program)
     split = epistemic_split(program, U, "bottom")
     simplify = top_simplification if split.top.atoms & U else lambda s, _: s.top
     views = set()
-    for wv_b, wv_t in split_solutions(split, lambda p: engine.solve(p, semantics, limits), simplify):
+    for wv_b, wv_t in split_solutions(split, lambda p: engine.solve(p, semantics), simplify):
         views.add(combine(wv_b, wv_t))
         if len(views) > _semantics.MAX_GUESSES:
             raise CapacityError(f"the world views exceed the guess cap of {_semantics.MAX_GUESSES}")
@@ -232,7 +226,6 @@ def check_epistemic_splitting(
     U,
     semantics: SemanticsId,
     placement: str | None = None,
-    limits: SolverLimits = DEFAULT_LIMITS,
     seed: int | None = None,
 ) -> PropertyReport:
     """Direct world views vs. composed solutions; holds iff the sets coincide.
@@ -247,9 +240,9 @@ def check_epistemic_splitting(
         placements = ("bottom", "top") if dual else ("bottom",)
     else:
         placements = (placement,)
-    lhs = engine.compute_world_views(program, semantics, limits)
+    lhs = engine.compute_world_views(program, semantics)
     for place in placements:
-        rhs = {combine(*pair) for pair in epistemic_solutions(program, U, semantics, place, limits)}
+        rhs = {combine(*pair) for pair in epistemic_solutions(program, U, semantics, place)}
         if rhs != lhs:
             break
     return equation_report("epistemic_splitting", semantics, program, lhs, rhs, seed, U)
@@ -259,17 +252,16 @@ def check_constraint_monotonicity(
     program: Program,
     constraint: Rule,
     semantics: SemanticsId,
-    limits: SolverLimits = DEFAULT_LIMITS,
     seed: int | None = None,
 ) -> PropertyReport:
     """World views of the extended program vs. the filtered world views."""
     if not constraint.is_subjective_constraint:
         raise ValueError(f"{constraint} is not a subjective constraint")
     extended = Program.of(program.rules + (constraint,))
-    lhs = engine.compute_world_views(extended, semantics, limits)
+    lhs = engine.compute_world_views(extended, semantics)
     rhs = frozenset(
         wv
-        for wv in engine.compute_world_views(program, semantics, limits)
+        for wv in engine.compute_world_views(program, semantics)
         if modal_satisfies(wv, frozenset(), constraint)
     )
     shown = f"{program}\n% added constraint: {constraint}"

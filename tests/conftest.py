@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from elps import objective, semantics
-from elps.config import DEFAULT_LIMITS
 from elps.engine import REGISTRY, compute_world_views
 from elps.harness import fixtures_dir, load_fixture
 from elps.modal import WorldView, world_views_to_json
@@ -40,9 +39,9 @@ def guess_loops(monkeypatch):
     counts = Counter()
     real = semantics.world_views
 
-    def world_views(program, sem, limits=DEFAULT_LIMITS):
+    def world_views(program, sem):
         counts[program, sem] += 1
-        return real(program, sem, limits)
+        return real(program, sem)
 
     for name, module in list(sys.modules.items()):
         if name == "elps" or name.startswith("elps."):
@@ -72,11 +71,7 @@ def searches(monkeypatch):
 def whole_program():
     """References for g91 and c19 that never split: the registry's `direct`
     whole-program solvers, as they are before a test rebinds them."""
-
-    def whole(direct):
-        return lambda program, limits=DEFAULT_LIMITS: direct(program, limits)
-
-    return {sem: whole(REGISTRY[sem].direct) for sem in (SemanticsId.G91, SemanticsId.C19)}
+    return {sem: REGISTRY[sem].direct for sem in (SemanticsId.G91, SemanticsId.C19)}
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import elps
-from elps import cli, splitting
+from elps import cli, objective, splitting
 from elps.cli import main
 from elps.harness import SEMANTICS_COLUMNS
 
@@ -71,6 +72,13 @@ def test_solve_unknown_file_exit_2(capsys):
     assert code == 2
 
 
+def test_solve_directory_exit_2(capsys, tmp_path):
+    """A path that cannot be read as a file is an error, not "no world view"."""
+    code, out, err = run(capsys, "solve", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_max_atoms_env_overrides(capsys, fx, monkeypatch):
     monkeypatch.setenv("ELP_MAX_ATOMS", "2")
     code, _, err = run(capsys, "solve", fx("pi1"))
@@ -96,6 +104,33 @@ def test_negative_max_atoms_env_exit_2(capsys, fx, monkeypatch):
     code, out, err = run(capsys, "solve", fx("ab"))
     assert (code, out) == (2, "")
     assert err == "error: ELP_MAX_ATOMS must not be negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, atoms",
+    [
+        (["solve", "pi1"], 4),
+        (["split", "ce1b", "--split", "U=a,b"], 2),
+        (["properties", "--count", "0"], 4),
+        (["conformant", "lamps", "--goal", "light", "--plan", "toggle(l1)"], 6),
+    ],
+    ids=["solve", "split", "properties", "conformant"],
+)
+def test_max_atoms_reaches_every_subcommand(capsys, fx, argv, atoms):
+    """The cap below a program's atom count refuses it, and the default cap
+    is back once the command has returned."""
+    command, *rest = argv
+    args = [command, fx(rest[0]), *rest[1:]] if command != "properties" else argv
+    code, out, err = run(capsys, *args, "--max-atoms", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {atoms} atoms exceed the exhaustive-search cap of 1\n"
+    assert objective.MAX_ATOMS == 20
+
+
+def test_max_atoms_at_the_atom_count_solves_and_is_restored(capsys, fx):
+    capped = run(capsys, "solve", fx("pi1"), "--max-atoms", "4")
+    assert objective.MAX_ATOMS == 20
+    assert capped == run(capsys, "solve", fx("pi1")) and capped[0] == 0
 
 
 def test_eliminate_m_flag(capsys, tmp_path):
@@ -494,6 +529,26 @@ def test_help_screens(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+
+def test_readme_synopsis_names_every_option():
+    """Each long option of a subcommand appears in that subcommand's lines
+    of the README's CLI synopsis."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    synopsis = text.split("## CLI", 1)[1].split("```")[1]
+    lines: dict[str, str] = {}
+    command = None
+    for line in synopsis.splitlines():
+        if line.startswith("elps "):
+            command = line.split()[1]
+        if command:
+            lines[command] = lines.get(command, "") + line + "\n"
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(lines) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        missing = sorted(o for o in options if o not in lines[command])
+        assert not missing, (command, missing)
 
 
 SOLVE_GOLDEN = GOLDEN / "solve_fixtures.json"

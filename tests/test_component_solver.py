@@ -16,7 +16,6 @@ import pytest
 from elps import engine, modal
 from elps import semantics as semantics_module
 from elps import splitting
-from elps.config import SolverLimits
 from elps.engine import REGISTRY, brute_force_world_views, compute_world_views
 from elps.errors import CapacityError
 from elps.generators import (
@@ -46,9 +45,7 @@ def assert_same_as_direct(program: Program, whole_program) -> None:
 def test_registry_routes_splitting_semantics_by_components(monkeypatch):
     calls = []
     real = semantics_module.world_views
-    monkeypatch.setattr(
-        semantics_module, "world_views", lambda p, sem, limits: calls.append(p) or real(p, sem, limits)
-    )
+    monkeypatch.setattr(semantics_module, "world_views", lambda p, sem: calls.append(p) or real(p, sem))
     program = parse_program("a :- not K b. b :- not K a. c :- not K d. d :- not K c.")
     compute_world_views(program, SemanticsId.G91)
     assert len(calls) == 2 and all(len(p.atoms) == 2 for p in calls)
@@ -110,9 +107,9 @@ def direct_solves(monkeypatch, sem) -> list[Program]:
     calls = []
     entry = REGISTRY[sem]
 
-    def direct(program, limits):
+    def direct(program):
         calls.append(program)
-        return entry.direct(program, limits)
+        return entry.direct(program)
 
     monkeypatch.setitem(REGISTRY, sem, dataclasses.replace(entry, direct=direct))
     return calls
@@ -233,7 +230,7 @@ def test_no_direct_solver_splits(sem, monkeypatch):
     calls = []
     real = splitting.closed_component
     monkeypatch.setattr(splitting, "closed_component", lambda p: calls.append(p) or real(p))
-    views = REGISTRY[sem].direct(parse_program("a :- not K b. b :- not K a. c."), SolverLimits())
+    views = REGISTRY[sem].direct(parse_program("a :- not K b. b :- not K a. c."))
     assert views and calls == []
 
 

@@ -6,8 +6,8 @@ from unittest.mock import patch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elps import objective
 from elps import semantics as semantics_module
-from elps.config import SolverLimits
 from elps.engine import compute_world_views
 from elps.errors import ElpError
 from elps.semantics import SemanticsId
@@ -35,9 +35,8 @@ _texts = st.builds(
     st.integers(0, 4),
 )
 
-# small caps (and a guess cap of 64 in the test) keep each solve short; a
-# program past them is refused with CapacityError
-_LIMITS = SolverLimits(max_atoms=6)
+# small caps (an atom cap of 6 and a guess cap of 64, set in the test) keep
+# each solve short; a program past them is refused with CapacityError
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -47,9 +46,9 @@ def test_random_texts_give_world_views_or_a_typed_error(text):
         program = load_program(text)
     except ElpError:
         return
-    with patch.object(semantics_module, "MAX_GUESSES", 64):
+    with patch.object(objective, "MAX_ATOMS", 6), patch.object(semantics_module, "MAX_GUESSES", 64):
         for semantics in SemanticsId:
             try:
-                compute_world_views(program, semantics, _LIMITS)
+                compute_world_views(program, semantics)
             except ElpError:
                 pass

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from elps import engine, harness
-from elps.config import DEFAULT_LIMITS
 from elps.engine import compute_world_views
 from elps.errors import CapacityError, UnsupportedMLiteral
 from elps.harness import (
@@ -113,14 +112,14 @@ def test_run_fixture_checks_includes_f15_on_tiny_corpus():
 @pytest.fixture
 def solved(monkeypatch):
     """Counts the solves that `engine.solve` ran and did not answer from its
-    memo, per (program, semantics, limits); a solve that raises is not
+    memo, per (program, semantics); a solve that raises is not
     stored, so not counted."""
     counts = Counter()
     inner = engine._solve
 
-    def _solve(program, semantics, limits):
-        wvs = inner(program, semantics, limits)
-        counts[program, semantics, limits] += 1
+    def _solve(program, semantics):
+        wvs = inner(program, semantics)
+        counts[program, semantics] += 1
         return wvs
 
     monkeypatch.setattr(engine, "_solve", _solve)
@@ -131,7 +130,7 @@ def test_matrix_build_solves_each_pair_once(solved):
     build_property_matrix(seed=3, count=2)
     # college3 meets g91 in the fixture replay, supra-S5, every splitting
     # check and the foundness column
-    assert solved[load_fixture("college3"), SemanticsId.G91, DEFAULT_LIMITS] == 1
+    assert solved[load_fixture("college3"), SemanticsId.G91] == 1
     assert max(solved.values()) == 1
     first = set(solved)
     build_property_matrix(seed=3, count=2)
@@ -268,7 +267,7 @@ def test_no_memo_outside_a_build(solved):
     program = load_fixture("ab")
     for _ in range(2):
         compute_world_views(program, SemanticsId.G91)
-    assert solved[program, SemanticsId.G91, DEFAULT_LIMITS] == 2
+    assert solved[program, SemanticsId.G91] == 2
     # nor in another thread while this one has a memo open
     with engine.solve_memo():
         compute_world_views(program, SemanticsId.G91)
@@ -277,14 +276,14 @@ def test_no_memo_outside_a_build(solved):
         worker.join(timeout=60)
         assert not worker.is_alive()
         compute_world_views(program, SemanticsId.G91)
-    assert solved[program, SemanticsId.G91, DEFAULT_LIMITS] == 4
+    assert solved[program, SemanticsId.G91] == 4
 
 
 def test_failed_build_leaves_no_memo(solved, tmp_path):
     with pytest.raises(FixtureMismatch):
         build_property_matrix(count=1, corpus_dir=_tampered_corpus(tmp_path))
     assert engine._memo.get() is None
-    key = (load_fixture("ab"), SemanticsId.G91, DEFAULT_LIMITS)
+    key = (load_fixture("ab"), SemanticsId.G91)
     assert solved[key] == 1  # solved by the fixture replay before it failed
     compute_world_views(*key)
     assert solved[key] == 2

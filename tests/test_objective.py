@@ -5,8 +5,7 @@ from collections import Counter
 
 import pytest
 
-from elps import engine
-from elps.config import SolverLimits
+from elps import engine, objective
 from elps.errors import CapacityError, NotASplittingSet, NotObjectiveError
 from elps.generators import GeneratorShape, random_objective_program
 from elps.objective import (
@@ -113,10 +112,11 @@ def test_stable_models_empty_program():
     assert sm(Program.of([])) == {frozenset()}
 
 
-def test_stable_models_capacity():
+def test_stable_models_capacity(monkeypatch):
+    monkeypatch.setattr(objective, "MAX_ATOMS", 3)
     program = parse_program("a :- b, c, d, e.")
-    with pytest.raises(CapacityError):
-        stable_models(program, SolverLimits(max_atoms=3))
+    with pytest.raises(CapacityError, match="5 atoms exceed the exhaustive-search cap of 3"):
+        stable_models(program)
 
 
 def test_stable_models_searches_on_every_call_outside_a_memo(searches):
@@ -136,15 +136,16 @@ def test_a_memo_is_not_used_by_another_thread(searches):
     assert list(searches.values()) == [2]
 
 
-def test_refused_programs_raise_on_every_call_in_a_memo(searches):
+def test_refused_programs_raise_on_every_call_in_a_memo(searches, monkeypatch):
     """The atom cap and the objective check come before the memo, so a
     refused program is refused again and nothing is stored for it."""
+    monkeypatch.setattr(objective, "MAX_ATOMS", 4)  # past too_big's 5 atoms, not subjective's 4
     too_big = parse_program("a :- b, c, d, e.")
     subjective = parse_program("c :- not d.\na :- K b.")
     with engine.solve_memo():
         for _ in range(2):
-            with pytest.raises(CapacityError):
-                stable_models(too_big, SolverLimits(max_atoms=3))
+            with pytest.raises(CapacityError, match="5 atoms exceed the exhaustive-search cap of 4"):
+                stable_models(too_big)
             with pytest.raises(NotObjectiveError):
                 stable_models(subjective)
         assert engine._memo.get() == {}

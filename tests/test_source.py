@@ -1,7 +1,6 @@
 """Checks on the package source itself."""
 
 import ast
-import dataclasses
 import importlib
 import re
 import sys
@@ -50,14 +49,30 @@ def test_the_package_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+# (module, NAME, value) of every cap that `config`'s docstring names
+CAPS = re.findall(r"`(\w+)\.([A-Z0-9_]+)` \((\d+)", config.__doc__)
+
+
 def test_the_config_docstring_names_each_cap_where_it_is_used():
-    """`config` names the one settable cap, `SolverLimits.max_atoms`, and
-    each constant cap as `module.NAME` (value, use); every named constant
-    exists in its module with that value."""
-    caps = re.findall(r"`(\w+)\.([A-Z0-9_]+)` \((\d+)", config.__doc__)
-    assert len(caps) == 6
-    for module, name, value in caps:
+    """`config` names each cap as `module.NAME` (value, use), the one the
+    CLI sets, `objective.MAX_ATOMS`, first; every named constant exists in
+    its module with that value."""
+    assert len(CAPS) == 7
+    for module, name, value in CAPS:
         assert getattr(importlib.import_module(f"elps.{module}"), name) == int(value), (module, name)
-    assert [f.name for f in dataclasses.fields(config.SolverLimits)] == ["max_atoms"]
-    settable = re.search(r"`SolverLimits\.max_atoms` \((\d+)", config.__doc__)
-    assert int(settable.group(1)) == config.DEFAULT_LIMITS.max_atoms
+    assert re.search(r"the CLI sets `objective\.MAX_ATOMS` \(20,", config.__doc__)
+
+
+def test_no_module_copies_a_cap_by_a_from_import():
+    """A cap read as `module.NAME` when its check runs sees what the CLI or
+    a test set there; a name copied by `from module import NAME` would not."""
+    names = {name for _, name, _ in CAPS}
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in names
+    ]
+    assert not found, "caps copied by a from-import: " + ", ".join(found)
