@@ -1,6 +1,5 @@
 """Desk-scale solver for ground epistemic logic programs."""
 
-from .config import resolve_max_atoms
 from .engine import brute_force_world_views, compute_world_views
 from .errors import (
     CapacityError,

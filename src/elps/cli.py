@@ -18,12 +18,11 @@ import sys
 from pathlib import Path
 
 from . import objective
-from .config import resolve_max_atoms
 from .eht import total_model_countermodels
 from .engine import REGISTRY, compute_world_views, solve_memo
 from .errors import CapacityError, ElpError
 from .foundedness import unfounded_certificate
-from .harness import PROPERTY_ROWS, SEMANTICS_COLUMNS, FixtureMismatch, build_property_matrix
+from .harness import PROPERTY_ROWS, SEMANTICS_COLUMNS, build_property_matrix
 from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId
@@ -135,13 +134,11 @@ def cmd_split(args) -> int:
                 print("{" + ",".join(sorted(map(str, u))) + "}")
         return 0
     if not args.split:
-        print("error: provide --split U=a,b,... or --enumerate-splits", file=sys.stderr)
-        return 2
+        raise ValueError("provide --split U=a,b,... or --enumerate-splits")
     U = _parse_atom_set(args.split)
     unknown = ",".join(sorted(map(str, U - program.atoms)))
     if unknown:
-        print(f"error: --split names atoms the program does not mention: {unknown}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--split names atoms the program does not mention: {unknown}")
     split = epistemic_split(program, U, args.placement)
     with solve_memo():
         solutions = epistemic_solutions(program, U, semantics, args.placement)
@@ -191,17 +188,7 @@ def cmd_split(args) -> int:
 
 def cmd_properties(args) -> int:
     semantics_list = [SemanticsId.from_string(s) for s in args.semantics.split(",")]
-    corpus_dir = Path(args.corpus) if args.corpus else None
-    try:
-        matrix = build_property_matrix(
-            semantics_list=semantics_list,
-            seed=args.seed,
-            count=args.count,
-            corpus_dir=corpus_dir,
-        )
-    except FixtureMismatch as exc:
-        print(f"fixture expectations failed:\n{exc}", file=sys.stderr)
-        return 2
+    matrix = build_property_matrix(semantics_list=semantics_list, seed=args.seed, count=args.count)
     if args.json:
         print(json.dumps(matrix.to_json(), indent=2, sort_keys=True))
     else:
@@ -233,8 +220,7 @@ def cmd_conformant(args) -> int:
     payload = {"file": args.file, "semantics": semantics.value, "goal": str(goal)}
     if args.generate:
         if not args.actions:
-            print("error: --generate requires --actions", file=sys.stderr)
-            return 2
+            raise ValueError("--generate requires --actions")
         actions = _parse_atom_set(args.actions)
         surviving = sorted(
             generate_conformant_world_views(program, actions, goal, semantics), key=wv_key
@@ -253,8 +239,7 @@ def cmd_conformant(args) -> int:
                 print("no conformant plan")
         return 0 if surviving else 1
     if not args.plan:
-        print("error: provide --plan a,b (repeatable) or --generate --actions ...", file=sys.stderr)
-        return 2
+        raise ValueError("provide --plan a,b (repeatable) or --generate --actions ...")
     verdicts = []
     for plan_text in args.plan:
         plan = _parse_atom_set(plan_text)
@@ -277,15 +262,18 @@ def cmd_conformant(args) -> int:
     return 0 if all(v["conformant"] for v in verdicts) else 1
 
 
-def _add_program(parser: argparse.ArgumentParser):
-    """The program file and its rewriting, for the subcommands that `_load` one."""
-    parser.add_argument("file")
-    parser.add_argument("--eliminate-m", action="store_true", help="rewrite M-literals into K-literals")
-
-
-def _add_common(parser: argparse.ArgumentParser, semantics="g91", names="g91|g11|k15|s17|f15|c19"):
+def _add_common(
+    parser: argparse.ArgumentParser, semantics="g91", names="g91|g11|k15|s17|f15|c19", program=True
+):
+    """The options of every subcommand.  With `program`, also the program
+    file, its rewriting and the atom cap of its stable-model searches, for
+    the subcommands that `_load` one."""
+    if program:
+        parser.add_argument("file")
+        parser.add_argument("--eliminate-m", action="store_true", help="rewrite M-literals into K-literals")
     parser.add_argument("--semantics", default=semantics, help=f"{names} (default {semantics})")
-    parser.add_argument("--max-atoms", type=int, default=None, help="exhaustive-search cap")
+    if program:
+        parser.add_argument("--max-atoms", type=int, default=None, help="exhaustive-search cap")
     parser.add_argument("--json", action="store_true", help="JSON output")
 
 
@@ -294,14 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute world views")
-    _add_program(p)
     _add_common(p)
     p.add_argument("--explain-unfounded", action="store_true", help="print unfounded-set certificates")
     p.add_argument("--trace-eht", action="store_true", help="print equilibrium countermodels")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("split", help="epistemic splitting decomposition")
-    _add_program(p)
     _add_common(p)
     p.add_argument("--split", help="U=a,b,... the splitting set")
     p.add_argument("--placement", choices=["bottom", "top"], default="bottom",
@@ -311,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("properties", help="fixture suite + property matrix")
     columns = ",".join(s.value for s in SEMANTICS_COLUMNS)
-    _add_common(p, semantics=columns, names="comma-separated matrix columns, repeats dropped")
-    p.add_argument("--corpus", default=None, help="fixture directory (default: bundled corpus)")
+    _add_common(p, columns, "comma-separated matrix columns, repeats dropped", program=False)
     p.add_argument("--seed", type=int, default=2025)
     p.add_argument("--count", type=int, default=20, help="random programs per matrix cell")
     p.set_defaults(func=cmd_properties)
 
     p = sub.add_parser("conformant", help="conformant planning over world views")
-    _add_program(p)
     _add_common(p)
     p.add_argument("--goal", required=True, help="goal atom")
     p.add_argument("--plan", action="append", default=[], help="action set a,b (repeatable)")
@@ -329,14 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  `--max-atoms` or `ELP_MAX_ATOMS` sets
-    `objective.MAX_ATOMS` for the command, before it opens a run memo, and
-    the old cap is back when it returns."""
+    """Run one command.  `--max-atoms` sets `objective.MAX_ATOMS` for the
+    command, before it opens a run memo, and the old cap is back when it
+    returns.  An `ElpError`, `ValueError` or `OSError` is printed as
+    `error: ...` with exit code 2."""
     args = build_parser().parse_args(argv)
+    cap = getattr(args, "max_atoms", None)
     previous_cap = objective.MAX_ATOMS
     try:
-        cap = resolve_max_atoms(args.max_atoms)
         if cap is not None:
+            if cap < 0:
+                raise ValueError(f"--max-atoms must not be negative, got {cap}")
             objective.MAX_ATOMS = cap
         return args.func(args)
     except (ElpError, ValueError, OSError) as exc:

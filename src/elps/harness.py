@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .engine import REGISTRY, compute_world_views, once, solve_memo
-from .errors import CapacityError, NotObjectiveError, UnsupportedMLiteral
+from .errors import CapacityError, ElpError, NotObjectiveError, UnsupportedMLiteral
 from .foundedness import is_founded
 from .generators import (
     random_epistemic_program,
@@ -55,9 +55,8 @@ def fixtures_dir() -> Path:
     return Path(resources.files("elps").joinpath("fixtures"))
 
 
-def load_fixture(name: str, corpus_dir: Path | None = None) -> Program:
-    directory = Path(corpus_dir) if corpus_dir else fixtures_dir()
-    return load_program((directory / f"{name}.elp").read_text(encoding="utf-8"))
+def load_fixture(name: str) -> Program:
+    return load_program((fixtures_dir() / f"{name}.elp").read_text(encoding="utf-8"))
 
 
 # per-fixture expected world views (canonical JSON form), keyed by semantics
@@ -74,7 +73,7 @@ _COLLEGE3_WV = [
 @dataclass(frozen=True)
 class FixtureCase:
     name: str
-    expected: dict  # SemanticsId -> list of world views (json form), or "skip"
+    expected: dict  # SemanticsId -> list of world views (json form); an unchecked one has no key
     provenance: str
 
 
@@ -87,7 +86,7 @@ FIXTURE_CASES: tuple[FixtureCase, ...] = (
             SemanticsId.K15: _PI1_WV,
             SemanticsId.S17: _PI1_WV,
             SemanticsId.C19: _PI1_WV,
-            SemanticsId.F15: "skip",  # 4 atoms exceed the EHT cap
+            # no F15: its 4 atoms exceed the EHT cap
         },
         "hand-derived (three stable models), matches the exhaustive oracle",
     ),
@@ -145,7 +144,7 @@ FIXTURE_CASES: tuple[FixtureCase, ...] = (
             SemanticsId.K15: _COLLEGE_WV,
             SemanticsId.S17: _COLLEGE_WV,
             SemanticsId.C19: _COLLEGE_WV,
-            SemanticsId.F15: "skip",  # 8 atoms exceed the EHT cap
+            # no F15: its 8 atoms exceed the EHT cap
         },
         "hand-derived two-belief-set world view; "
         "matches the component solver and the whole-program guess loop",
@@ -158,7 +157,7 @@ FIXTURE_CASES: tuple[FixtureCase, ...] = (
             SemanticsId.K15: _COLLEGE3_WV,
             SemanticsId.S17: _COLLEGE3_WV,
             SemanticsId.C19: _COLLEGE3_WV,
-            SemanticsId.F15: "skip",
+            # no F15: its 9 atoms exceed the EHT cap
         },
         "second modal layer adds appointment(mike) to both belief sets",
     ),
@@ -175,7 +174,7 @@ class FixtureResult:
     provenance: str
 
 
-class FixtureMismatch(Exception):
+class FixtureMismatch(ElpError):
     def __init__(self, failures: list[FixtureResult]):
         self.failures = failures
         lines = [
@@ -184,13 +183,11 @@ class FixtureMismatch(Exception):
         super().__init__("fixture expectations failed:\n" + "\n".join(lines))
 
 
-def run_fixture_checks(corpus_dir: Path | None = None) -> list[FixtureResult]:
+def run_fixture_checks() -> list[FixtureResult]:
     results = []
     for case in FIXTURE_CASES:
-        program = once(load_fixture, case.name, corpus_dir)
+        program = once(load_fixture, case.name)
         for semantics, expected in case.expected.items():
-            if expected == "skip":
-                continue
             actual = world_views_to_json(compute_world_views(program, semantics))
             results.append(
                 FixtureResult(
@@ -200,9 +197,9 @@ def run_fixture_checks(corpus_dir: Path | None = None) -> list[FixtureResult]:
     return results
 
 
-def require_fixtures(corpus_dir: Path | None = None):
+def require_fixtures():
     """Abort (with a diff) unless every fixture expectation passes."""
-    results = run_fixture_checks(corpus_dir)
+    results = run_fixture_checks()
     failures = [r for r in results if not r.ok]
     if failures:
         raise FixtureMismatch(failures)
@@ -373,7 +370,6 @@ def build_property_matrix(
     semantics_list=SEMANTICS_COLUMNS,
     seed: int = 2025,
     count: int = 20,
-    corpus_dir: Path | None = None,
 ) -> PropertyMatrix:
     """Fixture expectations first, then `count` random programs per cell.
 
@@ -393,8 +389,8 @@ def build_property_matrix(
     with a ValueError."""
     if count < 0:
         raise ValueError(f"--count must not be negative, got {count}")
-    fixtures = require_fixtures(corpus_dir)
-    corpus = {case.name: once(load_fixture, case.name, corpus_dir) for case in FIXTURE_CASES}
+    fixtures = require_fixtures()
+    corpus = {case.name: once(load_fixture, case.name) for case in FIXTURE_CASES}
     cells = {(row, s.value): MatrixCell() for row in ROW_NAMES for s in SEMANTICS_COLUMNS}
     for semantics in dict.fromkeys(semantics_list):
         for row, report in _matrix_checks(semantics, corpus, seed, count):

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import elps
-from elps import cli, objective, splitting
+from elps import cli, harness, objective, splitting
 from elps.cli import main
 from elps.harness import SEMANTICS_COLUMNS
 
@@ -79,31 +80,10 @@ def test_solve_directory_exit_2(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_max_atoms_env_overrides(capsys, fx, monkeypatch):
-    monkeypatch.setenv("ELP_MAX_ATOMS", "2")
-    code, _, err = run(capsys, "solve", fx("pi1"))
-    assert code == 2
-    assert "cap" in err
-
-
-def test_max_atoms_flag_beats_env(capsys, fx, monkeypatch):
-    monkeypatch.setenv("ELP_MAX_ATOMS", "20")
-    code, out, err = run(capsys, "solve", fx("pi1"), "--max-atoms", "2")
-    assert (code, out) == (2, "")
-    assert err == "error: 4 atoms exceed the exhaustive-search cap of 2\n"
-
-
 def test_negative_max_atoms_flag_exit_2(capsys, fx):
     code, out, err = run(capsys, "solve", fx("ab"), "--max-atoms", "-1")
     assert (code, out) == (2, "")
     assert err == "error: --max-atoms must not be negative, got -1\n"
-
-
-def test_negative_max_atoms_env_exit_2(capsys, fx, monkeypatch):
-    monkeypatch.setenv("ELP_MAX_ATOMS", "-1")
-    code, out, err = run(capsys, "solve", fx("ab"))
-    assert (code, out) == (2, "")
-    assert err == "error: ELP_MAX_ATOMS must not be negative, got -1\n"
 
 
 @pytest.mark.parametrize(
@@ -111,17 +91,15 @@ def test_negative_max_atoms_env_exit_2(capsys, fx, monkeypatch):
     [
         (["solve", "pi1"], 4),
         (["split", "ce1b", "--split", "U=a,b"], 2),
-        (["properties", "--count", "0"], 4),
         (["conformant", "lamps", "--goal", "light", "--plan", "toggle(l1)"], 6),
     ],
-    ids=["solve", "split", "properties", "conformant"],
+    ids=["solve", "split", "conformant"],
 )
 def test_max_atoms_reaches_every_subcommand(capsys, fx, argv, atoms):
     """The cap below a program's atom count refuses it, and the default cap
     is back once the command has returned."""
-    command, *rest = argv
-    args = [command, fx(rest[0]), *rest[1:]] if command != "properties" else argv
-    code, out, err = run(capsys, *args, "--max-atoms", "1")
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, fx(name), *rest, "--max-atoms", "1")
     assert (code, out) == (2, "")
     assert err == f"error: {atoms} atoms exceed the exhaustive-search cap of 1\n"
     assert objective.MAX_ATOMS == 20
@@ -131,6 +109,14 @@ def test_max_atoms_at_the_atom_count_solves_and_is_restored(capsys, fx):
     capped = run(capsys, "solve", fx("pi1"), "--max-atoms", "4")
     assert objective.MAX_ATOMS == 20
     assert capped == run(capsys, "solve", fx("pi1")) and capped[0] == 0
+
+
+def test_max_atoms_does_not_bound_f15(capsys, fx):
+    """F15 makes no stable-model search, so the atom cap does not reach it;
+    its own cap is `eht.F15_MAX_ATOMS`."""
+    assert run(capsys, "solve", fx("ab"), "--semantics", "f15", "--max-atoms", "0") == (0, "[[a],[b]]\n", "")
+    code, out, err = run(capsys, "solve", fx("ab"), "--semantics", "g91", "--max-atoms", "0")
+    assert (code, out, err) == (2, "", "error: 2 atoms exceed the exhaustive-search cap of 0\n")
 
 
 def test_eliminate_m_flag(capsys, tmp_path):
@@ -343,8 +329,7 @@ def test_split_refuses_atoms_the_program_does_not_mention(capsys, tmp_path):
     path = tmp_path / "typo.elp"
     path.write_text("a | b. c :- K a.\n", encoding="utf-8")
     code, out, err = run(capsys, "split", str(path), "--split", "U=a,zz,b,yy")
-    assert code == 2 and out == ""
-    assert "yy,zz" in err
+    assert (code, out, err) == (2, "", "error: --split names atoms the program does not mention: yy,zz\n")
     # an empty U names no atom, and splits off nothing
     code, out, _ = run(capsys, "split", str(path), "--split", "U=")
     assert code == 0 and out.startswith("U = {}\n") and out.endswith("MATCH\n")
@@ -401,6 +386,30 @@ def test_properties_rejects_eliminate_m(capsys):
         main(["properties", "--eliminate-m", "--semantics", "g91", "--count", "0"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --eliminate-m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--max-atoms", "9"], ["--corpus", "DIR"]])
+def test_properties_rejects_max_atoms_and_corpus(capsys, option):
+    """The matrix replays the bundled corpus against frozen world views, so
+    neither another corpus nor an atom cap could change its answer."""
+    with pytest.raises(SystemExit) as exc:
+        main(["properties", *option, "--count", "0"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["split", "ce1b"], "provide --split U=a,b,... or --enumerate-splits"),
+        (["conformant", "lamps", "--goal", "light"], "provide --plan a,b (repeatable) or --generate --actions ..."),
+        (["conformant", "lamps", "--goal", "light", "--generate"], "--generate requires --actions"),
+    ],
+    ids=["split-missing", "conformant-missing", "generate-missing"],
+)
+def test_usage_errors_print_one_line_and_exit_2(capsys, fx, argv, message):
+    command, name, *rest = argv
+    assert run(capsys, command, fx(name), *rest) == (2, "", f"error: {message}\n")
 
 
 def test_properties_text_deterministic(capsys):
@@ -496,13 +505,15 @@ def test_split_placement_flag_changes_verdict(capsys, fx):
     assert code == 1 and "MISMATCH" in out
 
 
-def test_properties_aborts_on_tampered_corpus(capsys, tmp_path, corpus_dir):
+def test_properties_aborts_on_tampered_corpus(capsys, monkeypatch, tmp_path, corpus_dir):
     for path in corpus_dir.glob("*.elp"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     (tmp_path / "ab.elp").write_text("a.\n", encoding="utf-8")
-    code, _, err = run(capsys, "properties", "--count", "1", "--corpus", str(tmp_path))
-    assert code == 2
-    assert "fixture expectations failed" in err
+    monkeypatch.setattr(harness, "fixtures_dir", lambda: tmp_path)
+    code, out, err = run(capsys, "properties", "--count", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: fixture expectations failed:\nab/")
+    assert err.count("fixture expectations failed") == 1
     assert "expected" in err
 
 
@@ -549,6 +560,9 @@ def test_readme_synopsis_names_every_option():
         options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
         missing = sorted(o for o in options if o not in lines[command])
         assert not missing, (command, missing)
+        # and every option the synopsis names exists, so a removed one cannot linger
+        named = set(re.findall(r"--[a-z][a-z-]*", lines[command]))
+        assert named <= options, (command, sorted(named - options))
 
 
 SOLVE_GOLDEN = GOLDEN / "solve_fixtures.json"

@@ -6,9 +6,8 @@ import re
 import sys
 from pathlib import Path
 
-from elps import config
-
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "elps"
+README = (SOURCE.parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def test_no_bare_assert_in_the_package():
@@ -49,18 +48,19 @@ def test_the_package_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
-# (module, NAME, value) of every cap that `config`'s docstring names
-CAPS = re.findall(r"`(\w+)\.([A-Z0-9_]+)` \((\d+)", config.__doc__)
+# (module, NAME, value) of every cap in the README's list of caps
+CAPS = re.findall(r"^- `(\w+)\.([A-Z0-9_]+)` \((\d+)", README, re.MULTILINE)
 
 
-def test_the_config_docstring_names_each_cap_where_it_is_used():
-    """`config` names each cap as `module.NAME` (value, use), the one the
-    CLI sets, `objective.MAX_ATOMS`, first; every named constant exists in
+def test_the_readme_names_each_cap_where_it_is_used():
+    """The README lists each cap as `module.NAME` (value, use), the one the
+    CLI sets, `objective.MAX_ATOMS`, first; every listed constant exists in
     its module with that value."""
     assert len(CAPS) == 7
+    assert CAPS[0][:2] == ("objective", "MAX_ATOMS")
     for module, name, value in CAPS:
         assert getattr(importlib.import_module(f"elps.{module}"), name) == int(value), (module, name)
-    assert re.search(r"the CLI sets `objective\.MAX_ATOMS` \(20,", config.__doc__)
+    assert re.search(r"`--max-atoms` sets `objective\.MAX_ATOMS`", README)
 
 
 def test_no_module_copies_a_cap_by_a_from_import():
@@ -76,3 +76,25 @@ def test_no_module_copies_a_cap_by_a_from_import():
         if alias.name in names
     ]
     assert not found, "caps copied by a from-import: " + ", ".join(found)
+
+
+def _reads_the_environment(node) -> bool:
+    """`os.environ`, `os.getenv` or `os.putenv`, or one of them imported from `os`."""
+    names = {"environ", "getenv", "putenv"}
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "os" and node.attr in names
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in names for alias in node.names)
+    return False
+
+
+def test_no_module_reads_the_environment():
+    """Every setting enters through a CLI option or a module constant, never
+    through an environment variable."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if _reads_the_environment(node)
+    ]
+    assert not found, "environment reads: " + ", ".join(found)
