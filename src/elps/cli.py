@@ -70,6 +70,18 @@ def _eht_traces(candidates) -> list[dict]:
     return traces
 
 
+def _unless_capped(payload: dict, key: str, skipped_key: str, label: str, compute) -> None:
+    """`payload[key] = compute()`, unless a cap puts it out of reach: then the
+    world views still stand, stderr gets `<label> skipped: <msg>`,
+    `payload[key]` is None and `payload[skipped_key]` the message."""
+    try:
+        payload[key] = compute()
+    except CapacityError as exc:
+        print(f"{label} skipped: {exc}", file=sys.stderr)
+        payload[key] = None
+        payload[skipped_key] = str(exc)
+
+
 def cmd_solve(args) -> int:
     semantics = SemanticsId.from_string(args.semantics)
     program = _load(args.file, args)
@@ -81,25 +93,26 @@ def cmd_solve(args) -> int:
             "semantics": semantics.value,
             "world_views": world_views_to_json(wvs),
         }
-        # the world views above stand when a cap puts a certificate or trace out of reach
         if args.explain_unfounded:
-            try:
-                certificates = (
-                    {"world_view": wv.as_lists(), "pairs": unfounded_certificate(program, wv)}
+            _unless_capped(
+                payload,
+                "unfounded_certificates",
+                "unfounded_certificates_skipped",
+                "unfounded certificates",
+                lambda: [
+                    {"world_view": wv.as_lists(), "pairs": pairs}
                     for wv in sorted(compute_world_views(program, SemanticsId.G91), key=wv_key)
-                )
-                payload["unfounded_certificates"] = [c for c in certificates if c["pairs"]]
-            except CapacityError as exc:
-                print(f"unfounded certificates skipped: {exc}", file=sys.stderr)
-                payload["unfounded_certificates"] = None
-                payload["unfounded_certificates_skipped"] = str(exc)
+                    if (pairs := unfounded_certificate(program, wv))
+                ],
+            )
     if args.trace_eht:
-        try:
-            payload["eht_traces"] = _eht_traces(total_model_countermodels(program))
-        except CapacityError as exc:
-            print(f"eht trace skipped: {exc}", file=sys.stderr)
-            payload["eht_traces"] = None
-            payload["eht_trace_skipped"] = str(exc)
+        _unless_capped(
+            payload,
+            "eht_traces",
+            "eht_trace_skipped",
+            "eht trace",
+            lambda: _eht_traces(total_model_countermodels(program)),
+        )
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

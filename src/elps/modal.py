@@ -40,14 +40,8 @@ class WorldView:
     def sorted_interps(self) -> tuple[Interpretation, ...]:
         return tuple(sorted(self.interps, key=interp_key))
 
-    def __iter__(self) -> Iterator[Interpretation]:
-        return iter(self.sorted_interps)
-
     def __len__(self) -> int:
         return len(self.interps)
-
-    def __contains__(self, interp) -> bool:
-        return frozenset(interp) in self.interps
 
     def __str__(self) -> str:
         parts = ("[" + ",".join(interp_key(i)) + "]" for i in self.sorted_interps)

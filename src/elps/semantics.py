@@ -141,12 +141,11 @@ def _twin_bits(cores) -> list[tuple[int, int]]:
     ]
 
 
-def _g91_view(key: ObjectiveMasks, cores) -> tuple[WorldView | None, int]:
-    """The world view of the compiled reduct's stable models, searched under
-    the memo key of `stable_models` (None if it has none), with the guess
-    that view makes true: bit i set iff it satisfies cores[i].  The one
-    guess of a G91 key that can be accepted is that one."""
-    models = engine.once(objective._stable_masks, key)
+def _view(models, cores) -> tuple[WorldView | None, int]:
+    """The world view of a set of stable models (None if the set is empty),
+    with the guess that view makes true: bit i set iff it satisfies cores[i]
+    (-1 for None, which makes no guess true).  A guess is accepted iff it
+    equals the second value for its reduct's stable models."""
     if not models:
         return None, -1
     wv = WorldView(models)
@@ -157,28 +156,29 @@ MAX_GUESSES = 4096  # modal guesses (2^#cores) per guess loop; world views per a
 
 
 def world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
-    """Guess-and-check world views for the reduct-based semantics: a guess is
-    accepted iff its reduct has stable models and their world view makes
-    exactly the guessed cores true.
+    """Guess-and-check world views for the reduct-based semantics.  Each
+    guess gets its reduct built, and under all three semantics it is accepted
+    iff its reduct has stable models whose world view makes exactly the
+    guessed cores true: the core bits `_view` reads off that view equal the
+    guess.
 
     Under G91 a guess only keeps or deletes rules: each subjective literal
     becomes ⊤ or ⊥, so the reduct is the objective part of the kept rules,
-    and many guesses share one.  The stable models and the core values of
-    their world view are computed once per distinct `compile_objective` form
-    of the reduct (equal forms have equal stable models), in a dict local to
-    the call.  A form's world view makes one guess true, its own core
-    valuation, and that is the only guess with this form that can be
-    accepted; every other guess with it is rejected without a search.  Each
-    guess still gets its reduct built.  Under G11 and K15 a true `K l`
-    becomes `l`, so outside a run memo each guess gets its own search (inside
-    one, `stable_models` searches each compiled reduct once per run), and its
-    check stops at the first core whose value differs from the guess."""
+    and many guesses share one.  The stable models and their view's core bits
+    are computed once per distinct `compile_objective` form of the reduct
+    (equal forms have equal stable models), in a dict local to the call, so
+    every guess with a form but the one its bits spell is rejected without a
+    search.  Under G11 and K15 a true `K l` becomes `l`, so outside a run memo
+    each guess gets its own search (inside one, `stable_models` searches each
+    compiled reduct once per run).  They keep no such dict, because the
+    benchmark keeps every operation's record, so the speed it buys shows up
+    as `peak_rss_mb` past its bound until that is fixed (ROADMAP item 1)."""
     if semantics not in _REDUCT_SEMANTICS:
         raise ValueError(f"world_views handles G91/G11/K15, not {semantics}")
     cores = subjective_cores(program)
     if 2 ** len(cores) > MAX_GUESSES:
         raise CapacityError(f"{len(cores)} subjective cores exceed the guess cap of {MAX_GUESSES}")
-    # G91 only: compiled reduct -> (its world view or None, that view's guess)
+    # G91 only: compiled reduct -> `_view` of its stable models
     views: dict[ObjectiveMasks, tuple[WorldView | None, int]] = {}
     accepted = set()
     twins = _twin_bits(cores)
@@ -190,16 +190,11 @@ def world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView
         if semantics is SemanticsId.G91:
             key = compile_objective(reduct)
             if key not in views:
-                views[key] = _g91_view(key, cores)
+                views[key] = _view(engine.once(objective._stable_masks, key), cores)
             wv, own = views[key]
-            if own == bits:
-                accepted.add(wv)
-            continue
-        models = stable_models(reduct)
-        if not models:
-            continue
-        wv = WorldView(models)
-        if all(modal_satisfies(wv, frozenset(), core) == value for core, value in guess.items()):
+        else:
+            wv, own = _view(stable_models(reduct), cores)
+        if own == bits:
             accepted.add(wv)
     return frozenset(accepted)
 

@@ -216,12 +216,6 @@ class Program:
     def __str__(self) -> str:
         return "\n".join(str(r) for r in self.rules)
 
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
     @cached_property
     def atoms(self) -> frozenset[Atom]:
         """The atoms of the rules."""
@@ -357,8 +351,6 @@ class _Parser:
         if self.peek().kind == "arrow":
             self.next()
             body = self.body()
-        elif not head:
-            self.fail("expected a rule head or ':-'")
         self.expect("dot")
         return Rule(frozenset(head), body)
 

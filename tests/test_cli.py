@@ -138,6 +138,12 @@ def test_explain_unfounded_certificate(capsys, fx):
     assert certs == [{"world_view": [["a"]], "pairs": [{"X": ["a"], "I": ["a"]}]}]
 
 
+
+def test_explain_unfounded_text(capsys, fx):
+    code, out, err = run(capsys, "solve", fx("ka"), "--semantics", "c19", "--explain-unfounded")
+    assert (code, err) == (0, "")
+    assert out == "[[]]\nunfounded [['a']]:\n  X=['a'] I=['a']\n"
+
 FACTS13 = " ".join(f"a{i}." for i in range(13)) + "\n"
 FACTS13_WV = sorted(f"a{i}" for i in range(13))
 CHAIN13 = "a0.\n" + "".join(f"a{i + 1} :- a{i}.\n" for i in range(12))
@@ -208,6 +214,21 @@ def test_trace_eht(capsys, fx):
     assert any(t["world_view"] == [["a", "b"]] for t in rejected)
     assert all("countermodel" in t for t in rejected)
 
+
+
+def test_trace_eht_text(capsys, fx):
+    code, out, err = run(capsys, "solve", fx("ab"), "--semantics", "f15", "--trace-eht")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "[[a],[b]]",
+        "equilibrium: [['a']]",
+        "equilibrium: [['a'], ['b']]",
+        "equilibrium: [['b']]",
+        "not equilibrium: [['a', 'b']] countermodel {'[a,b]': ['a']}",
+        "not equilibrium: [['a'], ['a', 'b']] countermodel {'[a]': ['a'], '[a,b]': ['a']}",
+        "not equilibrium: [['a', 'b'], ['b']] countermodel {'[a,b]': ['a'], '[b]': ['b']}",
+        "not equilibrium: [['a'], ['a', 'b'], ['b']] countermodel {'[a]': ['a'], '[a,b]': ['a'], '[b]': ['b']}",
+    ]
 
 GOLDEN = Path(__file__).parent / "golden"
 COLLEGE_U = "U=high(mike),fair(mike),eligible(mike),minority(mike),-eligible(mike),-fair(mike),-high(mike)"
@@ -464,6 +485,23 @@ def test_conformant_generate(capsys, fx):
         ]
     ]
 
+
+
+@pytest.mark.parametrize(
+    "actions, expected, exit_code",
+    [
+        (
+            "toggle(l1),toggle(l2)",
+            "plan {toggle(l1)}: [[-plugged(l2),light,plugged(l1),toggle(l1)],"
+            "[light,plugged(l1),plugged(l2),toggle(l1)]]\n",
+            0,
+        ),
+        ("toggle(l2)", "no conformant plan\n", 1),
+    ],
+)
+def test_conformant_generate_text(capsys, fx, actions, expected, exit_code):
+    code, out, _ = run(capsys, "conformant", fx("lamps"), "--goal", "light", "--generate", "--actions", actions)
+    assert (code, out) == (exit_code, expected)
 
 def test_conformant_plan_of_atoms_with_several_arguments(capsys, tmp_path):
     path = tmp_path / "args.elp"

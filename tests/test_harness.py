@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from elps import engine, harness
+from elps import engine, harness, splitting
 from elps.engine import compute_world_views
 from elps.errors import CapacityError, UnsupportedMLiteral
 from elps.harness import (
@@ -240,6 +240,20 @@ def test_matrix_build_parses_each_fixture_once(monkeypatch):
     monkeypatch.setattr(harness, "load_program", lambda text: parsed.update([text]) or real(text))
     build_property_matrix(seed=3, count=0)
     assert len(parsed) == len(FIXTURE_CASES) and set(parsed.values()) == {1}
+
+
+def test_matrix_counts_a_skip_per_program_past_the_split_enumeration_cap(monkeypatch):
+    """A corpus program whose splitting sets cannot be enumerated is one
+    skip of its splitting cell: pi1 (4 atoms), college (8) and college3 (9)
+    at a cap of 3, none at the default cap."""
+    columns = [SemanticsId.G91, SemanticsId.G11]
+    matrix = build_property_matrix(columns, seed=3, count=0)
+    assert [matrix.cells[("epistemic_splitting", s.value)].skipped for s in columns] == [0, 0]
+    monkeypatch.setattr(splitting, "SPLIT_ENUM_MAX_ATOMS", 3)
+    over = sum(len(load_fixture(case.name).atoms) > 3 for case in FIXTURE_CASES)
+    assert over == 3
+    matrix = build_property_matrix(columns, seed=3, count=0)
+    assert [matrix.cells[("epistemic_splitting", s.value)].skipped for s in columns] == [over, over]
 
 
 def test_foundness_column_asks_each_pair_once(monkeypatch):

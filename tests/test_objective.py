@@ -92,6 +92,15 @@ def test_simplify_top_matches_worked_example():
     assert top_b.rules == (parse_rule("c | d :- not ⊥."), parse_rule("d :- ⊥, not ⊤."))
 
 
+def test_simplify_top_refuses_a_subjective_literal_and_a_rule_that_heads_u():
+    with pytest.raises(NotObjectiveError, match="subjective literal K a in objective top"):
+        simplify_top(parse_program("c :- K a."), {A}, frozenset())
+    heads_u = parse_rule("a :- c.")
+    with pytest.raises(NotASplittingSet) as exc:
+        simplify_top(Program.of([heads_u]), {A}, frozenset())
+    assert tuple(exc.value.violators) == (heads_u,)
+
+
 def test_stable_models_pi1():
     assert sm(PI1) == interps("a d", "b c", "b d")
 

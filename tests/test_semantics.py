@@ -128,6 +128,12 @@ def test_world_views_checks_the_program_once(monkeypatch):
     assert scans == [SemanticsId.S17, SemanticsId.K15, SemanticsId.G11]
 
 
+@pytest.mark.parametrize("semantics", [SemanticsId.S17, SemanticsId.F15, SemanticsId.C19])
+def test_world_views_refuses_a_semantics_without_a_reduct(semantics):
+    with pytest.raises(ValueError, match=f"^world_views handles G91/G11/K15, not {semantics}$"):
+        world_views(parse_program("a | b. c :- K a."), semantics)
+
+
 def test_world_views_counterexample_fixtures():
     assert world_views(CE1A, SemanticsId.G91) == {wv_of("a", "b")}
     assert world_views(CE1B, SemanticsId.G91) == frozenset()

@@ -3,11 +3,17 @@
 import ast
 import importlib
 import re
+import shlex
 import sys
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "elps"
-README = (SOURCE.parent.parent / "README.md").read_text(encoding="utf-8")
+import pytest
+
+from elps import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "elps"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_no_bare_assert_in_the_package():
@@ -98,3 +104,28 @@ def test_no_module_reads_the_environment():
         if _reads_the_environment(node)
     ]
     assert not found, "environment reads: " + ", ".join(found)
+
+
+def _readme_examples() -> list:
+    """(command after `$ elps `, the lines shown under it) for each command
+    of the README's example block."""
+    block = README.split("Examples (fixtures ship in", 1)[1].split("```\n", 2)[1]
+    return [
+        pytest.param(command, shown, id=command.partition("#")[0].strip())
+        for command, *shown in (chunk.splitlines() for chunk in re.split(r"^\$ elps ", block, flags=re.M)[1:])
+    ]
+
+
+@pytest.mark.parametrize("command, shown", _readme_examples())
+def test_the_readme_examples_print_what_they_show(monkeypatch, capsys, command, shown):
+    """Run from the repository root, each example prints the lines shown
+    under it, where a `...` line stands for any run of lines, and exits
+    with the code its `# exit code N` comment gives, if it has one."""
+    monkeypatch.chdir(ROOT)
+    code = cli.main(shlex.split(command, comments=True))
+    out = capsys.readouterr().out
+    pattern = "".join(r"(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in shown)
+    assert re.fullmatch(pattern, out), out
+    expected = re.search(r"# exit code (\d+)", command)
+    if expected:
+        assert code == int(expected[1])

@@ -364,3 +364,13 @@ def test_property_report_json_shape():
     assert set(payload) == {"property", "semantics", "program", "U", "verdict", "lhs", "rhs", "seed"}
     assert payload["seed"] == 7
     assert payload["semantics"] == "g11"
+
+
+def test_epistemic_split_refuses_an_unknown_placement():
+    with pytest.raises(ValueError, match="^placement must be 'bottom' or 'top', got 'middle'$"):
+        epistemic_split(CE1A, {A, B}, "middle")
+
+
+def test_a_report_that_holds_has_no_witness():
+    report = check_epistemic_splitting(CE1A, {A, B}, SemanticsId.G91)
+    assert report.holds and report.witness() is None

@@ -85,6 +85,27 @@ def test_parse_error_carries_position():
     assert exc.value.col >= 6
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (".", "line 1, column 1: expected an atom name"),
+        ("p(,).", "line 1, column 3: expected a constant or variable"),
+        ("a :- K not not not b.", "line 1, column 20: default negation depth exceeds 2"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    """A statement that does not start with `:-` reads an atom first, so a
+    lone `.` fails there."""
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert str(exc.value) == message
+
+
+def test_parse_rule_wants_exactly_one_rule():
+    with pytest.raises(ValueError, match="^expected exactly one rule, got 2$"):
+        parse_rule("a. b.")
+
+
 def test_parse_truth_constants_ascii_and_unicode():
     assert parse_rule("a :- #true, not #false.") == parse_rule("a :- ⊤, not ⊥.")
 
