@@ -85,26 +85,26 @@ def _unless_capped(payload: dict, key: str, skipped_key: str, label: str, comput
 def cmd_solve(args) -> int:
     semantics = SemanticsId.from_string(args.semantics)
     program = _load(args.file, args)
-    # the certificates read the G91 views, which C19 and G91 have solved
-    with solve_memo():
-        wvs = sorted(compute_world_views(program, semantics), key=wv_key)
-        payload = {
-            "file": args.file,
-            "semantics": semantics.value,
-            "world_views": world_views_to_json(wvs),
-        }
-        if args.explain_unfounded:
-            _unless_capped(
-                payload,
-                "unfounded_certificates",
-                "unfounded_certificates_skipped",
-                "unfounded certificates",
-                lambda: [
-                    {"world_view": wv.as_lists(), "pairs": pairs}
-                    for wv in sorted(compute_world_views(program, SemanticsId.G91), key=wv_key)
-                    if (pairs := unfounded_certificate(program, wv))
-                ],
-            )
+    wvs = sorted(compute_world_views(program, semantics), key=wv_key)
+    payload = {
+        "file": args.file,
+        "semantics": semantics.value,
+        "world_views": world_views_to_json(wvs),
+    }
+    if args.explain_unfounded:
+        # the certificates read the G91 views, which C19 and G91 have solved
+        # in the command's run memo
+        _unless_capped(
+            payload,
+            "unfounded_certificates",
+            "unfounded_certificates_skipped",
+            "unfounded certificates",
+            lambda: [
+                {"world_view": wv.as_lists(), "pairs": pairs}
+                for wv in sorted(compute_world_views(program, SemanticsId.G91), key=wv_key)
+                if (pairs := unfounded_certificate(program, wv))
+            ],
+        )
     if args.trace_eht:
         _unless_capped(
             payload,
@@ -138,31 +138,30 @@ def cmd_split(args) -> int:
     if args.enumerate_splits:
         sets = sorted(
             enumerate_epistemic_splitting_sets(program),
-            key=lambda u: (len(u), tuple(sorted(map(str, u)))),
+            key=lambda u: (len(u), interp_key(u)),
         )
         if args.json:
-            print(json.dumps([sorted(map(str, u)) for u in sets]))
+            print(json.dumps([list(interp_key(u)) for u in sets]))
         else:
             for u in sets:
-                print("{" + ",".join(sorted(map(str, u))) + "}")
+                print("{" + ",".join(interp_key(u)) + "}")
         return 0
     if not args.split:
         raise ValueError("provide --split U=a,b,... or --enumerate-splits")
     U = _parse_atom_set(args.split)
-    unknown = ",".join(sorted(map(str, U - program.atoms)))
+    unknown = ",".join(interp_key(U - program.atoms))
     if unknown:
         raise ValueError(f"--split names atoms the program does not mention: {unknown}")
     split = epistemic_split(program, U, args.placement)
-    with solve_memo():
-        solutions = epistemic_solutions(program, U, semantics, args.placement)
-        direct = compute_world_views(program, semantics)
+    solutions = epistemic_solutions(program, U, semantics, args.placement)
+    direct = compute_world_views(program, semantics)
     report = equation_report(
         "epistemic_splitting", semantics, program, direct, (combine(*pair) for pair in solutions), U=U
     )
     payload = {
         "file": args.file,
         "semantics": semantics.value,
-        "U": sorted(map(str, U)),
+        "U": list(interp_key(U)),
         "bottom": [str(r) for r in split.bottom.rules],
         "top": [str(r) for r in split.top.rules],
         "solutions": [
@@ -181,7 +180,7 @@ def cmd_split(args) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"U = {{{','.join(sorted(map(str, U)))}}}")
+        print(f"U = {{{','.join(interp_key(U))}}}")
         print("bottom:")
         for r in split.bottom.rules:
             print(f"  {r}")
@@ -240,9 +239,7 @@ def cmd_conformant(args) -> int:
         )
         payload["mode"] = "generate"
         payload["world_views"] = world_views_to_json(surviving)
-        payload["plans"] = [
-            sorted(map(str, plan_of_world_view(wv, actions))) for wv in surviving
-        ]
+        payload["plans"] = [list(interp_key(plan_of_world_view(wv, actions))) for wv in surviving]
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
@@ -259,7 +256,7 @@ def cmd_conformant(args) -> int:
         ok, wvs = is_conformant_plan(program, plan, goal, semantics)
         verdicts.append(
             {
-                "plan": sorted(map(str, plan)),
+                "plan": list(interp_key(plan)),
                 "conformant": ok,
                 "world_views": world_views_to_json(wvs),
             }
@@ -326,10 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  `--max-atoms` sets `objective.MAX_ATOMS` for the
-    command, before it opens a run memo, and the old cap is back when it
-    returns.  An `ElpError`, `ValueError` or `OSError` is printed as
-    `error: ...` with exit code 2."""
+    """Run one command in one run memo (`engine.solve_memo`).  `--max-atoms`
+    sets `objective.MAX_ATOMS` for the command before the memo opens, and the
+    old cap is back when it returns.  An `ElpError`, `ValueError` or `OSError`
+    is printed as `error: ...` with exit code 2."""
     args = build_parser().parse_args(argv)
     cap = getattr(args, "max_atoms", None)
     previous_cap = objective.MAX_ATOMS
@@ -338,7 +335,8 @@ def main(argv=None) -> int:
             if cap < 0:
                 raise ValueError(f"--max-atoms must not be negative, got {cap}")
             objective.MAX_ATOMS = cap
-        return args.func(args)
+        with solve_memo():
+            return args.func(args)
     except (ElpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

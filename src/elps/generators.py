@@ -65,8 +65,6 @@ def _rule(rng: random.Random, atoms, shape: GeneratorShape, modal_atoms=()) -> R
     if modal_atoms:
         for _ in range(shape.min_subjective - sum(isinstance(l, SubjLit) for l in body)):
             body.append(_subjective_literal(rng, modal_atoms, shape))
-    if not head and not body:
-        body.append(_objective_literal(rng, atoms, shape))
     return Rule(head, tuple(body))
 
 

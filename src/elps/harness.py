@@ -32,7 +32,7 @@ from .splitting import (
     enumerate_epistemic_splitting_sets,
     equation_report,
 )
-from .syntax import Program, load_program, parse_rule
+from .syntax import Program, interp_key, load_program, parse_rule
 
 SEMANTICS_COLUMNS = (
     SemanticsId.G91,
@@ -348,7 +348,7 @@ def _matrix_checks(semantics, corpus, seed, count):
         split_sets = once(_checked, enumerate_epistemic_splitting_sets, program)
         if split_sets is None:
             yield "epistemic_splitting", None
-        for U in sorted(split_sets or (), key=lambda u: tuple(sorted(map(str, u))))[:4]:
+        for U in sorted(split_sets or (), key=interp_key)[:4]:
             yield "epistemic_splitting", _checked(
                 check_epistemic_splitting, program, U, semantics, None, seed
             )

@@ -92,11 +92,6 @@ def is_s5_model(wv: WorldView, program: Program) -> bool:
     return all(modal_satisfies(wv, i, program) for i in wv.interps)
 
 
-def project(wv: WorldView, U) -> WorldView:
-    U = frozenset(U)
-    return WorldView.of(i & U for i in wv.interps)
-
-
 def subjective_reduct(program: Program, wv: WorldView, U=None) -> Program:
     """Replace each subjective literal whose atom lies in U by its truth value.
 

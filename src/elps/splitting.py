@@ -25,7 +25,7 @@ solver reaches it without consulting the levels.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import engine, objective
 from . import semantics as _semantics
@@ -33,7 +33,7 @@ from .errors import CapacityError, NotAnEpistemicSplittingSet, NotStratified
 from .modal import WorldView, modal_satisfies, subjective_reduct, world_views_to_json
 from .objective import AtomBits, Split, partition, split_solutions
 from .semantics import SemanticsId
-from .syntax import Atom, Program, Rule, atom_key, capped_atoms
+from .syntax import Atom, Program, Rule, atom_key, capped_atoms, interp_key
 
 
 def dep_relation(program: Program) -> frozenset[tuple[Atom, Atom]]:
@@ -201,9 +201,6 @@ class PropertyReport:
             return None
         return {"program": self.program, "U": self.U, "lhs": self.lhs, "rhs": self.rhs}
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def equation_report(prop, semantics: SemanticsId, program, lhs, rhs, seed=None, U=None) -> PropertyReport:
     """The report on a property that holds exactly when the world views
@@ -214,7 +211,7 @@ def equation_report(prop, semantics: SemanticsId, program, lhs, rhs, seed=None, 
         semantics=semantics.value,
         verdict="holds" if lhs == rhs else "violated",
         program=str(program),
-        U=None if U is None else sorted(str(a) for a in U),
+        U=None if U is None else list(interp_key(U)),
         lhs=world_views_to_json(lhs),
         rhs=world_views_to_json(rhs),
         seed=seed,

@@ -15,7 +15,7 @@ negation, compiled to a paired atom plus an implicit mutual-exclusion
 constraint at normalisation time.
 
 Atoms are ordered lexicographically by their printed form; every set-valued
-output downstream is canonicalised with that order.
+output downstream is canonicalised with that order, by `interp_key`.
 
 A rule carries its atom sets: `atoms` (the head and every body atom, the atom
 under K/M included) and `objective_atoms` (the head and the objective body),

@@ -6,19 +6,8 @@ import pytest
 from elps import objective, semantics
 from elps.engine import REGISTRY, compute_world_views
 from elps.harness import fixtures_dir, load_fixture
-from elps.modal import WorldView, world_views_to_json
 from elps.semantics import SemanticsId
 from elps.splitting import stratify
-from elps.syntax import parse_atom
-
-
-def wv_of(*interps: str) -> WorldView:
-    """wv_of("a b", "") builds the world view [[a,b], []]."""
-    return WorldView.of([parse_atom(tok) for tok in text.split()] for text in interps)
-
-
-def views(world_view_set) -> list:
-    return world_views_to_json(world_view_set)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,6 @@ from elps.generators import (
     random_stratified_program,
 )
 from elps.harness import SEMANTICS_COLUMNS, build_property_matrix
-from elps.modal import WorldView
 from elps.objective import objective_solutions, stable_models
 from elps.planning import generate_conformant_world_views, is_conformant_plan
 from elps.semantics import (
@@ -40,12 +39,9 @@ from elps.splitting import (
     enumerate_epistemic_splitting_sets,
 )
 from elps.syntax import parse_atom, parse_program, parse_rule
+from helpers import wv_of
 
 ALL = list(SemanticsId)
-
-
-def wv_of(*texts):
-    return WorldView.of([parse_atom(t) for t in text.split()] for text in texts)
 
 
 @contextmanager

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import elps
-from elps import cli, harness, objective, splitting
+from elps import cli, engine, harness, objective, splitting
 from elps.cli import main
 from elps.harness import SEMANTICS_COLUMNS
 
@@ -109,6 +109,23 @@ def test_max_atoms_at_the_atom_count_solves_and_is_restored(capsys, fx):
     capped = run(capsys, "solve", fx("pi1"), "--max-atoms", "4")
     assert objective.MAX_ATOMS == 20
     assert capped == run(capsys, "solve", fx("pi1")) and capped[0] == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "split", "conformant"])
+def test_a_command_runs_in_one_run_memo_opened_after_its_cap(monkeypatch, command):
+    """`main` opens the command's run memo once `--max-atoms` is set, and
+    closes it when the command returns."""
+    seen = []
+
+    def cmd(args):
+        seen.append((engine._memo.get(), objective.MAX_ATOMS))
+        return 0
+
+    monkeypatch.setattr(cli, f"cmd_{command}", cmd)
+    extra = ["--goal", "g"] if command == "conformant" else []
+    assert main([command, "program.elp", "--max-atoms", "5", *extra]) == 0
+    assert seen == [({}, 5)]
+    assert engine._memo.get() is None
 
 
 def test_max_atoms_does_not_bound_f15(capsys, fx):

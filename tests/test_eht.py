@@ -36,12 +36,9 @@ from elps.syntax import (
     parse_rule,
     subsets,
 )
+from helpers import all_interps, all_world_views, wv_of
 
 A, B = Atom("a"), Atom("b")
-
-
-def wv_of(*texts):
-    return WorldView.of([parse_atom(t) for t in text.split()] for text in texts)
 
 
 def test_h_must_be_subvaluation():
@@ -75,16 +72,6 @@ def test_modal_clauses_use_h():
     assert not eht_satisfies(eht, frozenset([A]), SubjLit("K", ObjLit(A), neg=True))
 
 
-def _all_interps(atoms):
-    return [frozenset(a for i, a in enumerate(atoms) if m & (1 << i)) for m in range(1 << len(atoms))]
-
-
-def _all_world_views(atoms):
-    interps = _all_interps(atoms)
-    for mask in range(1, 1 << len(interps)):
-        yield WorldView.of(interps[i] for i in range(len(interps)) if mask & (1 << i))
-
-
 def test_total_eht_collapses_to_modal_satisfaction():
     atoms = [A, B]
     rules = [
@@ -93,7 +80,7 @@ def test_total_eht_collapses_to_modal_satisfaction():
         parse_rule("a | b :- not a."),
         parse_rule(":- M not b."),
     ]
-    for wv in _all_world_views(atoms):
+    for wv in all_world_views(atoms):
         eht = EHTInterpretation.total(wv)
         for rule in rules:
             for point in wv.interps:
@@ -108,7 +95,7 @@ def test_total_model_iff_s5_model():
         parse_program("a | b. :- not K a."),
     ]
     for program in programs:
-        for wv in _all_world_views(atoms):
+        for wv in all_world_views(atoms):
             assert is_eht_model(EHTInterpretation.total(wv), program) == is_s5_model(wv, program)
 
 
@@ -266,7 +253,7 @@ def test_countermodel_search_matches_product_walk():
     rng = random.Random(83)
     # the F15 matrix shape (3 atoms, the EHT cap), with M literals as well
     shape = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.25)
-    interps = _all_interps([A, B, parse_atom("c")])
+    interps = all_interps([A, B, parse_atom("c")])
     found = none = strict = 0
     for _ in range(2400):
         program = random_epistemic_program(rng, shape)
@@ -501,7 +488,7 @@ def test_here_reading_matches_definitional_satisfaction():
         ]
         lits = [lit for rule in rules for lit in rule.body]
         compiled = _Compiled(Program(tuple(rules + [Rule(frozenset(), (l,)) for l in lits])), atoms)
-        interps = _all_interps(atoms)
+        interps = all_interps(atoms)
         wv = WorldView(frozenset(rng.sample(interps, rng.randint(1, len(interps)))))
         h = {i: frozenset(a for a in i if rng.random() < 0.5) for i in wv.interps}
         eht = EHTInterpretation(wv, h)

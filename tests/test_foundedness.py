@@ -20,13 +20,9 @@ from elps.modal import WorldView
 from elps.objective import stable_models
 from elps.semantics import SemanticsId, world_views
 from elps.syntax import Atom, atom_key, parse_atom, parse_program, parse_rule, subsets
+from helpers import KA, wv_of
 
 A, B = Atom("a"), Atom("b")
-KA = parse_program("a :- K a.")
-
-
-def wv_of(*texts):
-    return WorldView.of([parse_atom(t) for t in text.split()] for text in texts)
 
 
 def pair(x_text, i_text):

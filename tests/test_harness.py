@@ -6,7 +6,7 @@ import pytest
 
 from elps import engine, harness, splitting
 from elps.engine import compute_world_views
-from elps.errors import CapacityError, UnsupportedMLiteral
+from elps.errors import CapacityError, NotObjectiveError, UnsupportedMLiteral
 from elps.harness import (
     FIXTURE_CASES,
     FixtureMismatch,
@@ -19,6 +19,7 @@ from elps.harness import (
     run_fixture_checks,
 )
 from elps.semantics import SemanticsId
+from elps.syntax import parse_program
 
 
 def test_fixture_expectations_all_pass():
@@ -305,3 +306,9 @@ def test_failed_build_leaves_no_memo(solved, tampered_corpus):
     assert solved[key] == 1  # solved by the fixture replay before it failed
     compute_world_views(*key)
     assert solved[key] == 2
+
+
+def test_supra_asp_refuses_an_epistemic_program():
+    program = parse_program("a :- K b.")
+    with pytest.raises(NotObjectiveError, match="^supra-ASP needs an objective program, got a :- K b\\.$"):
+        harness._supra_asp_report(program, SemanticsId.G91)

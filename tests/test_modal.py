@@ -9,7 +9,6 @@ from elps.modal import (
     WorldView,
     is_s5_model,
     modal_satisfies,
-    project,
     subjective_reduct,
 )
 from elps.splitting import enumerate_epistemic_splitting_sets, epistemic_split
@@ -23,12 +22,15 @@ from elps.syntax import (
     parse_program,
     parse_rule,
 )
+from helpers import all_interps, all_world_views, wv_of
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 
 
-def wv_of(*texts):
-    return WorldView.of([parse_atom(t) for t in text.split()] for text in texts)
+def project(wv: WorldView, U) -> WorldView:
+    """The world view of wv's interpretations restricted to the atoms U."""
+    U = frozenset(U)
+    return WorldView.of(i & U for i in wv.interps)
 
 
 def test_world_view_requires_nonempty():
@@ -49,6 +51,11 @@ def test_k_and_m_clauses():
     assert modal_satisfies(wv, frozenset(), SubjLit("M", ObjLit(A)))
     singleton = wv_of("a")
     assert modal_satisfies(singleton, frozenset(), SubjLit("K", ObjLit(A)))
+
+
+def test_modal_satisfies_rejects_what_is_not_a_construct():
+    with pytest.raises(TypeError, match="^unsupported construct 42$"):
+        modal_satisfies(wv_of("a"), frozenset(), 42)
 
 
 def test_subjective_literal_point_independent():
@@ -105,16 +112,6 @@ def test_subjective_reduct_identity_without_subjective_literals():
 _ATOMS3 = (Atom("a"), Atom("b"), Atom("c"))
 
 
-def _all_interps(atoms):
-    return [frozenset(a for i, a in enumerate(atoms) if m & (1 << i)) for m in range(1 << len(atoms))]
-
-
-def _all_world_views(atoms):
-    interps = _all_interps(atoms)
-    for mask in range(1, 1 << len(interps)):
-        yield WorldView.of(interps[i] for i in range(len(interps)) if mask & (1 << i))
-
-
 def _subjective_literals_over(atom):
     for modality in ("K", "M"):
         for negs in (0, 1, 2):
@@ -127,7 +124,7 @@ def test_projection_observation_exhaustive():
     # projection to any side of a split containing a
     atoms = _ATOMS3[:2]  # every world view over 2 atoms
     universe = frozenset(atoms)
-    for wv in _all_world_views(atoms):
+    for wv in all_world_views(atoms):
         for u_mask in range(1 << len(atoms)):
             u = frozenset(a for i, a in enumerate(atoms) if u_mask & (1 << i))
             for atom in atoms:
@@ -143,7 +140,7 @@ def test_projection_observation_three_atoms_sampled():
     import random
 
     rng = random.Random(13)
-    interps = _all_interps(_ATOMS3)
+    interps = all_interps(_ATOMS3)
     universe = frozenset(_ATOMS3)
     for _ in range(150):
         wv = WorldView.of(rng.sample(interps, rng.randint(1, 5)))
@@ -184,7 +181,7 @@ def test_reduct_decomposition_on_fixtures():
 def test_reduct_decomposition_randomized():
     rng = random.Random(31)
     shape = GeneratorShape(n_atoms=3, max_rules=4, subjective_prob=0.5, m_prob=0.2)
-    interps = _all_interps(_ATOMS3)
+    interps = all_interps(_ATOMS3)
     checked = 0
     for _ in range(80):
         program = random_epistemic_program(rng, shape)
@@ -201,7 +198,7 @@ def test_reduct_decomposition_randomized():
     u_mask=st.integers(0, 7),
 )
 def test_project_idempotent_and_monotone(mask, u_mask):
-    interps = _all_interps(_ATOMS3)
+    interps = all_interps(_ATOMS3)
     wv = WorldView.of(interps[i] for i in range(8) if mask & (1 << i))
     u = frozenset(a for i, a in enumerate(_ATOMS3) if u_mask & (1 << i))
     projected = project(wv, u)

@@ -65,6 +65,16 @@ def test_classical_satisfies_rejects_subjective():
         classical_satisfies(frozenset(), parse_rule("a :- K b."))
 
 
+def test_classical_satisfies_rejects_what_is_not_a_construct():
+    with pytest.raises(TypeError, match="^unsupported construct 42$"):
+        classical_satisfies(frozenset(), 42)
+
+
+def test_objective_reduct_rejects_subjective():
+    with pytest.raises(NotObjectiveError, match="^subjective literal K b in objective reduct$"):
+        objective_reduct(parse_program("a :- K b."), frozenset())
+
+
 def test_classical_double_negation():
     lit = parse_rule(":- not not a.").body[0]
     assert classical_satisfies(frozenset([A]), lit)

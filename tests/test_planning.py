@@ -2,7 +2,6 @@ import pytest
 
 from elps.engine import compute_world_views
 from elps.errors import ElpError
-from elps.modal import WorldView
 from elps.planning import (
     choice_rules,
     conformant_check_program,
@@ -15,13 +14,10 @@ from elps.planning import (
 )
 from elps.semantics import SemanticsId
 from elps.syntax import parse_atom, parse_program, parse_rule
+from helpers import wv_of
 
 LIGHT = parse_atom("light")
 T1, T2 = parse_atom("toggle(l1)"), parse_atom("toggle(l2)")
-
-
-def wv_of(*texts):
-    return WorldView.of([parse_atom(t) for t in text.split()] for text in texts)
 
 
 W0_PRIME = wv_of(

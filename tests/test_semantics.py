@@ -16,16 +16,12 @@ from elps.semantics import (
     subjective_cores,
     world_views,
 )
-from elps.syntax import SubjLit, eliminate_m, parse_atom, parse_program, parse_rule
+from elps.syntax import SubjLit, eliminate_m, parse_program, parse_rule
+from helpers import KA, wv_of
 
 CE1A = parse_program("a | b. c :- K a.")
 CE1B = parse_program("a | b. c :- K a. :- not c.")
 CE2 = parse_program("a | b. :- not K a.")
-KA = parse_program("a :- K a.")
-
-
-def wv_of(*texts):
-    return WorldView.of([parse_atom(t) for t in text.split()] for text in texts)
 
 
 def views(wvs):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 import shlex
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import elps
 from elps import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +48,36 @@ def test_the_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names | {"elps"}
             ]
     assert not found, "imports outside the standard library: " + ", ".join(found)
+
+
+def _root_names_used_outside_the_package() -> set:
+    """Each name that `perfbench/` or `tests/` reads off the package root,
+    as `elps.<name>` or `from elps import <name>`, that is not a submodule."""
+    found = set()
+    for path in sorted([*ROOT.glob("perfbench/**/*.py"), *ROOT.glob("tests/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "elps":
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "elps" and not node.level:
+                found.update(alias.name for alias in node.names)
+    submodules = {path.stem for path in SOURCE.glob("*.py")}
+    return {name for name in found if name not in submodules and not name.startswith("__")}
+
+
+def test_the_package_root_exports_exactly_what_its_callers_use():
+    """`elps.__all__` is a literal list of the names code outside the package
+    reads off the root, and the root binds no other public name but its
+    submodules: a new export needs a caller, and a new caller an export."""
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    [value] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+    ]
+    assert isinstance(value, ast.List) and ast.literal_eval(value) == elps.__all__
+    assert set(elps.__all__) == _root_names_used_outside_the_package()
+    public = {name for name, obj in vars(elps).items() if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == set(elps.__all__)
 
 
 def test_the_package_parses_as_python_3_10():

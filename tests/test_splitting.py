@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -24,6 +25,7 @@ from elps.splitting import (
     top_simplification,
 )
 from elps.syntax import Atom, Program, atom_key, parse_atom, parse_program, parse_rule, subsets
+from helpers import wv_of
 
 A, B, C, D = (Atom(x) for x in "abcd")
 CE1A = parse_program("a | b. c :- K a.")
@@ -37,10 +39,6 @@ COLLEGE_U = frozenset(
         "-eligible(mike) -fair(mike) -high(mike)"
     ).split()
 )
-
-
-def wv_of(*texts):
-    return WorldView.of([parse_atom(t) for t in text.split()] for text in texts)
 
 
 def test_dep_relation_examples():
@@ -360,7 +358,7 @@ def test_stratified_generator_reads_constraint_prob():
 
 def test_property_report_json_shape():
     report = check_epistemic_splitting(CE1B, {A, B}, SemanticsId.G11, seed=7)
-    payload = report.to_json()
+    payload = asdict(report)
     assert set(payload) == {"property", "semantics", "program", "U", "verdict", "lhs", "rhs", "seed"}
     assert payload["seed"] == 7
     assert payload["semantics"] == "g11"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import elps
 from elps import syntax
 from elps.errors import CapacityError, GroundingError, ParseError
-from elps.modal import WorldView, modal_satisfies
+from elps.modal import modal_satisfies
 from elps.syntax import (
     BOT,
     TOP,
@@ -34,6 +34,7 @@ from elps.syntax import (
     parse_program,
     parse_rule,
 )
+from helpers import all_world_views
 
 
 def test_parse_simple_rule():
@@ -104,6 +105,18 @@ def test_parse_error_messages(text, message):
 def test_parse_rule_wants_exactly_one_rule():
     with pytest.raises(ValueError, match="^expected exactly one rule, got 2$"):
         parse_rule("a. b.")
+
+
+def test_literals_built_by_hand_are_checked():
+    """The parser never builds these; a literal made in code is checked
+    when it is made."""
+    a = Atom("a")
+    with pytest.raises(ValueError, match=r"^negation depth 3 out of range 0\.\.2$"):
+        ObjLit(a, 3)
+    with pytest.raises(ValueError, match="^unknown modality 'X'$"):
+        SubjLit("X", ObjLit(a))
+    with pytest.raises(ValueError, match="^modality applied to a truth constant$"):
+        SubjLit("K", ObjLit(TOP))
 
 
 def test_parse_truth_constants_ascii_and_unicode():
@@ -242,14 +255,6 @@ def test_default_negate_collapses_triple():
     assert default_negate(lit).negs == 1
 
 
-def _all_world_views(atoms):
-    interps = []
-    for mask in range(1 << len(atoms)):
-        interps.append(frozenset(a for i, a in enumerate(atoms) if mask & (1 << i)))
-    for mask in range(1, 1 << len(interps)):
-        yield WorldView.of(interps[i] for i in range(len(interps)) if mask & (1 << i))
-
-
 def test_eliminate_m_preserves_modal_satisfaction():
     # exhaustive over two atoms (all world views and points); spot checks on a
     # third atom keep the three-atom case covered without the full blow-up
@@ -264,7 +269,7 @@ def test_eliminate_m_preserves_modal_satisfaction():
     points = [frozenset(), frozenset([atoms[0]]), frozenset(atoms)]
     for rule in rules:
         rewritten = eliminate_m(Program.of([rule])).rules[0]
-        for wv in _all_world_views(atoms):
+        for wv in all_world_views(atoms):
             for point in points:
                 assert modal_satisfies(wv, point, rule) == modal_satisfies(wv, point, rewritten)
 
@@ -277,7 +282,7 @@ def test_eliminate_m_preserves_modal_satisfaction_three_atoms():
     rewritten = eliminate_m(Program.of([rule])).rules[0]
     interps = [frozenset(a for i, a in enumerate(atoms) if m & (1 << i)) for m in range(8)]
     rng = random.Random(9)
-    for wv in _all_world_views(atoms):
+    for wv in all_world_views(atoms):
         point = rng.choice(interps)
         assert modal_satisfies(wv, point, rule) == modal_satisfies(wv, point, rewritten)
 
