@@ -22,7 +22,7 @@ from .eht import total_model_countermodels
 from .engine import REGISTRY, compute_world_views, solve_memo
 from .errors import CapacityError, ElpError
 from .foundedness import unfounded_certificate
-from .harness import PROPERTY_ROWS, SEMANTICS_COLUMNS, build_property_matrix
+from .harness import SEMANTICS_COLUMNS, build_property_matrix
 from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId
@@ -82,7 +82,7 @@ def _unless_capped(payload: dict, key: str, skipped_key: str, label: str, comput
         payload[skipped_key] = str(exc)
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     semantics = SemanticsId.from_string(args.semantics)
     program = _load(args.file, args)
     wvs = sorted(compute_world_views(program, semantics), key=wv_key)
@@ -113,39 +113,27 @@ def cmd_solve(args) -> int:
             "eht trace",
             lambda: _eht_traces(total_model_countermodels(program)),
         )
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for wv in wvs:
-            print(wv)
-        if args.explain_unfounded:
-            for cert in payload["unfounded_certificates"] or []:
-                print(f"unfounded {cert['world_view']}:")
-                for pair in cert["pairs"]:
-                    print(f"  X={pair['X']} I={pair['I']}")
-        if args.trace_eht:
-            for trace in payload["eht_traces"] or []:
-                if trace["equilibrium"]:
-                    print(f"equilibrium: {trace['world_view']}")
-                else:
-                    print(f"not equilibrium: {trace['world_view']} countermodel {trace['countermodel']}")
-    return 0 if wvs else 1
+    lines = [str(wv) for wv in wvs]
+    for cert in payload.get("unfounded_certificates") or []:
+        lines.append(f"unfounded {cert['world_view']}:")
+        lines += [f"  X={pair['X']} I={pair['I']}" for pair in cert["pairs"]]
+    for trace in payload.get("eht_traces") or []:
+        if trace["equilibrium"]:
+            lines.append(f"equilibrium: {trace['world_view']}")
+        else:
+            lines.append(f"not equilibrium: {trace['world_view']} countermodel {trace['countermodel']}")
+    return (0 if wvs else 1), payload, lines
 
 
-def cmd_split(args) -> int:
+def cmd_split(args):
     semantics = SemanticsId.from_string(args.semantics)
     program = _load(args.file, args)
     if args.enumerate_splits:
-        sets = sorted(
-            enumerate_epistemic_splitting_sets(program),
-            key=lambda u: (len(u), interp_key(u)),
-        )
-        if args.json:
-            print(json.dumps([list(interp_key(u)) for u in sets]))
-        else:
-            for u in sets:
-                print("{" + ",".join(interp_key(u)) + "}")
-        return 0
+        if args.split:
+            raise ValueError("--enumerate-splits takes no --split")
+        sets = [list(interp_key(u)) for u in enumerate_epistemic_splitting_sets(program)]
+        sets.sort(key=lambda u: (len(u), u))
+        return 0, sets, ["{" + ",".join(u) + "}" for u in sets]
     if not args.split:
         raise ValueError("provide --split U=a,b,... or --enumerate-splits")
     U = _parse_atom_set(args.split)
@@ -161,7 +149,7 @@ def cmd_split(args) -> int:
     payload = {
         "file": args.file,
         "semantics": semantics.value,
-        "U": list(interp_key(U)),
+        "U": report.U,
         "bottom": [str(r) for r in split.bottom.rules],
         "top": [str(r) for r in split.top.rules],
         "solutions": [
@@ -177,49 +165,33 @@ def cmd_split(args) -> int:
         "direct": report.lhs,
         "match": report.holds,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"U = {{{','.join(interp_key(U))}}}")
-        print("bottom:")
-        for r in split.bottom.rules:
-            print(f"  {r}")
-        print("top:")
-        for r in split.top.rules:
-            print(f"  {r}")
-        for s in payload["solutions"]:
-            print(f"wv_bottom {s['wv_bottom']}")
-            for r in s["top_simplified"]:
-                print(f"  E: {r}")
-            print(f"  wv_top {s['wv_top']} -> combined {s['combined']}")
-        print(f"combined world views: {payload['combined']}")
-        print(f"direct world views:   {payload['direct']}")
-        print("MATCH" if report.holds else "MISMATCH: composed solutions differ from the direct world views")
-    return 0 if report.holds else 1
+    lines = ["U = {" + ",".join(report.U) + "}", "bottom:", *(f"  {r}" for r in payload["bottom"])]
+    lines += ["top:", *(f"  {r}" for r in payload["top"])]
+    for s in payload["solutions"]:
+        lines += [f"wv_bottom {s['wv_bottom']}", *(f"  E: {r}" for r in s["top_simplified"])]
+        lines.append(f"  wv_top {s['wv_top']} -> combined {s['combined']}")
+    lines += [f"combined world views: {report.rhs}", f"direct world views:   {report.lhs}"]
+    lines.append("MATCH" if report.holds else "MISMATCH: composed solutions differ from the direct world views")
+    return (0 if report.holds else 1), payload, lines
 
 
-def cmd_properties(args) -> int:
+def cmd_properties(args):
     semantics_list = [SemanticsId.from_string(s) for s in args.semantics.split(",")]
-    matrix = build_property_matrix(semantics_list=semantics_list, seed=args.seed, count=args.count)
-    if args.json:
-        print(json.dumps(matrix.to_json(), indent=2, sort_keys=True))
-    else:
-        print(matrix.render())
-        print()
-        for (prop, sem), cell in sorted(matrix.cells.items()):
-            if prop not in PROPERTY_ROWS:
-                continue  # the foundness column has no witness lines
-            for violation in cell.violations:
-                print(f"witness [{prop} / {sem}]:")
-                for line in violation.program.splitlines():
-                    print(f"    {line}")
-                if violation.U:
-                    print(f"    U = {violation.U}")
-                print(f"    lhs={violation.lhs} rhs={violation.rhs}")
-    return 0
+    matrix = build_property_matrix(semantics_list, seed=args.seed, count=args.count)
+    payload = matrix.to_json()
+    lines = [matrix.render(), ""]
+    for prop, row in sorted(payload["rows"].items()):
+        for sem, cell in sorted(row.items()):
+            for violation in cell["violations"]:
+                lines.append(f"witness [{prop} / {sem}]:")
+                lines += [f"    {line}" for line in violation["program"].splitlines()]
+                if violation["U"]:
+                    lines.append(f"    U = {violation['U']}")
+                lines.append(f"    lhs={violation['lhs']} rhs={violation['rhs']}")
+    return 0, payload, lines
 
 
-def cmd_conformant(args) -> int:
+def cmd_conformant(args):
     semantics = SemanticsId.from_string(args.semantics)
     if not REGISTRY[semantics].splitting:
         print(
@@ -231,25 +203,22 @@ def cmd_conformant(args) -> int:
     goal = parse_atom(args.goal)
     payload = {"file": args.file, "semantics": semantics.value, "goal": str(goal)}
     if args.generate:
+        if args.plan:
+            raise ValueError("--generate takes no --plan")
         if not args.actions:
             raise ValueError("--generate requires --actions")
         actions = _parse_atom_set(args.actions)
         surviving = sorted(
             generate_conformant_world_views(program, actions, goal, semantics), key=wv_key
         )
-        payload["mode"] = "generate"
-        payload["world_views"] = world_views_to_json(surviving)
-        payload["plans"] = [list(interp_key(plan_of_world_view(wv, actions))) for wv in surviving]
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            for wv, plan in zip(surviving, payload["plans"]):
-                print(f"plan {{{','.join(plan)}}}: {wv}")
-            if not surviving:
-                print("no conformant plan")
-        return 0 if surviving else 1
+        plans = [list(interp_key(plan_of_world_view(wv, actions))) for wv in surviving]
+        payload.update(mode="generate", world_views=world_views_to_json(surviving), plans=plans)
+        lines = [f"plan {{{','.join(plan)}}}: {wv}" for wv, plan in zip(surviving, plans)]
+        return (0, payload, lines) if surviving else (1, payload, ["no conformant plan"])
     if not args.plan:
         raise ValueError("provide --plan a,b (repeatable) or --generate --actions ...")
+    if args.actions:
+        raise ValueError("--plan takes no --actions")
     verdicts = []
     for plan_text in args.plan:
         plan = _parse_atom_set(plan_text)
@@ -261,19 +230,19 @@ def cmd_conformant(args) -> int:
                 "world_views": world_views_to_json(wvs),
             }
         )
-    payload["mode"] = "check"
-    payload["plans"] = verdicts
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for v in verdicts:
-            status = "CONFORMANT" if v["conformant"] else "not conformant"
-            print(f"plan {{{','.join(v['plan'])}}}: {status}")
-    return 0 if all(v["conformant"] for v in verdicts) else 1
+    payload.update(mode="check", plans=verdicts)
+    lines = [
+        f"plan {{{','.join(v['plan'])}}}: {'CONFORMANT' if v['conformant'] else 'not conformant'}"
+        for v in verdicts
+    ]
+    return (0 if all(v["conformant"] for v in verdicts) else 1), payload, lines
 
 
 def _add_common(
-    parser: argparse.ArgumentParser, semantics="g91", names="g91|g11|k15|s17|f15|c19", program=True
+    parser: argparse.ArgumentParser,
+    semantics="g91",
+    names="|".join(s.value for s in SemanticsId),
+    program=True,
 ):
     """The options of every subcommand.  With `program`, also the program
     file, its rewriting and the atom cap of its stable-model searches, for
@@ -323,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command in one run memo (`engine.solve_memo`).  `--max-atoms`
-    sets `objective.MAX_ATOMS` for the command before the memo opens, and the
-    old cap is back when it returns.  An `ElpError`, `ValueError` or `OSError`
-    is printed as `error: ...` with exit code 2."""
+    """Run one command in one run memo (`engine.solve_memo`) and print what it
+    returns: its payload as JSON under `--json`, else its text lines.  This
+    is the one writer to stdout.  `--max-atoms` sets `objective.MAX_ATOMS`
+    for the command before the memo opens, and the old cap is back when it
+    returns.  An `ElpError`, `ValueError` or `OSError`, also one raised while
+    printing, is printed as `error: ...` with exit code 2."""
     args = build_parser().parse_args(argv)
     cap = getattr(args, "max_atoms", None)
     previous_cap = objective.MAX_ATOMS
@@ -336,7 +307,14 @@ def main(argv=None) -> int:
                 raise ValueError(f"--max-atoms must not be negative, got {cap}")
             objective.MAX_ATOMS = cap
         with solve_memo():
-            return args.func(args)
+            code, payload, lines = args.func(args)
+        if args.json:
+            # the list of splitting sets is printed on one line
+            indent = None if getattr(args, "enumerate_splits", False) else 2
+            print(json.dumps(payload, indent=indent, sort_keys=True))
+        elif lines:
+            print("\n".join(lines))
+        return code
     except (ElpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,15 @@ class GeneratorShape:
     constraint_prob: float = 0.15
     min_subjective: int = 0       # subjective literals added to each rule that has fewer
 
+    def __post_init__(self):
+        """Refuse a shape the samplers cannot draw, by the field at fault."""
+        lows = {"n_atoms": 1, "max_rules": 1, "max_head": 1, "max_body": 1, "min_subjective": 0}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"GeneratorShape.{name} must be at least {low}, got {getattr(self, name)}")
+        if self.n_atoms > len(_POOL):
+            raise ValueError(f"GeneratorShape.n_atoms must be at most {len(_POOL)}, got {self.n_atoms}")
+
 
 _POOL = tuple(Atom(name) for name in "abcdefgh")
 

@@ -288,18 +288,18 @@ def _checked(check, *args):
         return None
 
 
-def _supra_s5_report(program: Program, semantics: SemanticsId, seed=None):
+def _supra_s5_report(program: Program, semantics: SemanticsId):
     bad = [wv for wv in compute_world_views(program, semantics) if not is_s5_model(wv, program)]
-    return equation_report("supra_s5", semantics, program, bad, [], seed)
+    return equation_report("supra_s5", semantics, program, bad, [])
 
 
-def _supra_asp_report(program: Program, semantics: SemanticsId, seed=None):
+def _supra_asp_report(program: Program, semantics: SemanticsId):
     if any(r.body_sub for r in program.rules):
         raise NotObjectiveError(f"supra-ASP needs an objective program, got {program}")
     wvs = compute_world_views(program, semantics)
     models = stable_models(program)
     expected = [WorldView(models)] if models else []
-    return equation_report("supra_asp", semantics, program, wvs, expected, seed)
+    return equation_report("supra_asp", semantics, program, wvs, expected)
 
 
 # fixture-backed checks per property: (fixture, extra data) pairs
@@ -334,24 +334,21 @@ def _matrix_checks(semantics, corpus, seed, count):
     epistemic, objective, constraints = once(_sample, seed, REGISTRY[semantics].shape, count)
 
     for program in [*corpus.values(), *epistemic]:
-        yield "supra_s5", _checked(_supra_s5_report, program, semantics, seed)
+        yield "supra_s5", _checked(_supra_s5_report, program, semantics)
     for program in [*(corpus[name] for name in _OBJECTIVE_FIXTURES), *objective]:
-        yield "supra_asp", _checked(_supra_asp_report, program, semantics, seed)
+        yield "supra_asp", _checked(_supra_asp_report, program, semantics)
 
     cases = [(corpus[name], parse_rule(text)) for name, text in _SCM_FIXTURES]
     for program, constraint in [*cases, *zip(epistemic, constraints)]:
-        yield "subjective_constraint_monotonicity", _checked(
-            check_constraint_monotonicity, program, constraint, semantics, seed
-        )
+        report = _checked(check_constraint_monotonicity, program, constraint, semantics)
+        yield "subjective_constraint_monotonicity", report
 
     for program in [*corpus.values(), *epistemic]:
         split_sets = once(_checked, enumerate_epistemic_splitting_sets, program)
         if split_sets is None:
             yield "epistemic_splitting", None
         for U in sorted(split_sets or (), key=interp_key)[:4]:
-            yield "epistemic_splitting", _checked(
-                check_epistemic_splitting, program, U, semantics, None, seed
-            )
+            yield "epistemic_splitting", _checked(check_epistemic_splitting, program, U, semantics)
 
     for program in corpus.values():
         wvs = _checked(compute_world_views, program, semantics)
@@ -360,17 +357,13 @@ def _matrix_checks(semantics, corpus, seed, count):
         for wv in wvs or ():
             founded = once(is_founded, program, wv)
             unfounded = [] if founded else [wv]
-            report = equation_report("foundness", semantics, program, unfounded, [], seed)
+            report = equation_report("foundness", semantics, program, unfounded, [])
             # a pass under a semantics not founded by construction backs no general claim
             yield "foundness", report if REGISTRY[semantics].founded or not founded else None
 
 
 @solve_memo()
-def build_property_matrix(
-    semantics_list=SEMANTICS_COLUMNS,
-    seed: int = 2025,
-    count: int = 20,
-) -> PropertyMatrix:
+def build_property_matrix(semantics_list=SEMANTICS_COLUMNS, *, seed: int, count: int) -> PropertyMatrix:
     """Fixture expectations first, then `count` random programs per cell.
 
     The random programs are drawn once per generator shape, so columns of
@@ -394,5 +387,7 @@ def build_property_matrix(
     cells = {(row, s.value): MatrixCell() for row in ROW_NAMES for s in SEMANTICS_COLUMNS}
     for semantics in dict.fromkeys(semantics_list):
         for row, report in _matrix_checks(semantics, corpus, seed, count):
+            if report is not None:
+                report.seed = seed  # a witness names the build that drew it
             cells[(row, semantics.value)].add(report)
     return PropertyMatrix(cells, seed, count, fixtures)

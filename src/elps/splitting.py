@@ -190,7 +190,7 @@ class PropertyReport:
     U: list[str] | None = None
     lhs: list = field(default_factory=list)
     rhs: list = field(default_factory=list)
-    seed: int | None = None
+    seed: int | None = None  # the seed of the matrix build that kept the report
 
     @property
     def holds(self) -> bool:
@@ -202,7 +202,7 @@ class PropertyReport:
         return {"program": self.program, "U": self.U, "lhs": self.lhs, "rhs": self.rhs}
 
 
-def equation_report(prop, semantics: SemanticsId, program, lhs, rhs, seed=None, U=None) -> PropertyReport:
+def equation_report(prop, semantics: SemanticsId, program, lhs, rhs, U=None) -> PropertyReport:
     """The report on a property that holds exactly when the world views
     `lhs` and `rhs` are the same set; `program` is shown as its text."""
     lhs, rhs = frozenset(lhs), frozenset(rhs)
@@ -214,7 +214,6 @@ def equation_report(prop, semantics: SemanticsId, program, lhs, rhs, seed=None, 
         U=None if U is None else list(interp_key(U)),
         lhs=world_views_to_json(lhs),
         rhs=world_views_to_json(rhs),
-        seed=seed,
     )
 
 
@@ -223,7 +222,6 @@ def check_epistemic_splitting(
     U,
     semantics: SemanticsId,
     placement: str | None = None,
-    seed: int | None = None,
 ) -> PropertyReport:
     """Direct world views vs. composed solutions; holds iff the sets coincide.
 
@@ -242,15 +240,10 @@ def check_epistemic_splitting(
         rhs = {combine(*pair) for pair in epistemic_solutions(program, U, semantics, place)}
         if rhs != lhs:
             break
-    return equation_report("epistemic_splitting", semantics, program, lhs, rhs, seed, U)
+    return equation_report("epistemic_splitting", semantics, program, lhs, rhs, U)
 
 
-def check_constraint_monotonicity(
-    program: Program,
-    constraint: Rule,
-    semantics: SemanticsId,
-    seed: int | None = None,
-) -> PropertyReport:
+def check_constraint_monotonicity(program: Program, constraint: Rule, semantics: SemanticsId) -> PropertyReport:
     """World views of the extended program vs. the filtered world views."""
     if not constraint.is_subjective_constraint:
         raise ValueError(f"{constraint} is not a subjective constraint")
@@ -262,7 +255,7 @@ def check_constraint_monotonicity(
         if modal_satisfies(wv, frozenset(), constraint)
     )
     shown = f"{program}\n% added constraint: {constraint}"
-    return equation_report("subjective_constraint_monotonicity", semantics, shown, lhs, rhs, seed)
+    return equation_report("subjective_constraint_monotonicity", semantics, shown, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_a_command_runs_in_one_run_memo_opened_after_its_cap(monkeypatch, comman
 
     def cmd(args):
         seen.append((engine._memo.get(), objective.MAX_ATOMS))
-        return 0
+        return 0, {}, []
 
     monkeypatch.setattr(cli, f"cmd_{command}", cmd)
     extra = ["--goal", "g"] if command == "conformant" else []
@@ -442,8 +442,18 @@ def test_properties_rejects_max_atoms_and_corpus(capsys, option):
         (["split", "ce1b"], "provide --split U=a,b,... or --enumerate-splits"),
         (["conformant", "lamps", "--goal", "light"], "provide --plan a,b (repeatable) or --generate --actions ..."),
         (["conformant", "lamps", "--goal", "light", "--generate"], "--generate requires --actions"),
+        (["split", "ce1b", "--enumerate-splits", "--split", "U=a"], "--enumerate-splits takes no --split"),
+        (["conformant", "lamps", "--goal", "light", "--generate", "--plan", "x"], "--generate takes no --plan"),
+        (["conformant", "lamps", "--goal", "light", "--plan", "x", "--actions", "y"], "--plan takes no --actions"),
     ],
-    ids=["split-missing", "conformant-missing", "generate-missing"],
+    ids=[
+        "split-missing",
+        "conformant-missing",
+        "generate-missing",
+        "enumerate-with-split",
+        "generate-with-plan",
+        "plan-with-actions",
+    ],
 )
 def test_usage_errors_print_one_line_and_exit_2(capsys, fx, argv, message):
     command, name, *rest = argv

@@ -7,6 +7,7 @@ import pytest
 from elps import engine, harness, splitting
 from elps.engine import compute_world_views
 from elps.errors import CapacityError, NotObjectiveError, UnsupportedMLiteral
+from elps.generators import GeneratorShape
 from elps.harness import (
     FIXTURE_CASES,
     FixtureMismatch,
@@ -230,7 +231,7 @@ def test_matrix_build_does_not_memoize_epistemic_solutions(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, once)
-    build_property_matrix(count=1)
+    build_property_matrix(seed=2025, count=1)
     assert asked["_solve"] and asked["epistemic_solutions"] == 0
 
 
@@ -300,7 +301,7 @@ def test_no_memo_outside_a_build(solved):
 
 def test_failed_build_leaves_no_memo(solved, tampered_corpus):
     with pytest.raises(FixtureMismatch):
-        build_property_matrix(count=1)
+        build_property_matrix(seed=2025, count=1)
     assert engine._memo.get() is None
     key = (load_fixture("ab"), SemanticsId.G91)
     assert solved[key] == 1  # solved by the fixture replay before it failed
@@ -312,3 +313,24 @@ def test_supra_asp_refuses_an_epistemic_program():
     program = parse_program("a :- K b.")
     with pytest.raises(NotObjectiveError, match="^supra-ASP needs an objective program, got a :- K b\\.$"):
         harness._supra_asp_report(program, SemanticsId.G91)
+
+
+@pytest.mark.parametrize(
+    "field, value, bound",
+    [
+        ("n_atoms", 0, "at least 1"),
+        ("n_atoms", 9, "at most 8"),
+        ("n_atoms", 12, "at most 8"),
+        ("max_rules", 0, "at least 1"),
+        ("max_head", 0, "at least 1"),
+        ("max_body", -1, "at least 1"),
+        ("min_subjective", -1, "at least 0"),
+    ],
+)
+def test_generator_shape_refuses_what_its_samplers_cannot_draw(field, value, bound):
+    """The samplers draw from eight atoms and at least one rule, head atom
+    and body literal; a shape outside that is refused by the field at fault
+    rather than drawn smaller or failing inside `random`."""
+    with pytest.raises(ValueError, match=f"^GeneratorShape.{field} must be {bound}, got {value}$"):
+        GeneratorShape(**{field: value})
+    GeneratorShape(**{field: int(bound.split()[-1])})  # the bound itself is a drawable shape

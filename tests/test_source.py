@@ -80,6 +80,28 @@ def test_the_package_root_exports_exactly_what_its_callers_use():
     assert public == set(elps.__all__)
 
 
+def _prints_to_stderr(call: ast.Call) -> bool:
+    return any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in call.keywords)
+
+
+def test_only_cli_main_writes_to_stdout():
+    """Each command returns its exit code, payload and text lines, and
+    `cli.main` prints one of them: every other `print` in `cli.py` goes to
+    stderr."""
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        f"{function.name}:{node.lineno}"
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name != "main"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and not _prints_to_stderr(node)
+    ]
+    assert not found, "prints to stdout outside main: " + ", ".join(found)
+
+
 def test_the_package_parses_as_python_3_10():
     """`requires-python = ">=3.10"`: no module uses syntax newer than 3.10."""
     for path in sorted(SOURCE.glob("*.py")):
