@@ -29,7 +29,7 @@ the point and the AND and the OR of h over the world view
 the identity), the countermodel search and condition (1) of `foundedness`.
 Since a point's total reads depend only on the point, the AND and the OR,
 a `_Compiled` finds its modal rules and its total check once per such
-signature; the enumeration of candidate world views meets each many times.
+signature; the candidates and the ⊂ / ≤ comparison meet each many times.
 The cache lives on the instance, and each call compiles its own.
 
 Countermodels (`equilibrium_countermodel`, and `models_star` with X ⊊ wv)
@@ -58,24 +58,31 @@ subjective literal are checked per candidate.  It lists every total model,
 and `--trace-eht` prints them all.  The F15 oracle `f15_brute_world_views`
 makes the selection of `f15_world_views` among the equilibria of this walk.
 
-The equilibria (`equilibrium_eht_models`, `f15_world_views`) are searched
-among fewer candidates (`_Compiled.candidates`).  Call a point stable at a
-signature (a, o) when it passes the total reading there and no proper
-here-value of it passes its rules with K and M read from a and o
-(`_Compiled.stable`).  The candidates of (a, o), for each a ⊆ o, are the
-non-empty sets of points stable there whose AND is a and whose OR is o;
-each is a total model, and the countermodel search still decides it.  No
-equilibrium is lost:
+The equilibria (`equilibrium_eht_models`, `f15_world_views`) are a
+selection over the G91 guess loop (`semantics.g91_reducts`), which groups
+the guesses of core values by compiled G91 reduct and searches each
+reduct's stable models once.  The candidates of a reduct are the non-empty
+sets S of its stable models whose core bits (`semantics._view`) are among
+its guesses; the countermodel search decides each.  Call x a here-value
+that passes at a point p of a world view W when the rules hold at p with
+the positive atoms read from x, and K and M from the AND and the OR of W:
+that is, x is a model of the reduct of the G91 reduct at W with respect to
+p.  So p is a stable model of that G91 reduct iff p passes and no x ⊊ p
+does.  The candidates are exactly the total models that can be equilibria:
 
-- Suppose some x ⊊ p passes at the signature of a total model W, p in W.
-- Let h be the identity on W except h(p) = x.
-- Only objective atoms and positive K/M read h, and the AND and the OR of
-  h lie within those of W.  A body true under h is then true under the
-  identity, so every rule holds at the other points, whose heads read the
-  identity, and at p, where x passes.  So h is a non-total EHT model, and
-  W is not an equilibrium.
-- Put another way, every point of an equilibrium is a stable model of the
-  G91 subjective reduct at that equilibrium.
+- Every candidate S is a total model.  Its guess v = cores(S) gives each
+  subjective literal the value it has at S, so at a point of S the total
+  reading of a rule is the reading of its G91 reduct at v, and a stable
+  model of that reduct is a model of it.
+- Every equilibrium W is a candidate, of the reduct at its own guess
+  cores(W), which the twin prune keeps since W is not empty.  Suppose some
+  x ⊊ p passes at a point p of W.  Let h be the identity on W except
+  h(p) = x.  Only objective atoms and positive K/M read h, and the AND and
+  the OR of h lie within those of W.  A body true under h is then true
+  under the identity, so every rule holds at the other points, whose heads
+  read the identity, and at p, where x passes.  So h is a non-total EHT
+  model, and W is not an equilibrium.  Hence every point of W is a stable
+  model of the G91 reduct at cores(W).
 
 World views and countermodels are turned back into sets of atoms only when
 they are returned.
@@ -85,17 +92,10 @@ from __future__ import annotations
 
 from .modal import WorldView
 from .objective import AtomBits, _and_or, _point_rules, _violated, compile_rule
-from .syntax import Program, atom_key, capped_atoms, subsets
+from .semantics import _view, g91_reducts, subjective_cores
+from .syntax import Program, atom_key, capped_atoms, interp_key, subsets
 
-F15_MAX_ATOMS = 3  # EHT equilibrium machinery, over 2^(2^n) candidate world views
-
-
-def _submasks(mask: int) -> list[int]:
-    """The submasks of `mask`, in increasing order."""
-    subs = [mask]
-    while subs[-1]:
-        subs.append((subs[-1] - 1) & mask)
-    return subs[::-1]
+F15_MAX_ATOMS = 3  # f15, and its oracle's walk over 2^(2^n) candidate world views
 
 
 def _here_reading(rules) -> list[tuple[int, int, int, int]]:
@@ -148,7 +148,7 @@ class _Compiled(AtomBits):
         values = self._here_values.get(point)
         if values is None:
             rules = _point_rules(self.objective, point, 0, 0)
-            values = [s for s in _submasks(point) if not _violated(rules, s, 0, 0)]
+            values = [s for s in range(point + 1) if s & point == s and not _violated(rules, s, 0, 0)]
             self._here_values[point] = values
         return values
 
@@ -231,32 +231,6 @@ class _Compiled(AtomBits):
             return False
         return self.countermodel(points, X, self.modal_rules(points)) is None
 
-    def stable(self, point: int, w_and: int, w_or: int) -> bool:
-        """Whether `point` passes the total reading in a world view whose
-        points have AND `w_and` and OR `w_or`, and no proper here-value of it
-        passes its rules with K and M read from that AND and OR."""
-        if point not in self.here_values(point):
-            return False  # decided once per point, this settles most
-        rules, holds = self._reading(point, w_and, w_or)
-        return holds and all(
-            x == point or _violated(rules, x, w_and, w_or) for x in self.here_values(point)
-        )
-
-    def candidates(self):
-        """Per signature a ⊆ o, the non-empty sets of points stable there
-        whose AND is a and whose OR is o: total models that include every
-        equilibrium (module docstring)."""
-        for o in range(1 << len(self.atoms)):
-            for a in _submasks(o):
-                stable = [a | s for s in _submasks(o & ~a) if self.stable(a | s, a, o)]
-                for points in subsets(stable):
-                    if points and _and_or(points) == (a, o):
-                        yield points
-
-    def equilibria(self) -> list[frozenset]:
-        """The candidates with no countermodel: the equilibrium models."""
-        return [p for p in self.candidates() if self.countermodel(p, p, self.modal_rules(p)) is None]
-
     def total_models(self):
         """(points, countermodel or None) for every candidate world view that
         is a total model, in `subsets` order."""
@@ -288,10 +262,23 @@ def total_model_countermodels(program: Program) -> list[tuple[WorldView, dict | 
     return [(c.world_view(wv), h if h is None else c.h_map(h)) for wv, h in c.total_models()]
 
 
+def _equilibria(c: _Compiled, program: Program):
+    """The equilibrium models, as sets of points: per compiled G91 reduct,
+    the non-empty sets of its stable models whose core bits are among its
+    guesses, kept when they have no countermodel (module docstring)."""
+    cores = subjective_cores(program)
+    for models, guesses in g91_reducts(program, cores):
+        for interps in subsets(sorted(models, key=interp_key)):
+            if _view(interps, cores)[1] in guesses:
+                points = frozenset(map(c.mask, interps))
+                if c.countermodel(points, points, c.modal_rules(points)) is None:
+                    yield points
+
+
 def equilibrium_eht_models(program: Program) -> frozenset[WorldView]:
     """Total EHT models with no strictly smaller "here" model."""
     c = _Compiled.capped(program)
-    return frozenset(c.world_view(wv) for wv in c.equilibria())
+    return frozenset(c.world_view(wv) for wv in _equilibria(c, program))
 
 
 def models_star(wv: WorldView, X, program: Program) -> bool:
@@ -338,9 +325,9 @@ def _f15_selection(c: _Compiled, equilibria) -> frozenset[WorldView]:
 
 def f15_world_views(program: Program) -> frozenset[WorldView]:
     """Equilibrium models not dominated by a ⊃-larger or ≤-greater one,
-    the equilibria sought among the per-signature stable points."""
+    the equilibria taken from the G91 guess loop."""
     c = _Compiled.capped(program)
-    return _f15_selection(c, c.equilibria())
+    return _f15_selection(c, list(_equilibria(c, program)))
 
 
 def f15_brute_world_views(program: Program) -> frozenset[WorldView]:

@@ -17,12 +17,13 @@ whole-program solver on one closed component at a time (a top once per
 distinct simplification) and pairs the world views by `split_solutions`,
 exact by the epistemic splitting theorem.  No `direct` splits.  On a
 component that does not split further the G91 guess loop searches stable
-models once per distinct compiled reduct (the key of
-`semantics.world_views`).  C19's `direct` reads its G91 base views off
-G91's `direct` on the same component, so a C19 solve decomposes once and
-inherits that search.  The other semantics fail splitting on the paper's
-counterexamples, so `solve` gives the whole program to their `direct`
-solver, where each guess gets its own search outside a run memo.
+models once per distinct compiled reduct (`semantics.g91_reducts`).  C19's
+`direct` reads its G91 base views off G91's `direct` on the same component,
+so a C19 solve decomposes once and inherits that search.  The other
+semantics fail splitting on the paper's counterexamples, so `solve` gives
+the whole program to their `direct` solver.  F15's solver takes its
+candidates from the same G91 grouping; under G11, K15 and S17 each guess
+gets its own search outside a run memo.
 
 `solve_memo()` opens a run memo for a `with` block; `once(fn, *args)` alone
 reads and writes it, computing `fn(*args)` once for equal arguments.  What a
@@ -88,7 +89,7 @@ REGISTRY: dict[SemanticsId, SemanticsEntry] = {
         splitting=False,
         shape=_K_SHAPE,
     ),
-    # the oracle walks every total model, the solver only the per-signature stable points
+    # a selection over the G91 guess loop's candidates; the oracle walks every total model
     SemanticsId.F15: SemanticsEntry(
         direct=lambda p: eht.f15_world_views(p),
         oracle=lambda p: eht.f15_brute_world_views(p),

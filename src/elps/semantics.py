@@ -11,12 +11,17 @@ is skipped unchecked, since a non-empty world view that satisfies `K l`
 satisfies `M l`: the loop finds the pairs of core bits (`K l`, `M l`) once,
 and each guess is tested against them on its bits alone.
 
-Under G91 the stable models are searched once per distinct reduct, keyed by
-its compiled form (`objective.compile_objective`).  The argument: a G91
-guess only keeps or deletes rules, since each subjective literal becomes ⊤
-or ⊥; equal compiled reducts have equal stable models, so equal world views
-and equal core values; and a guess is accepted iff it equals those core
-values, so the only guess a key can accept is its own core valuation.
+Under G91 the guesses are grouped by the compiled form of their reduct
+(`objective.compile_objective`, `g91_reducts`), and each form's stable
+models are searched once.  The argument: a G91 guess only keeps or deletes
+rules, since each subjective literal becomes ⊤ or ⊥; equal compiled reducts
+have equal stable models, so equal world views and equal core values; and a
+guess is accepted iff it equals those core values, so a form accepts its
+view iff the view's core bits are among the form's guesses.  The same
+grouping gives F15 its candidates (`eht`): the non-empty sets of a form's
+stable models whose core bits are among its guesses.  C19 (`foundedness`)
+selects among G91's world views and S17 among K15's, so every semantics
+past the three reducts is a selection over one of their guess loops.
 
 The brute-force oracles enumerate candidate world views directly against the
 defining fixpoint (no guessing) and are the provenance source for the
@@ -26,7 +31,7 @@ randomized differential tests.
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import engine, objective
 from .errors import CapacityError, UnsupportedMLiteral
@@ -129,18 +134,6 @@ def semantics_reduct(program: Program, guess: ModalGuess, semantics: SemanticsId
     return Program.of(rules)
 
 
-def _twin_bits(cores) -> list[tuple[int, int]]:
-    """(bit of `K l`, bit of `M l`) for each K core whose M twin is also a
-    core.  A non-empty world view that satisfies `K l` satisfies `M l`, so a
-    guess that sets the first bit and clears the second is never accepted."""
-    bit = {core: 1 << i for i, core in enumerate(cores)}
-    return [
-        (k, bit[twin])
-        for core, k in bit.items()
-        if core.modality == "K" and (twin := SubjLit("M", core.inner)) in bit
-    ]
-
-
 def _view(models, cores) -> tuple[WorldView | None, int]:
     """The world view of a set of stable models (None if the set is empty),
     with the guess that view makes true: bit i set iff it satisfies cores[i]
@@ -155,46 +148,58 @@ def _view(models, cores) -> tuple[WorldView | None, int]:
 MAX_GUESSES = 4096  # modal guesses (2^#cores) per guess loop; world views per answer
 
 
-def world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
-    """Guess-and-check world views for the reduct-based semantics.  Each
-    guess gets its reduct built, and under all three semantics it is accepted
-    iff its reduct has stable models whose world view makes exactly the
-    guessed cores true: the core bits `_view` reads off that view equal the
-    guess.
+def _guesses(program: Program, cores, semantics: SemanticsId) -> Iterator[tuple[int, Program]]:
+    """(bits, reduct) for each guess at `cores`, bit i the value of cores[i];
+    CapacityError past the guess cap, before the first.  A non-empty world
+    view that satisfies `K l` satisfies `M l`, so a guess that sets the bit
+    of a core `K l` and clears that of its twin `M l` is skipped unchecked."""
+    if 2 ** len(cores) > MAX_GUESSES:
+        raise CapacityError(f"{len(cores)} subjective cores exceed the guess cap of {MAX_GUESSES}")
+    bit = {core: 1 << i for i, core in enumerate(cores)}
+    twins = [
+        (k, bit[m]) for core, k in bit.items() if core.modality == "K" and (m := SubjLit("M", core.inner)) in bit
+    ]
+    for bits in range(1 << len(cores)):
+        if twins and any(bits & k and not bits & m for k, m in twins):
+            continue
+        guess = {core: bool(bits & b) for core, b in bit.items()}
+        yield bits, semantics_reduct(program, guess, semantics)
 
-    Under G91 a guess only keeps or deletes rules: each subjective literal
-    becomes ⊤ or ⊥, so the reduct is the objective part of the kept rules,
-    and many guesses share one.  The stable models and their view's core bits
-    are computed once per distinct `compile_objective` form of the reduct
-    (equal forms have equal stable models), in a dict local to the call, so
-    every guess with a form but the one its bits spell is rejected without a
-    search.  Under G11 and K15 a true `K l` becomes `l`, so outside a run memo
-    each guess gets its own search (inside one, `stable_models` searches each
-    compiled reduct once per run).  They keep no such dict, because the
+
+def g91_reducts(program: Program, cores) -> Iterator[tuple[frozenset, set[int]]]:
+    """The G91 guesses at `cores` grouped by compiled reduct: for each
+    distinct `compile_objective` form, its stable models (searched through
+    the run memo) and the bits of the guesses whose reduct it is."""
+    guesses: dict[ObjectiveMasks, set[int]] = {}
+    for bits, reduct in _guesses(program, cores, SemanticsId.G91):
+        guesses.setdefault(compile_objective(reduct), set()).add(bits)
+    for key, bits in guesses.items():
+        yield engine.once(objective._stable_masks, key), bits
+
+
+def world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
+    """Guess-and-check world views for the reduct-based semantics.  Under
+    all three a guess is accepted iff its reduct has stable models whose
+    world view makes exactly the guessed cores true: the core bits `_view`
+    reads off that view are the guess.  Under G91 the guesses come grouped
+    by compiled reduct (`g91_reducts`, module docstring), and a group's view
+    is accepted iff its bits are among the group's guesses.
+    Under G11 and K15 a true `K l` becomes `l`, so outside a run memo each
+    guess gets its own search (inside one, `stable_models` searches each
+    compiled reduct once per run).  They are not grouped, because the
     benchmark keeps every operation's record, so the speed it buys shows up
     as `peak_rss_mb` past its bound until that is fixed (ROADMAP item 1)."""
     if semantics not in _REDUCT_SEMANTICS:
         raise ValueError(f"world_views handles G91/G11/K15, not {semantics}")
     cores = subjective_cores(program)
-    if 2 ** len(cores) > MAX_GUESSES:
-        raise CapacityError(f"{len(cores)} subjective cores exceed the guess cap of {MAX_GUESSES}")
-    # G91 only: compiled reduct -> `_view` of its stable models
-    views: dict[ObjectiveMasks, tuple[WorldView | None, int]] = {}
+    if semantics is SemanticsId.G91:
+        groups = g91_reducts(program, cores)
+    else:
+        groups = ((stable_models(reduct), (bits,)) for bits, reduct in _guesses(program, cores, semantics))
     accepted = set()
-    twins = _twin_bits(cores)
-    for bits in range(1 << len(cores)):
-        if twins and any(bits & k and not bits & m for k, m in twins):
-            continue
-        guess = {core: bool(bits & (1 << i)) for i, core in enumerate(cores)}
-        reduct = semantics_reduct(program, guess, semantics)
-        if semantics is SemanticsId.G91:
-            key = compile_objective(reduct)
-            if key not in views:
-                views[key] = _view(engine.once(objective._stable_masks, key), cores)
-            wv, own = views[key]
-        else:
-            wv, own = _view(stable_models(reduct), cores)
-        if own == bits:
+    for models, guesses in groups:
+        wv, own = _view(models, cores)
+        if own in guesses:
             accepted.add(wv)
     return frozenset(accepted)
 

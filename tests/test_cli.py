@@ -128,12 +128,12 @@ def test_a_command_runs_in_one_run_memo_opened_after_its_cap(monkeypatch, comman
     assert engine._memo.get() is None
 
 
-def test_max_atoms_does_not_bound_f15(capsys, fx):
-    """F15 makes no stable-model search, so the atom cap does not reach it;
-    its own cap is `eht.F15_MAX_ATOMS`."""
-    assert run(capsys, "solve", fx("ab"), "--semantics", "f15", "--max-atoms", "0") == (0, "[[a],[b]]\n", "")
-    code, out, err = run(capsys, "solve", fx("ab"), "--semantics", "g91", "--max-atoms", "0")
-    assert (code, out, err) == (2, "", "error: 2 atoms exceed the exhaustive-search cap of 0\n")
+def test_max_atoms_bounds_f15_as_it_bounds_g91(capsys, fx):
+    """F15 takes its candidates from the stable models of the G91 guess
+    loop, so the atom cap of those searches bounds it as it bounds g91."""
+    for semantics in ("f15", "g91"):
+        code, out, err = run(capsys, "solve", fx("ab"), "--semantics", semantics, "--max-atoms", "0")
+        assert (code, out, err) == (2, "", "error: 2 atoms exceed the exhaustive-search cap of 0\n"), semantics
 
 
 def test_eliminate_m_flag(capsys, tmp_path):
