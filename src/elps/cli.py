@@ -48,6 +48,12 @@ def _parse_atom_set(text: str):
     return frozenset(parse_atom(part.strip()) for part in parts if part.strip())
 
 
+def _show(value) -> str:
+    """Compact JSON without quotes (atom names have none): a world view's
+    `as_lists()` shows as the world view prints."""
+    return json.dumps(value, separators=(",", ":")).replace('"', "")
+
+
 def _eht_traces(candidates) -> list[dict]:
     """Equilibria first (sorted), then the candidates rejected by a smaller
     "here" model, with the countermodel, in enumeration order."""
@@ -115,13 +121,14 @@ def cmd_solve(args):
         )
     lines = [str(wv) for wv in wvs]
     for cert in payload.get("unfounded_certificates") or []:
-        lines.append(f"unfounded {cert['world_view']}:")
-        lines += [f"  X={pair['X']} I={pair['I']}" for pair in cert["pairs"]]
+        lines.append(f"unfounded {_show(cert['world_view'])}:")
+        lines += [f"  X={_show(pair['X'])} I={_show(pair['I'])}" for pair in cert["pairs"]]
     for trace in payload.get("eht_traces") or []:
         if trace["equilibrium"]:
-            lines.append(f"equilibrium: {trace['world_view']}")
+            lines.append(f"equilibrium: {_show(trace['world_view'])}")
         else:
-            lines.append(f"not equilibrium: {trace['world_view']} countermodel {trace['countermodel']}")
+            shown = f"{_show(trace['world_view'])} countermodel {_show(trace['countermodel'])}"
+            lines.append(f"not equilibrium: {shown}")
     return (0 if wvs else 1), payload, lines
 
 
@@ -168,9 +175,9 @@ def cmd_split(args):
     lines = ["U = {" + ",".join(report.U) + "}", "bottom:", *(f"  {r}" for r in payload["bottom"])]
     lines += ["top:", *(f"  {r}" for r in payload["top"])]
     for s in payload["solutions"]:
-        lines += [f"wv_bottom {s['wv_bottom']}", *(f"  E: {r}" for r in s["top_simplified"])]
-        lines.append(f"  wv_top {s['wv_top']} -> combined {s['combined']}")
-    lines += [f"combined world views: {report.rhs}", f"direct world views:   {report.lhs}"]
+        lines += [f"wv_bottom {_show(s['wv_bottom'])}", *(f"  E: {r}" for r in s["top_simplified"])]
+        lines.append(f"  wv_top {_show(s['wv_top'])} -> combined {_show(s['combined'])}")
+    lines += [f"combined world views: {_show(report.rhs)}", f"direct world views:   {_show(report.lhs)}"]
     lines.append("MATCH" if report.holds else "MISMATCH: composed solutions differ from the direct world views")
     return (0 if report.holds else 1), payload, lines
 
@@ -186,8 +193,8 @@ def cmd_properties(args):
                 lines.append(f"witness [{prop} / {sem}]:")
                 lines += [f"    {line}" for line in violation["program"].splitlines()]
                 if violation["U"]:
-                    lines.append(f"    U = {violation['U']}")
-                lines.append(f"    lhs={violation['lhs']} rhs={violation['rhs']}")
+                    lines.append("    U = {" + ",".join(violation["U"]) + "}")
+                lines.append(f"    lhs={_show(violation['lhs'])} rhs={_show(violation['rhs'])}")
     return 0, payload, lines
 
 

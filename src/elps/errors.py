@@ -48,6 +48,4 @@ class NotAnEpistemicSplittingSet(_SplitError):
 
 
 class NotStratified(ElpError):
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass

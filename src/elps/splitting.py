@@ -4,9 +4,13 @@ property checks.
 An epistemic splitting set U requires each rule to either live entirely
 inside U (all its `atoms`) or to mention U only through subjective literals
 (none of its `objective_atoms`).  Subjective constraints on U satisfy both
-conditions and are placed per policy.  The solutions of a split come from
-`objective.split_solutions`: world views of the bottom simplify the top's
-subjective literals on U to truth constants, and each pair composes with ⊔.
+conditions and are placed per policy.  Equivalently, U is closed under one
+relation: an objective atom of a rule pulls in all its atoms.  `_close`
+takes closures under it, and `closed_component`, the splitting-set
+enumeration and `stratify` all read them.  The solutions of a split come
+from `objective.split_solutions`: world views of the bottom simplify the
+top's subjective literals on U to truth constants, and each pair composes
+with ⊔.
 Every property check here is an equation between two sets of world views,
 reported by `equation_report`.
 
@@ -17,7 +21,7 @@ composes the world views; each part is split and solved through
 A bottom and an unsimplified top keep the program's `Rule` objects, and
 with them the atom sets already computed.
 
-`stratify` is the paper's stratification: levels on which modal
+`stratify` is the paper's stratification: the least levels on which modal
 dependencies strictly decrease.  By the splitting theorem a stratified
 program has at most one world view under G91 and C19, and the component
 solver reaches it without consulting the levels.
@@ -73,52 +77,48 @@ def epistemic_solutions(
 
 
 # ---------------------------------------------------------------------------
+# the closure relation
+
+
+def _links(bits: AtomBits, program: Program) -> list[tuple[int, int]]:
+    """Each distinct rule as a (trigger, link) pair of masks: its objective
+    atoms and all its atoms."""
+    return list({(bits.mask(r.objective_atoms), bits.mask(r.atoms)) for r in program.rules})
+
+
+def _close(mask: int, links) -> int:
+    """The smallest superset of `mask` that holds every link whose trigger
+    it meets."""
+    before = None
+    while mask != before:
+        before = mask
+        for trigger, link in links:
+            if trigger & mask:
+                mask |= link
+    return mask
+
+
+# ---------------------------------------------------------------------------
 # solving component by component
-
-
-def _classes(atoms: list[Atom], linked) -> list[frozenset[Atom]]:
-    """The finest partition of `atoms` that keeps each set of `linked` in one
-    class, in the order of each class's first atom."""
-    cls = {a: frozenset([a]) for a in atoms}
-    for group in linked:
-        merged = frozenset().union(*(cls[a] for a in group))
-        for a in merged:
-            cls[a] = merged
-    return list(dict.fromkeys(cls[a] for a in atoms))
 
 
 def closed_component(program: Program) -> frozenset[Atom] | None:
     """A splitting set U to split off first; None for a single component.
 
-    Atoms that a chain of rules connects form a block.  With several blocks,
-    U is the first one, and no rule outside it mentions it.  In one block,
-    atoms sharing the head or objective body of a rule form a group, and
-    dep(a, b) leads from a's group to b's.  The groups reachable from one
-    group make a splitting set; the smallest of these is a minimal one (a
-    sink of the strongly connected components), which the top reads through
-    subjective literals only.
+    Blocks are closures when every atom of a rule triggers it.  With several
+    blocks, U is the first atom's, and no rule outside it mentions it.  In
+    one block, U is the smallest closure of one atom (the first on ties)
+    when only objective atoms trigger: a minimal splitting set, which the
+    top reads through subjective literals only.
     """
-    atoms = sorted(program.atoms, key=atom_key)
-    blocks = _classes(atoms, (r.atoms for r in program.rules))
-    if len(blocks) > 1:
-        return blocks[0]
-    groups = _classes(atoms, (r.objective_atoms for r in program.rules))
-    group_of = {a: g for g in groups for a in g}
-    successors: dict[frozenset[Atom], set[frozenset[Atom]]] = {g: set() for g in groups}
-    for a, b in dep_relation(program):
-        successors[group_of[a]].add(group_of[b])
-
-    def reachable(group: frozenset[Atom]) -> frozenset[Atom]:
-        seen, stack = {group}, [group]
-        while stack:
-            for succ in successors[stack.pop()]:
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append(succ)
-        return frozenset().union(*seen)
-
-    U = min(map(reachable, groups), key=len, default=frozenset())
-    return U if len(U) < len(atoms) else None
+    bits = AtomBits(sorted(program.atoms, key=atom_key))
+    links = _links(bits, program)
+    every = (1 << len(bits.atoms)) - 1
+    block = _close(every & 1, [(link, link) for _, link in links])
+    if block != every:
+        return bits.interp(block)
+    U = min((_close(bit, links) for bit in bits.bit.values()), key=int.bit_count, default=every)
+    return bits.interp(U) if U != every else None
 
 
 def component_world_views(program: Program, semantics: SemanticsId) -> frozenset[WorldView]:
@@ -138,10 +138,11 @@ def component_world_views(program: Program, semantics: SemanticsId) -> frozenset
     Caps: `objective.MAX_ATOMS` bounds the whole program, so no world view
     has more than 2^MAX_ATOMS interpretations.  `direct` applies the other
     caps, such as `semantics.MAX_GUESSES` and
-    `foundedness.FOUNDED_MAX_ATOMS`, to one component at a time.  An assembled answer of more than `MAX_GUESSES`
-    world views raises CapacityError; the whole-program guess loop yields at
-    most one view per guess, so it never returns more.  The semantics that
-    are not solved by components apply every cap to the whole program.
+    `foundedness.FOUNDED_MAX_ATOMS`, to one component at a time.  An
+    assembled answer of more than `MAX_GUESSES` world views raises
+    CapacityError; the whole-program guess loop yields at most one view per
+    guess, so it never returns more.  The semantics that are not solved by
+    components apply every cap to the whole program.
     """
     capped_atoms(program, objective.MAX_ATOMS, "exhaustive-search")
     U = engine.once(closed_component, program)
@@ -161,20 +162,18 @@ SPLIT_ENUM_MAX_ATOMS = 12  # splitting-set enumeration over 2^n subsets
 
 
 def enumerate_epistemic_splitting_sets(program: Program) -> frozenset[frozenset[Atom]]:
-    """All proper non-empty U that split the program.
-
-    Each rule is compiled once to two `AtomBits` masks, its atoms and its
-    objective atoms (head and objective body); U splits iff every rule has
-    all its atoms in U or no objective atom in U (the test of
-    `epistemic_split`).  The cap is `SPLIT_ENUM_MAX_ATOMS`.
+    """All proper non-empty U that split the program: the masks that are
+    their own closure.  The closure of a union is the union of closures, so
+    the walk over all 2^n masks builds each from a smaller mask's and one
+    atom's.  The cap is `SPLIT_ENUM_MAX_ATOMS`.
     """
     bits = AtomBits(capped_atoms(program, SPLIT_ENUM_MAX_ATOMS, "split-enumeration"))
-    rules = {(bits.mask(r.atoms), bits.mask(r.objective_atoms)) for r in program.rules}
-    return frozenset(
-        bits.interp(u)
-        for u in range(1, (1 << len(bits.atoms)) - 1)
-        if all(not (every & ~u) or not (objective & u) for every, objective in rules)
-    )
+    links = _links(bits, program)
+    closure = [0]  # closure[u] for each mask u
+    for bit in bits.bit.values():
+        atom = _close(bit, links)
+        closure += [c | atom for c in closure]
+    return frozenset(bits.interp(u) for u, c in enumerate(closure[1:-1], 1) if c == u)
 
 
 # ---------------------------------------------------------------------------
@@ -263,39 +262,19 @@ def check_constraint_monotonicity(program: Program, constraint: Rule, semantics:
 
 
 def stratify(program: Program) -> dict[Atom, int]:
-    """The level of each atom, so that modal dependencies strictly decrease;
-    objective co-occurrence (head and objective body) groups atoms on one
-    level.  NotStratified, with a witness, when no such levels exist."""
-    atoms = sorted(program.atoms, key=atom_key)
-    # each group is named by its first atom
-    groups = _classes(atoms, (r.objective_atoms for r in program.rules))
-    name = {a: min(g, key=atom_key) for g in groups for a in g}
-
-    edges: dict[Atom, set[Atom]] = {}
+    """The least levels such that the objective atoms of a rule share one
+    and each dep(a, b) descends.  dep(a, b) puts b in the closure of a, so
+    NotStratified when a is in the closure of b.  Otherwise an atom lies one
+    above the highest atom strictly below it (in its closure, and it not in
+    theirs), or at 0; those have smaller closures, so come first."""
+    bits = AtomBits(sorted(program.atoms, key=atom_key))
+    links = _links(bits, program)
+    closure = {a: _close(bit, links) for a, bit in bits.bit.items()}
     for a, b in sorted(dep_relation(program), key=lambda p: (atom_key(p[0]), atom_key(p[1]))):
-        ga, gb = name[a], name[b]
-        if ga == gb:
-            raise NotStratified(
-                f"modal dependency dep({a},{b}) is internal to one layer group",
-                witness=(a, b),
-            )
-        edges.setdefault(ga, set()).add(gb)
-
-    # longest path over the strict edges; a cycle means no layering exists
+        if closure[b] & bits.bit[a]:
+            raise NotStratified(f"modal dependency dep({a},{b}) lies on a cycle")
     level: dict[Atom, int] = {}
-    visiting: set[Atom] = set()
-
-    def height(g: Atom) -> int:
-        if g in level:
-            return level[g]
-        if g in visiting:
-            raise NotStratified("cyclic modal dependency", witness=g)
-        visiting.add(g)
-        value = 0
-        for succ in sorted(edges.get(g, ()), key=atom_key):
-            value = max(value, height(succ) + 1)
-        visiting.discard(g)
-        level[g] = value
-        return value
-
-    return {a: height(name[a]) for a in atoms}
+    for a in sorted(bits.atoms, key=lambda a: closure[a].bit_count()):
+        below = (level[b] for b in bits.atoms if closure[a] & bits.bit[b] and not closure[b] & bits.bit[a])
+        level[a] = 1 + max(below, default=-1)
+    return {a: level[a] for a in bits.atoms}

@@ -159,7 +159,7 @@ def test_explain_unfounded_certificate(capsys, fx):
 def test_explain_unfounded_text(capsys, fx):
     code, out, err = run(capsys, "solve", fx("ka"), "--semantics", "c19", "--explain-unfounded")
     assert (code, err) == (0, "")
-    assert out == "[[]]\nunfounded [['a']]:\n  X=['a'] I=['a']\n"
+    assert out == "[[]]\nunfounded [[a]]:\n  X=[a] I=[a]\n"
 
 FACTS13 = " ".join(f"a{i}." for i in range(13)) + "\n"
 FACTS13_WV = sorted(f"a{i}" for i in range(13))
@@ -238,13 +238,13 @@ def test_trace_eht_text(capsys, fx):
     assert (code, err) == (0, "")
     assert out.splitlines() == [
         "[[a],[b]]",
-        "equilibrium: [['a']]",
-        "equilibrium: [['a'], ['b']]",
-        "equilibrium: [['b']]",
-        "not equilibrium: [['a', 'b']] countermodel {'[a,b]': ['a']}",
-        "not equilibrium: [['a'], ['a', 'b']] countermodel {'[a]': ['a'], '[a,b]': ['a']}",
-        "not equilibrium: [['a', 'b'], ['b']] countermodel {'[a,b]': ['a'], '[b]': ['b']}",
-        "not equilibrium: [['a'], ['a', 'b'], ['b']] countermodel {'[a]': ['a'], '[a,b]': ['a'], '[b]': ['b']}",
+        "equilibrium: [[a]]",
+        "equilibrium: [[a],[b]]",
+        "equilibrium: [[b]]",
+        "not equilibrium: [[a,b]] countermodel {[a,b]:[a]}",
+        "not equilibrium: [[a],[a,b]] countermodel {[a]:[a],[a,b]:[a]}",
+        "not equilibrium: [[a,b],[b]] countermodel {[a,b]:[a],[b]:[b]}",
+        "not equilibrium: [[a],[a,b],[b]] countermodel {[a]:[a],[a,b]:[a],[b]:[b]}",
     ]
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -27,7 +27,12 @@ from elps.generators import (
 )
 from elps.modal import WorldView
 from elps.semantics import SemanticsId, subjective_cores
-from elps.splitting import closed_component, combine, component_world_views
+from elps.splitting import (
+    closed_component,
+    combine,
+    component_world_views,
+    enumerate_epistemic_splitting_sets,
+)
 from elps.syntax import Atom, Program, load_program, parse_program, parse_rule
 
 SPLITTING = (SemanticsId.G91, SemanticsId.C19)
@@ -91,6 +96,32 @@ def random_union(rng: random.Random, cross: bool) -> Program:
         program = Program.of(rules)
         if len(subjective_cores(program)) <= 6:
             return program
+
+
+def test_closed_component_against_the_enumeration():
+    """U is None iff nothing splits, and otherwise a splitting set.  When
+    some splitting set shares no rule with the other atoms, U is one such;
+    otherwise (one block) no splitting set is a proper subset of U."""
+    rng = random.Random(5151)
+    programs = [random_epistemic_program(rng, GeneratorShape(n_atoms=rng.randint(1, 6))) for _ in range(900)]
+    programs += [random_union(rng, cross=n % 2 == 0) for n in range(600)]
+    seen = Counter()
+    for program in programs:
+        U = closed_component(program)
+        sets = enumerate_epistemic_splitting_sets(program)
+        if U is None:
+            assert not sets, str(program)
+            seen["none"] += 1
+            continue
+        assert U in sets, str(program)
+        blocks = {u for u in sets if not any(r.atoms & u and r.atoms - u for r in program.rules)}
+        if blocks:
+            assert U in blocks, str(program)
+            seen["several blocks"] += 1
+        else:
+            assert not any(u < U for u in sets), str(program)
+            seen["one block"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def product(answers) -> set[WorldView]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import asdict
 
@@ -175,6 +176,47 @@ def test_stratify_modal_cycle_fails():
 
 def test_stratify_objective_program_single_layer():
     assert set(stratify(parse_program("a :- not b. c | d :- a.")).values()) == {0}
+
+
+def least_valid_levels(program: Program) -> dict[Atom, int] | None:
+    """The pointwise least of the valid level assignments in {0..n-1}^atoms,
+    found by trying each; None when none is valid.  An assignment is valid
+    when each rule's objective atoms share one level and every dep(a, b)
+    has a above b."""
+    atoms = sorted(program.atoms, key=atom_key)
+    deps = dep_relation(program)
+    valid = []
+    for levels in itertools.product(range(len(atoms)), repeat=len(atoms)):
+        level = dict(zip(atoms, levels))
+        if all(len({level[a] for a in r.objective_atoms}) <= 1 for r in program.rules) and all(
+            level[a] > level[b] for a, b in deps
+        ):
+            valid.append(level)
+    if not valid:
+        return None
+    least = {a: min(level[a] for level in valid) for a in atoms}
+    assert least in valid, str(program)
+    return least
+
+
+def test_stratify_is_the_least_valid_levels():
+    rng = random.Random(21)
+    seen = {"stratified": 0, "not stratified": 0}
+    for n in range(1500):
+        shape = GeneratorShape(n_atoms=rng.randint(1, 4), subjective_prob=rng.choice([0.3, 0.6]))
+        if n % 2:
+            program = random_stratified_program(rng, shape, n_layers=rng.randint(1, 4))
+        else:
+            program = random_epistemic_program(rng, shape)
+        expected = least_valid_levels(program)
+        if expected is None:
+            seen["not stratified"] += 1
+            with pytest.raises(NotStratified):
+                stratify(program)
+        else:
+            seen["stratified"] += 1
+            assert stratify(program) == expected, str(program)
+    assert min(seen.values()) >= 300, seen
 
 
 def test_stratified_world_view_college(corpus, stratified_world_views):
