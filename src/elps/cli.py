@@ -43,8 +43,8 @@ def _load(path: str, args) -> Program:
 
 
 def _parse_atom_set(text: str):
-    """Atoms separated by commas outside parentheses, as in `U=q(a,b),r`."""
-    parts = re.split(r",(?![^()]*\))", text.removeprefix("U="))
+    """Atoms separated by commas outside parentheses, as in `q(a,b),r`."""
+    parts = re.split(r",(?![^()]*\))", text)
     return frozenset(parse_atom(part.strip()) for part in parts if part.strip())
 
 
@@ -143,7 +143,7 @@ def cmd_split(args):
         return 0, sets, ["{" + ",".join(u) + "}" for u in sets]
     if not args.split:
         raise ValueError("provide --split U=a,b,... or --enumerate-splits")
-    U = _parse_atom_set(args.split)
+    U = _parse_atom_set(args.split.removeprefix("U="))
     unknown = ",".join(interp_key(U - program.atoms))
     if unknown:
         raise ValueError(f"--split names atoms the program does not mention: {unknown}")
@@ -153,10 +153,11 @@ def cmd_split(args):
     report = equation_report(
         "epistemic_splitting", semantics, program, direct, (combine(*pair) for pair in solutions), U=U
     )
+    shown = report.to_json()
     payload = {
         "file": args.file,
         "semantics": semantics.value,
-        "U": report.U,
+        "U": shown["U"],
         "bottom": [str(r) for r in split.bottom.rules],
         "top": [str(r) for r in split.top.rules],
         "solutions": [
@@ -168,16 +169,16 @@ def cmd_split(args):
             }
             for wv_b, wv_t in sorted(solutions, key=lambda pair: (wv_key(pair[0]), wv_key(pair[1])))
         ],
-        "combined": report.rhs,
-        "direct": report.lhs,
+        "combined": shown["rhs"],
+        "direct": shown["lhs"],
         "match": report.holds,
     }
-    lines = ["U = {" + ",".join(report.U) + "}", "bottom:", *(f"  {r}" for r in payload["bottom"])]
+    lines = ["U = {" + ",".join(shown["U"]) + "}", "bottom:", *(f"  {r}" for r in payload["bottom"])]
     lines += ["top:", *(f"  {r}" for r in payload["top"])]
     for s in payload["solutions"]:
         lines += [f"wv_bottom {_show(s['wv_bottom'])}", *(f"  E: {r}" for r in s["top_simplified"])]
         lines.append(f"  wv_top {_show(s['wv_top'])} -> combined {_show(s['combined'])}")
-    lines += [f"combined world views: {_show(report.rhs)}", f"direct world views:   {_show(report.lhs)}"]
+    lines += [f"combined world views: {_show(shown['rhs'])}", f"direct world views:   {_show(shown['lhs'])}"]
     lines.append("MATCH" if report.holds else "MISMATCH: composed solutions differ from the direct world views")
     return (0 if report.holds else 1), payload, lines
 

@@ -10,7 +10,7 @@ check and zero violations, "violated" needs a concrete witness report, and
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -253,9 +253,11 @@ class PropertyMatrix:
         return self.cells[(prop, semantics.value)]
 
     def to_json(self) -> dict:
+        def cell_json(c: MatrixCell) -> dict:
+            return {"verdict": c.verdict, **vars(c), "violations": [r.to_json(self.seed) for r in c.violations]}
+
         def row_json(row: str) -> dict:
-            cells = {s.value: self.cells[(row, s.value)] for s in SEMANTICS_COLUMNS}
-            return {sem: {"verdict": c.verdict, **asdict(c)} for sem, c in cells.items()}
+            return {s.value: cell_json(self.cells[(row, s.value)]) for s in SEMANTICS_COLUMNS}
 
         return {
             "seed": self.seed,
@@ -387,7 +389,5 @@ def build_property_matrix(semantics_list=SEMANTICS_COLUMNS, *, seed: int, count:
     cells = {(row, s.value): MatrixCell() for row in ROW_NAMES for s in SEMANTICS_COLUMNS}
     for semantics in dict.fromkeys(semantics_list):
         for row, report in _matrix_checks(semantics, corpus, seed, count):
-            if report is not None:
-                report.seed = seed  # a witness names the build that drew it
             cells[(row, semantics.value)].add(report)
     return PropertyMatrix(cells, seed, count, fixtures)

@@ -11,8 +11,10 @@ enumeration and `stratify` all read them.  The solutions of a split come
 from `objective.split_solutions`: world views of the bottom simplify the
 top's subjective literals on U to truth constants, and each pair composes
 with ⊔.
-Every property check here is an equation between two sets of world views,
-reported by `equation_report`.
+Every property check here is an equation between two sets of world views.
+`equation_report` compares the two sides and keeps them, with the program
+and U, as values; `PropertyReport.to_json` renders them, and runs only
+where a report is shown.
 
 G91 and C19 satisfy epistemic splitting, so `engine.solve` sends them to
 `component_world_views`, which solves one closed component at a time and
@@ -29,7 +31,7 @@ solver reaches it without consulting the levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import engine, objective
 from . import semantics as _semantics
@@ -182,38 +184,54 @@ def enumerate_epistemic_splitting_sets(program: Program) -> frozenset[frozenset[
 
 @dataclass
 class PropertyReport:
+    """One property check: its verdict and its evidence, kept as values.
+
+    `program` is the program checked; for subjective-constraint
+    monotonicity, the pair (program, added constraint).  `U` is the
+    splitting set, or None; `lhs` and `rhs` are the two sets of world views
+    the property equates.  `to_json` is the one place they are rendered, so
+    a report that is never shown is never rendered."""
+
     property: str
     semantics: str
     verdict: str  # "holds" | "violated"
-    program: str
-    U: list[str] | None = None
-    lhs: list = field(default_factory=list)
-    rhs: list = field(default_factory=list)
-    seed: int | None = None  # the seed of the matrix build that kept the report
+    program: Program | tuple[Program, Rule]
+    U: frozenset[Atom] | None
+    lhs: frozenset[WorldView]
+    rhs: frozenset[WorldView]
 
     @property
     def holds(self) -> bool:
         return self.verdict == "holds"
 
+    def to_json(self, seed: int | None = None) -> dict:
+        """The fields as JSON values: the program as its text, with an added
+        constraint on a last `% added constraint:` line, U as its sorted
+        atoms and each side as sorted world views; then `seed`, the seed of
+        the matrix build that kept the report, if any."""
+        program, *added = self.program if isinstance(self.program, tuple) else (self.program,)
+        return {
+            **vars(self),
+            "program": "\n".join([str(program), *(f"% added constraint: {c}" for c in added)]),
+            "U": None if self.U is None else list(interp_key(self.U)),
+            "lhs": world_views_to_json(self.lhs),
+            "rhs": world_views_to_json(self.rhs),
+            "seed": seed,
+        }
+
     def witness(self):
+        """None when the property holds, else its rendered evidence."""
         if self.holds:
             return None
-        return {"program": self.program, "U": self.U, "lhs": self.lhs, "rhs": self.rhs}
+        return {key: value for key, value in self.to_json().items() if key in ("program", "U", "lhs", "rhs")}
 
 
 def equation_report(prop, semantics: SemanticsId, program, lhs, rhs, U=None) -> PropertyReport:
     """The report on a property that holds exactly when the world views
-    `lhs` and `rhs` are the same set; `program` is shown as its text."""
+    `lhs` and `rhs` are the same set; it keeps both sides, `program` and
+    `U` as they are."""
     lhs, rhs = frozenset(lhs), frozenset(rhs)
-    return PropertyReport(
-        property=prop,
-        semantics=semantics.value,
-        verdict="holds" if lhs == rhs else "violated",
-        program=str(program),
-        U=None if U is None else list(interp_key(U)),
-        lhs=world_views_to_json(lhs),
-        rhs=world_views_to_json(rhs),
-    )
+    return PropertyReport(prop, semantics.value, "holds" if lhs == rhs else "violated", program, U, lhs, rhs)
 
 
 def check_epistemic_splitting(
@@ -253,8 +271,7 @@ def check_constraint_monotonicity(program: Program, constraint: Rule, semantics:
         for wv in engine.compute_world_views(program, semantics)
         if modal_satisfies(wv, frozenset(), constraint)
     )
-    shown = f"{program}\n% added constraint: {constraint}"
-    return equation_report("subjective_constraint_monotonicity", semantics, shown, lhs, rhs)
+    return equation_report("subjective_constraint_monotonicity", semantics, (program, constraint), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -286,11 +286,12 @@ def test_cli_output_matches_golden(capsys, monkeypatch, corpus_dir, golden, argv
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
-def test_split_mismatch_matches_golden(capsys, monkeypatch, corpus_dir):
+@pytest.mark.parametrize("ext, flag", [("txt", []), ("json", ["--json"])], ids=["txt", "json"])
+def test_split_mismatch_matches_golden(capsys, monkeypatch, corpus_dir, ext, flag):
     monkeypatch.chdir(corpus_dir)
-    code, out, err = run(capsys, "split", "ce1b.elp", "--split", "U=a,b", "--semantics", "g11")
+    code, out, err = run(capsys, "split", "ce1b.elp", "--split", "U=a,b", "--semantics", "g11", *flag)
     assert (code, err) == (1, "")
-    assert out == (GOLDEN / "split_ce1b_g11.txt").read_text(encoding="utf-8")
+    assert out == (GOLDEN / f"split_ce1b_g11.{ext}").read_text(encoding="utf-8")
 
 
 def test_trace_eht_over_the_cap_still_solves(capsys, fx):
@@ -529,6 +530,13 @@ def test_conformant_generate(capsys, fx):
 def test_conformant_generate_text(capsys, fx, actions, expected, exit_code):
     code, out, _ = run(capsys, "conformant", fx("lamps"), "--goal", "light", "--generate", "--actions", actions)
     assert (code, out) == (exit_code, expected)
+
+
+def test_conformant_plan_takes_no_split_prefix(capsys, fx):
+    """`U=` names a splitting set, so only `--split` strips it."""
+    code, out, err = run(capsys, "conformant", fx("lamps"), "--goal", "light", "--plan", "U=toggle(l1)")
+    assert (code, out, err) == (2, "", "error: line 1, column 2: unexpected character '='\n")
+
 
 def test_conformant_plan_of_atoms_with_several_arguments(capsys, tmp_path):
     path = tmp_path / "args.elp"

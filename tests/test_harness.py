@@ -12,6 +12,7 @@ from elps.harness import (
     FIXTURE_CASES,
     FixtureMismatch,
     PROPERTY_ROWS,
+    ROW_NAMES,
     SEMANTICS_COLUMNS,
     build_property_matrix,
     fixtures_dir,
@@ -87,7 +88,7 @@ def test_foundness_column(matrix):
     assert matrix.cell("foundness", SemanticsId.C19).verdict == "holds"
     g91 = matrix.cell("foundness", SemanticsId.G91)
     assert g91.verdict == "violated"  # the self-supported world view is the witness
-    assert any("K a" in v.program for v in g91.violations)
+    assert any("K a" in v.to_json()["program"] for v in g91.violations)
     for semantics in (SemanticsId.G11, SemanticsId.K15, SemanticsId.S17, SemanticsId.F15):
         assert matrix.cell("foundness", semantics).verdict == "untested"
 
@@ -233,6 +234,19 @@ def test_matrix_build_does_not_memoize_epistemic_solutions(monkeypatch):
                     monkeypatch.setattr(module, attr, once)
     build_property_matrix(seed=2025, count=1)
     assert asked["_solve"] and asked["epistemic_solutions"] == 0
+
+
+def test_matrix_build_renders_only_the_reports_it_keeps(monkeypatch):
+    """A check keeps its world views as values and only a shown report
+    renders them, so a build whose checks all hold renders none."""
+    rendered = []
+    real = splitting.world_views_to_json
+    monkeypatch.setattr(splitting, "world_views_to_json", lambda wvs: rendered.append(wvs) or real(wvs))
+    matrix = build_property_matrix([SemanticsId.C19], seed=7, count=3)
+    cells = [matrix.cell(row, SemanticsId.C19) for row in ROW_NAMES]
+    assert sum(cell.checks for cell in cells) == 33
+    assert not any(cell.violations for cell in cells)
+    assert rendered == []
 
 
 def test_matrix_build_parses_each_fixture_once(monkeypatch):

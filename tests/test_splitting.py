@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -125,21 +124,21 @@ def test_epistemic_solutions_college3_layer(corpus):
 
 
 def test_check_epistemic_splitting_pi5():
-    holds = check_epistemic_splitting(CE1B, {A, B}, SemanticsId.G91)
-    assert holds.verdict == "holds"
-    assert holds.lhs == [] and holds.rhs == []
+    holds = check_epistemic_splitting(CE1B, {A, B}, SemanticsId.G91).to_json()
+    assert holds["verdict"] == "holds"
+    assert holds["lhs"] == [] and holds["rhs"] == []
     violated = check_epistemic_splitting(CE1B, {A, B}, SemanticsId.G11)
     assert violated.verdict == "violated"
-    assert violated.lhs == [[["a", "c"]]]
-    assert violated.rhs == []
+    assert violated.to_json()["lhs"] == [[["a", "c"]]]
+    assert violated.to_json()["rhs"] == []
     assert violated.witness() is not None
 
 
 def test_check_epistemic_splitting_pi6_k15():
-    report = check_epistemic_splitting(CE2, {A, B}, SemanticsId.K15)
-    assert report.verdict == "violated"
-    assert report.lhs == [[["a"]]]
-    assert report.rhs == []
+    report = check_epistemic_splitting(CE2, {A, B}, SemanticsId.K15).to_json()
+    assert report["verdict"] == "violated"
+    assert report["lhs"] == [[["a"]]]
+    assert report["rhs"] == []
 
 
 def test_check_constraint_monotonicity_examples():
@@ -399,10 +398,10 @@ def test_stratified_generator_reads_constraint_prob():
 
 
 def test_property_report_json_shape():
-    """Outside a matrix build a report has no seed; a build sets its own,
-    which the `"seed": 7` witnesses of the properties golden pin."""
+    """Outside a matrix build a report renders no seed; a build renders its
+    own, which the `"seed": 7` witnesses of the properties golden pin."""
     report = check_epistemic_splitting(CE1B, {A, B}, SemanticsId.G11)
-    payload = asdict(report)
+    payload = report.to_json()
     assert set(payload) == {"property", "semantics", "program", "U", "verdict", "lhs", "rhs", "seed"}
     assert payload["seed"] is None
     assert payload["semantics"] == "g11"
