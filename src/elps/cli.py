@@ -19,21 +19,14 @@ from pathlib import Path
 
 from . import objective
 from .eht import total_model_countermodels
-from .engine import REGISTRY, compute_world_views, solve_memo
+from .engine import REGISTRY, compute_world_views, once, solve_memo
 from .errors import CapacityError, ElpError
 from .foundedness import unfounded_certificate
 from .harness import SEMANTICS_COLUMNS, build_property_matrix
 from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId
-from .splitting import (
-    combine,
-    enumerate_epistemic_splitting_sets,
-    epistemic_solutions,
-    epistemic_split,
-    equation_report,
-    top_simplification,
-)
+from .splitting import check_epistemic_splitting, compose, enumerate_epistemic_splitting_sets, epistemic_split
 from .syntax import Program, eliminate_m, interp_key, load_program, parse_atom
 
 
@@ -147,12 +140,9 @@ def cmd_split(args):
     unknown = ",".join(interp_key(U - program.atoms))
     if unknown:
         raise ValueError(f"--split names atoms the program does not mention: {unknown}")
-    split = epistemic_split(program, U, args.placement)
-    solutions = epistemic_solutions(program, U, semantics, args.placement)
-    direct = compute_world_views(program, semantics)
-    report = equation_report(
-        "epistemic_splitting", semantics, program, direct, (combine(*pair) for pair in solutions), U=U
-    )
+    # partitioned first, so an invalid U is reported before any solve
+    split = once(epistemic_split, program, U, args.placement)
+    report = check_epistemic_splitting(program, U, semantics, args.placement)
     shown = report.to_json()
     payload = {
         "file": args.file,
@@ -163,11 +153,13 @@ def cmd_split(args):
         "solutions": [
             {
                 "wv_bottom": wv_b.as_lists(),
-                "top_simplified": [str(r) for r in top_simplification(split, wv_b).rules],
+                "top_simplified": [str(r) for r in top.rules],
                 "wv_top": wv_t.as_lists(),
-                "combined": combine(wv_b, wv_t).as_lists(),
+                "combined": combined.as_lists(),
             }
-            for wv_b, wv_t in sorted(solutions, key=lambda pair: (wv_key(pair[0]), wv_key(pair[1])))
+            for (wv_b, top, wv_t), combined in sorted(
+                compose(split, semantics).items(), key=lambda sol: (wv_key(sol[0][0]), wv_key(sol[0][2]))
+            )
         ],
         "combined": shown["rhs"],
         "direct": shown["lhs"],
@@ -188,7 +180,8 @@ def cmd_properties(args):
     matrix = build_property_matrix(semantics_list, seed=args.seed, count=args.count)
     payload = matrix.to_json()
     lines = [matrix.render(), ""]
-    for prop, row in sorted(payload["rows"].items()):
+    # the property rows by name, then foundness, as the table lists it last
+    for prop, row in [*sorted(payload["rows"].items()), ("foundness", payload["foundness"])]:
         for sem, cell in sorted(row.items()):
             for violation in cell["violations"]:
                 lines.append(f"witness [{prop} / {sem}]:")

@@ -14,29 +14,32 @@ a function rebound on its module (for tracing, say) is the one that runs.
 semantics marked `splitting` (g91 and c19) it decomposes before it guesses:
 `splitting.component_world_views` runs the semantics' `direct`
 whole-program solver on one closed component at a time (a top once per
-distinct simplification) and pairs the world views by `split_solutions`,
-exact by the epistemic splitting theorem.  No `direct` splits.  On a
-component that does not split further the G91 guess loop searches stable
-models once per distinct compiled reduct (`semantics.g91_reducts`).  C19's
-`direct` reads its G91 base views off G91's `direct` on the same component,
-so a C19 solve decomposes once and inherits that search.  The other
-semantics fail splitting on the paper's counterexamples, so `solve` gives
-the whole program to their `direct` solver.  F15's solver takes its
-candidates from the same G91 grouping; under G11, K15 and S17 each guess
-gets its own search outside a run memo.
+distinct simplification) and combines the world views by
+`splitting.compose`, exact by the epistemic splitting theorem.  No `direct`
+splits.  On a component that does not split further the G91 guess loop
+searches stable models once per distinct compiled reduct
+(`semantics.g91_reducts`).  C19's `direct` reads its G91 base views off
+G91's `direct` on the same component, so a C19 solve decomposes once and
+inherits that search.  The other semantics fail splitting on the paper's
+counterexamples, so `solve` gives the whole program to their `direct`
+solver.  F15's solver takes its candidates from the same G91 grouping; under
+G11, K15 and S17 each guess gets its own search outside a run memo.
 
 `solve_memo()` opens a run memo for a `with` block; `once(fn, *args)` alone
 reads and writes it, computing `fn(*args)` once for equal arguments.  What a
 run repeats goes through `once`: `solve` (every solver reads world views
-through it), the component split, the `direct` solve of a component (which
-G91 and C19's base share), every stable-model search (`objective.stable_models`,
-keyed by the compiled program, so G11 and K15 guesses, the semantics and the
-checks of a run share one search per distinct `ObjectiveMasks`), and a
-matrix build's fixture parses, random samples, splitting sets and
-`is_founded`.  Nothing is memoized outside such a block.  A solve is keyed
-by (program, semantics) alone, not by the caps they are solved under, so a
-cap such as `objective.MAX_ATOMS` must not change while a memo is open (the
-CLI sets it before it opens one).
+through it), a program's closed component, every epistemic split
+(`splitting.epistemic_split` at one program, U and placement, which the
+component solver, the splitting check and `elps split` share; the
+composition of a split is not stored), the `direct` solve of a component
+(which G91 and C19's base share), every stable-model search
+(`objective.stable_models`, keyed by the compiled program, so G11 and K15
+guesses, the semantics and the checks of a run share one search per
+distinct `ObjectiveMasks`), and a matrix build's fixture parses, random
+samples, splitting sets and `is_founded`.  Nothing is memoized outside such
+a block.  A solve is keyed by (program, semantics) alone, not by the caps
+they are solved under, so a cap such as `objective.MAX_ATOMS` must not
+change while a memo is open (the CLI sets it before it opens one).
 """
 
 from __future__ import annotations

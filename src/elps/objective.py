@@ -326,18 +326,20 @@ def simplify_top(top: Program, U, interp: Interpretation) -> Program:
 
 
 def split_solutions(split: Split, solve, simplify) -> Iterator[tuple]:
-    """The solutions of a split: each answer `solve` gives the bottom, paired
-    with each answer it gives the top after `simplify(split, bottom answer)`;
-    equal simplified tops are solved once.  With stable models and
-    `simplify_top` this is Lifschitz & Turner's splitting theorem, with world
-    views and the subjective reduct it is epistemic splitting."""
+    """The solutions of a split as (bottom answer, simplified top, top
+    answer): each answer `solve` gives the bottom, with the top
+    `simplify(split, bottom answer)` and each answer `solve` gives that.
+    Each bottom answer simplifies the top once, and equal simplified tops
+    are solved once.  With stable models and `simplify_top` this is
+    Lifschitz & Turner's splitting theorem, with world views and the
+    subjective reduct it is epistemic splitting (`splitting.compose`)."""
     tops: dict[Program, frozenset] = {}
     for bottom in solve(split.bottom):
         top = simplify(split, bottom)
         if top not in tops:
             tops[top] = solve(top)
         for answer in tops[top]:
-            yield bottom, answer
+            yield bottom, top, answer
 
 
 def objective_solutions(
@@ -348,5 +350,5 @@ def objective_solutions(
     """All pairs (I_b, I_t) with I_b stable in the bottom and I_t stable in the
     simplified top."""
     split = objective_split(program, U, placement)
-    pairs = split_solutions(split, stable_models, lambda s, i_b: simplify_top(s.top, s.U, i_b))
-    return frozenset(pairs)
+    solutions = split_solutions(split, stable_models, lambda s, i_b: simplify_top(s.top, s.U, i_b))
+    return frozenset((i_b, i_t) for i_b, _, i_t in solutions)

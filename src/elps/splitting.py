@@ -7,21 +7,25 @@ inside U (all its `atoms`) or to mention U only through subjective literals
 conditions and are placed per policy.  Equivalently, U is closed under one
 relation: an objective atom of a rule pulls in all its atoms.  `_close`
 takes closures under it, and `closed_component`, the splitting-set
-enumeration and `stratify` all read them.  The solutions of a split come
-from `objective.split_solutions`: world views of the bottom simplify the
-top's subjective literals on U to truth constants, and each pair composes
-with ⊔.
+enumeration and `stratify` all read them.
+
+A program is partitioned at U by `engine.once(epistemic_split, ...)`
+alone, so in an open memo each (program, U, placement) is split once.
+`compose` is the one place a split's solutions (`objective.split_solutions`)
+are combined: world views of the bottom simplify the top's subjective
+literals on U to truth constants, and each pair composes with ⊔.  G91 and
+C19 satisfy epistemic splitting, so `engine.solve` sends them to
+`component_world_views`, which composes one closed component at a time;
+`check_epistemic_splitting` composes the split it checks.  `elps split`
+takes its verdict from that check and prints the composition of the same
+split, whose solves the run memo answers.  A bottom and an unsimplified top
+keep the program's `Rule` objects, and with them the atom sets already
+computed.
+
 Every property check here is an equation between two sets of world views.
 `equation_report` compares the two sides and keeps them, with the program
 and U, as values; `PropertyReport.to_json` renders them, and runs only
 where a report is shown.
-
-G91 and C19 satisfy epistemic splitting, so `engine.solve` sends them to
-`component_world_views`, which solves one closed component at a time and
-composes the world views; each part is split and solved through
-`engine.once`, so a memo open around the solve answers parts met before.
-A bottom and an unsimplified top keep the program's `Rule` objects, and
-with them the atom sets already computed.
 
 `stratify` is the paper's stratification: the least levels on which modal
 dependencies strictly decrease.  By the splitting theorem a stratified
@@ -55,27 +59,29 @@ def epistemic_split(program: Program, U, placement: str = "bottom") -> Split:
 
 
 def top_simplification(split: Split, wv_b: WorldView) -> Program:
-    """E: subjective reduct of the top w.r.t. the bottom world view, signature U."""
-    return subjective_reduct(split.top, wv_b, split.U)
+    """E: subjective reduct of the top w.r.t. the bottom world view, signature
+    U; the top as it is when it does not mention U."""
+    return subjective_reduct(split.top, wv_b, split.U) if split.top.atoms & split.U else split.top
 
 
 def combine(wv_b: WorldView, wv_t: WorldView) -> WorldView:
     return WorldView.of(i_b | i_t for i_b in wv_b.interps for i_t in wv_t.interps)
 
 
-def epistemic_solutions(
-    program: Program,
-    U,
-    semantics: SemanticsId,
-    placement: str = "bottom",
-) -> frozenset[tuple[WorldView, WorldView]]:
-    """All pairs (wv_b, wv_t) with wv_b a world view of the bottom and wv_t
-    one of the top simplified by wv_b; `combine` composes each pair."""
-    split = epistemic_split(program, U, placement)
-    pairs = split_solutions(
-        split, lambda p: engine.compute_world_views(p, semantics), top_simplification
-    )
-    return frozenset(pairs)
+def compose(split: Split, semantics: SemanticsId) -> dict[tuple[WorldView, Program, WorldView], WorldView]:
+    """Each solution (bottom world view, top simplified by it, world view of
+    that top) of a split, both sides solved by `engine.solve`, mapped to the
+    world view it combines to; the values are the split's world views.  The
+    bottom and the simplified top share no atom, so distinct solutions
+    combine to distinct world views, and more than `semantics.MAX_GUESSES`
+    of them raise CapacityError; the whole-program guess loop yields at most
+    one view per guess, so it never returns more."""
+    composed = {}
+    for wv_b, top, wv_t in split_solutions(split, lambda p: engine.solve(p, semantics), top_simplification):
+        composed[wv_b, top, wv_t] = combine(wv_b, wv_t)
+        if len(composed) > _semantics.MAX_GUESSES:
+            raise CapacityError(f"the world views exceed the guess cap of {_semantics.MAX_GUESSES}")
+    return composed
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +134,10 @@ def component_world_views(program: Program, semantics: SemanticsId) -> frozenset
     from its registry `direct` whole-program solver, run on one closed
     component at a time.
 
-    Each step splits `closed_component` U off as the bottom and takes the
-    `split_solutions`: bottom and top are solved by `engine.solve`, which
-    comes back here (through the memo when one is open), the top once per
-    distinct `top_simplification` against a bottom world view.  A top that
-    does not mention U (U is a block) is used as it is.  A program of one
+    Each step splits `closed_component` U off as the bottom and `compose`s
+    the split: bottom and top are solved by `engine.solve`, which comes back
+    here (through the memo when one is open), the top once per distinct
+    `top_simplification` against a bottom world view.  A program of one
     component, such as the bottom of a sink component, goes to `direct`
     whole through `engine.once`, under the key that C19's `direct` reads its
     G91 base views by, so in a memo C19 takes them from the G91 solve.
@@ -140,24 +145,16 @@ def component_world_views(program: Program, semantics: SemanticsId) -> frozenset
     Caps: `objective.MAX_ATOMS` bounds the whole program, so no world view
     has more than 2^MAX_ATOMS interpretations.  `direct` applies the other
     caps, such as `semantics.MAX_GUESSES` and
-    `foundedness.FOUNDED_MAX_ATOMS`, to one component at a time.  An
-    assembled answer of more than `MAX_GUESSES` world views raises
-    CapacityError; the whole-program guess loop yields at most one view per
-    guess, so it never returns more.  The semantics that are not solved by
-    components apply every cap to the whole program.
+    `foundedness.FOUNDED_MAX_ATOMS`, to one component at a time, and
+    `compose` caps the assembled answer at `MAX_GUESSES` world views.  The
+    semantics that are not solved by components apply every cap to the
+    whole program.
     """
     capped_atoms(program, objective.MAX_ATOMS, "exhaustive-search")
     U = engine.once(closed_component, program)
     if U is None:
         return engine.once(engine.REGISTRY[semantics].direct, program)
-    split = epistemic_split(program, U, "bottom")
-    simplify = top_simplification if split.top.atoms & U else lambda s, _: s.top
-    views = set()
-    for wv_b, wv_t in split_solutions(split, lambda p: engine.solve(p, semantics), simplify):
-        views.add(combine(wv_b, wv_t))
-        if len(views) > _semantics.MAX_GUESSES:
-            raise CapacityError(f"the world views exceed the guess cap of {_semantics.MAX_GUESSES}")
-    return frozenset(views)
+    return frozenset(compose(engine.once(epistemic_split, program, U, "bottom"), semantics).values())
 
 
 SPLIT_ENUM_MAX_ATOMS = 12  # splitting-set enumeration over 2^n subsets
@@ -240,11 +237,14 @@ def check_epistemic_splitting(
     semantics: SemanticsId,
     placement: str | None = None,
 ) -> PropertyReport:
-    """Direct world views vs. composed solutions; holds iff the sets coincide.
+    """Direct world views vs. the `compose`d split; holds iff the sets
+    coincide.
 
-    The property quantifies over every valid splitting, so by default both
-    placements of subjective constraints on U are checked; pass an explicit
-    placement to check a single decomposition.
+    The direct side comes first, so the whole program is in the semantics'
+    language before any part of it is solved.  The property quantifies over
+    every valid splitting, so by default both placements of subjective
+    constraints on U are checked; pass an explicit placement to check a
+    single decomposition.
     """
     U = frozenset(U)
     if placement is None:
@@ -254,7 +254,7 @@ def check_epistemic_splitting(
         placements = (placement,)
     lhs = engine.compute_world_views(program, semantics)
     for place in placements:
-        rhs = {combine(*pair) for pair in epistemic_solutions(program, U, semantics, place)}
+        rhs = frozenset(compose(engine.once(epistemic_split, program, U, place), semantics).values())
         if rhs != lhs:
             break
     return equation_report("epistemic_splitting", semantics, program, lhs, rhs, U)

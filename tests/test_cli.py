@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def test_negative_max_atoms_flag_exit_2(capsys, fx):
     "argv, atoms",
     [
         (["solve", "pi1"], 4),
-        (["split", "ce1b", "--split", "U=a,b"], 2),
+        (["split", "ce1b", "--split", "U=a,b"], 3),
         (["conformant", "lamps", "--goal", "light", "--plan", "toggle(l1)"], 6),
     ],
     ids=["solve", "split", "conformant"],
@@ -335,19 +336,32 @@ def test_split_college_match(capsys, fx):
 
 
 def test_split_builds_the_solutions_once(capsys, fx, monkeypatch):
-    """`split` prints the solutions and checks them: one build serves both."""
-    calls = []
-    real = splitting.epistemic_solutions
+    """`split` prints the solutions and checks them, and the direct world
+    views' component solver may split at the same U: one partition serves
+    them all."""
+    calls = Counter()
+    real = splitting.epistemic_split
 
-    def epistemic_solutions(*args):
-        calls.append(args)
-        return real(*args)
+    def epistemic_split(program, at, placement="bottom"):
+        calls[frozenset(at), placement] += 1
+        return real(program, at, placement)
 
     for module in (cli, splitting):
-        monkeypatch.setattr(module, "epistemic_solutions", epistemic_solutions)
-    code, out, _ = run(capsys, "split", fx("ce1b"), "--split", "U=a,b")
-    assert code == 0 and out.endswith("MATCH\n")
-    assert len(calls) == 1
+        monkeypatch.setattr(module, "epistemic_split", epistemic_split)
+    for name, split, semantics, expected in [("college3", COLLEGE_U, "g91", 0), ("ce1b", "U=a,b", "g11", 1)]:
+        calls.clear()
+        code, _, err = run(capsys, "split", fx(name), "--split", split, "--semantics", semantics)
+        assert (code, err) == (expected, "")
+        assert calls[cli._parse_atom_set(split.removeprefix("U=")), "bottom"] == 1
+
+
+def test_split_past_the_guess_cap_exits_2(capsys, tmp_path, monkeypatch):
+    """The check composes 256 world views from 8 blocks, past a cap of 64."""
+    monkeypatch.setattr(elps.semantics, "MAX_GUESSES", 64)
+    path = tmp_path / "blocks.elp"
+    path.write_text("".join(f"a{i} :- not K b{i}. b{i} :- not K a{i}.\n" for i in range(8)), encoding="utf-8")
+    code, out, err = run(capsys, "split", str(path), "--split", "U=a0,b0")
+    assert (code, out, err) == (2, "", "error: the world views exceed the guess cap of 64\n")
 
 
 def test_split_flags_mismatch(capsys, fx):

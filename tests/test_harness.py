@@ -217,9 +217,10 @@ def test_matrix_column_does_not_depend_on_the_other_columns(matrix_seed3, semant
     assert _column(alone, semantics) == _column(matrix_seed3, semantics)
 
 
-def test_matrix_build_does_not_memoize_epistemic_solutions(monkeypatch):
-    """A splitting check composes its solutions and no other check asks for
-    them, so they stay out of the run memo."""
+def test_matrix_build_does_not_memoize_compose(monkeypatch):
+    """A splitting check composes its split and no other check asks for the
+    composition, so it stays out of the run memo; the split itself and the
+    solves of its parts go through it."""
     asked = Counter()
     real = engine.once
 
@@ -233,7 +234,7 @@ def test_matrix_build_does_not_memoize_epistemic_solutions(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(module, attr, once)
     build_property_matrix(seed=2025, count=1)
-    assert asked["_solve"] and asked["epistemic_solutions"] == 0
+    assert asked["_solve"] and asked["epistemic_split"] and asked["compose"] == 0
 
 
 def test_matrix_build_renders_only_the_reports_it_keeps(monkeypatch):

@@ -12,6 +12,7 @@ from elps.generators import (
     random_subjective_constraint,
 )
 from elps.modal import WorldView
+from elps.objective import split_solutions
 from elps.semantics import SemanticsId
 from elps.splitting import (
     check_constraint_monotonicity,
@@ -19,7 +20,6 @@ from elps.splitting import (
     combine,
     dep_relation,
     enumerate_epistemic_splitting_sets,
-    epistemic_solutions,
     epistemic_split,
     stratify,
     top_simplification,
@@ -103,23 +103,27 @@ def test_combine_examples():
     )
 
 
+def _solutions(program, U, semantics):
+    """The (bottom view, simplified top, top view) solutions of a split."""
+    split = epistemic_split(program, U)
+    return list(split_solutions(split, lambda p: compute_world_views(p, semantics), top_simplification))
+
+
 def test_epistemic_solutions_college(corpus):
-    (pair,) = epistemic_solutions(corpus["college"], COLLEGE_U, SemanticsId.G91)
-    assert combine(*pair) == wv_of(
+    ((wv_b, _, wv_t),) = _solutions(corpus["college"], COLLEGE_U, SemanticsId.G91)
+    assert combine(wv_b, wv_t) == wv_of(
         "fair(mike) interview(mike)", "high(mike) eligible(mike) interview(mike)"
     )
 
 
 def test_epistemic_solutions_pi5_empty():
-    assert epistemic_solutions(CE1B, {A, B}, SemanticsId.G91) == frozenset()
+    assert _solutions(CE1B, {A, B}, SemanticsId.G91) == []
 
 
 def test_epistemic_solutions_college3_layer(corpus):
     # splitting off the appointment layer simplifies its body to ⊤
     u = frozenset(corpus["college3"].atoms) - {parse_atom("appointment(mike)")}
-    split = epistemic_split(corpus["college3"], u)
-    ((wv_b, _),) = epistemic_solutions(corpus["college3"], u, SemanticsId.G91)
-    simplified = top_simplification(split, wv_b)
+    ((_, simplified, _),) = _solutions(corpus["college3"], u, SemanticsId.G91)
     assert simplified.rules == (parse_rule("appointment(mike) :- ⊤."),)
 
 
