@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands:
-  solve       world views of a program under one semantics
-  split       epistemic splitting decomposition and composed solutions
+  solve       world views of a program under one semantics; with --explain,
+              the evidence c19 (unfounded sets) or f15 (EHT countermodels)
+              rejects candidates by
+  split       epistemic splitting decomposition and composed solutions at
+              --split; without it, the program's splitting sets
   properties  fixture expectations + randomized property matrix
-  conformant  conformant-plan checking / generate-define-test over world views
+  conformant  conformant-plan checking (--plan) or generate-define-test
+              over world views (--actions)
 
 Exit codes for solve: 0 (some world view), 1 (none), 2 (error).
 """
@@ -26,7 +30,7 @@ from .harness import SEMANTICS_COLUMNS, build_property_matrix
 from .modal import world_views_to_json, wv_key
 from .planning import generate_conformant_world_views, is_conformant_plan, plan_of_world_view
 from .semantics import SemanticsId
-from .splitting import check_epistemic_splitting, compose, enumerate_epistemic_splitting_sets, epistemic_split
+from .splitting import checked_composition, enumerate_epistemic_splitting_sets, epistemic_split
 from .syntax import Program, eliminate_m, interp_key, load_program, parse_atom
 
 
@@ -69,20 +73,50 @@ def _eht_traces(candidates) -> list[dict]:
     return traces
 
 
-def _unless_capped(payload: dict, key: str, skipped_key: str, label: str, compute) -> None:
-    """`payload[key] = compute()`, unless a cap puts it out of reach: then the
-    world views still stand, stderr gets `<label> skipped: <msg>`,
-    `payload[key]` is None and `payload[skipped_key]` the message."""
+def _explain_c19(program: Program, payload: dict) -> list[str]:
+    """The unfounded-set certificate of each G91 view that C19's foundedness
+    check drops.  They are built over the whole program, so past the
+    foundedness cap, which C19's solve applies per component, the world
+    views still stand: stderr gets `unfounded certificates skipped: <msg>`
+    and the payload the message."""
     try:
-        payload[key] = compute()
+        # the G91 views of C19's base, solved in the command's run memo
+        certs = [
+            {"world_view": wv.as_lists(), "pairs": pairs}
+            for wv in sorted(compute_world_views(program, SemanticsId.G91), key=wv_key)
+            if (pairs := unfounded_certificate(program, wv))
+        ]
     except CapacityError as exc:
-        print(f"{label} skipped: {exc}", file=sys.stderr)
-        payload[key] = None
-        payload[skipped_key] = str(exc)
+        print(f"unfounded certificates skipped: {exc}", file=sys.stderr)
+        payload.update(unfounded_certificates=None, unfounded_certificates_skipped=str(exc))
+        return []
+    payload["unfounded_certificates"] = certs
+    lines = []
+    for cert in certs:
+        lines.append(f"unfounded {_show(cert['world_view'])}:")
+        lines += [f"  X={_show(pair['X'])} I={_show(pair['I'])}" for pair in cert["pairs"]]
+    return lines
+
+
+def _explain_f15(program: Program, payload: dict) -> list[str]:
+    """Every total EHT model, as an equilibrium or with the countermodel that
+    rejects it.  The F15 solve has refused a program past the EHT cap."""
+    payload["eht_traces"] = _eht_traces(total_model_countermodels(program))
+    return [
+        f"equilibrium: {_show(trace['world_view'])}"
+        if trace["equilibrium"]
+        else f"not equilibrium: {_show(trace['world_view'])} countermodel {_show(trace['countermodel'])}"
+        for trace in payload["eht_traces"]
+    ]
+
+
+_EXPLAIN = {SemanticsId.C19: _explain_c19, SemanticsId.F15: _explain_f15}
 
 
 def cmd_solve(args):
     semantics = SemanticsId.from_string(args.semantics)
+    if args.explain and semantics not in _EXPLAIN:
+        raise ValueError(f"--explain takes --semantics c19 or f15, not {semantics.value}")
     program = _load(args.file, args)
     wvs = sorted(compute_world_views(program, semantics), key=wv_key)
     payload = {
@@ -90,59 +124,26 @@ def cmd_solve(args):
         "semantics": semantics.value,
         "world_views": world_views_to_json(wvs),
     }
-    if args.explain_unfounded:
-        # the certificates read the G91 views, which C19 and G91 have solved
-        # in the command's run memo
-        _unless_capped(
-            payload,
-            "unfounded_certificates",
-            "unfounded_certificates_skipped",
-            "unfounded certificates",
-            lambda: [
-                {"world_view": wv.as_lists(), "pairs": pairs}
-                for wv in sorted(compute_world_views(program, SemanticsId.G91), key=wv_key)
-                if (pairs := unfounded_certificate(program, wv))
-            ],
-        )
-    if args.trace_eht:
-        _unless_capped(
-            payload,
-            "eht_traces",
-            "eht_trace_skipped",
-            "eht trace",
-            lambda: _eht_traces(total_model_countermodels(program)),
-        )
     lines = [str(wv) for wv in wvs]
-    for cert in payload.get("unfounded_certificates") or []:
-        lines.append(f"unfounded {_show(cert['world_view'])}:")
-        lines += [f"  X={_show(pair['X'])} I={_show(pair['I'])}" for pair in cert["pairs"]]
-    for trace in payload.get("eht_traces") or []:
-        if trace["equilibrium"]:
-            lines.append(f"equilibrium: {_show(trace['world_view'])}")
-        else:
-            shown = f"{_show(trace['world_view'])} countermodel {_show(trace['countermodel'])}"
-            lines.append(f"not equilibrium: {shown}")
+    if args.explain:
+        lines += _EXPLAIN[semantics](program, payload)
     return (0 if wvs else 1), payload, lines
 
 
 def cmd_split(args):
     semantics = SemanticsId.from_string(args.semantics)
     program = _load(args.file, args)
-    if args.enumerate_splits:
-        if args.split:
-            raise ValueError("--enumerate-splits takes no --split")
+    if args.split is None:
         sets = [list(interp_key(u)) for u in enumerate_epistemic_splitting_sets(program)]
         sets.sort(key=lambda u: (len(u), u))
         return 0, sets, ["{" + ",".join(u) + "}" for u in sets]
-    if not args.split:
-        raise ValueError("provide --split U=a,b,... or --enumerate-splits")
     U = _parse_atom_set(args.split.removeprefix("U="))
     unknown = ",".join(interp_key(U - program.atoms))
     if unknown:
         raise ValueError(f"--split names atoms the program does not mention: {unknown}")
     # partitioned first, so an invalid U is reported before any solve
     split = once(epistemic_split, program, U, args.placement)
-    report = check_epistemic_splitting(program, U, semantics, args.placement)
+    report, composed = checked_composition(program, U, semantics, args.placement)
     shown = report.to_json()
     payload = {
         "file": args.file,
@@ -158,7 +159,7 @@ def cmd_split(args):
                 "combined": combined.as_lists(),
             }
             for (wv_b, top, wv_t), combined in sorted(
-                compose(split, semantics).items(), key=lambda sol: (wv_key(sol[0][0]), wv_key(sol[0][2]))
+                composed.items(), key=lambda sol: (wv_key(sol[0][0]), wv_key(sol[0][2]))
             )
         ],
         "combined": shown["rhs"],
@@ -203,11 +204,9 @@ def cmd_conformant(args):
     program = _load(args.file, args)
     goal = parse_atom(args.goal)
     payload = {"file": args.file, "semantics": semantics.value, "goal": str(goal)}
-    if args.generate:
-        if args.plan:
-            raise ValueError("--generate takes no --plan")
-        if not args.actions:
-            raise ValueError("--generate requires --actions")
+    if args.plan and args.actions:
+        raise ValueError("--plan takes no --actions")
+    if args.actions:
         actions = _parse_atom_set(args.actions)
         surviving = sorted(
             generate_conformant_world_views(program, actions, goal, semantics), key=wv_key
@@ -217,9 +216,7 @@ def cmd_conformant(args):
         lines = [f"plan {{{','.join(plan)}}}: {wv}" for wv, plan in zip(surviving, plans)]
         return (0, payload, lines) if surviving else (1, payload, ["no conformant plan"])
     if not args.plan:
-        raise ValueError("provide --plan a,b (repeatable) or --generate --actions ...")
-    if args.actions:
-        raise ValueError("--plan takes no --actions")
+        raise ValueError("provide --plan a,b (repeatable) or --actions a,b")
     verdicts = []
     for plan_text in args.plan:
         plan = _parse_atom_set(plan_text)
@@ -263,16 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute world views")
     _add_common(p)
-    p.add_argument("--explain-unfounded", action="store_true", help="print unfounded-set certificates")
-    p.add_argument("--trace-eht", action="store_true", help="print equilibrium countermodels")
+    p.add_argument("--explain", action="store_true",
+                   help="print why candidates are rejected: unfounded sets (c19), EHT countermodels (f15)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("split", help="epistemic splitting decomposition")
     _add_common(p)
-    p.add_argument("--split", help="U=a,b,... the splitting set")
+    p.add_argument("--split", help="U=a,b,... the splitting set; without it, list every proper one")
     p.add_argument("--placement", choices=["bottom", "top"], default="bottom",
                    help="where subjective constraints on U go")
-    p.add_argument("--enumerate-splits", action="store_true", help="list all proper splitting sets")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("properties", help="fixture suite + property matrix")
@@ -286,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--goal", required=True, help="goal atom")
     p.add_argument("--plan", action="append", default=[], help="action set a,b (repeatable)")
-    p.add_argument("--generate", action="store_true", help="generate-define-test mode")
-    p.add_argument("--actions", default=None, help="action atoms for --generate")
+    p.add_argument("--actions", default=None, help="action atoms a,b: generate-define-test over them")
     p.set_defaults(func=cmd_conformant)
     return parser
 
@@ -311,7 +306,7 @@ def main(argv=None) -> int:
             code, payload, lines = args.func(args)
         if args.json:
             # the list of splitting sets is printed on one line
-            indent = None if getattr(args, "enumerate_splits", False) else 2
+            indent = None if isinstance(payload, list) else 2
             print(json.dumps(payload, indent=indent, sort_keys=True))
         elif lines:
             print("\n".join(lines))

@@ -55,8 +55,9 @@ satisfy the rules with no subjective literal once and builds candidate
 world views from them alone, in `subsets` order over the kept points, which
 is a subsequence of the order over all points; only the rules with a
 subjective literal are checked per candidate.  It lists every total model,
-and `--trace-eht` prints them all.  The F15 oracle `f15_brute_world_views`
-makes the selection of `f15_world_views` among the equilibria of this walk.
+and `elps solve --semantics f15 --explain` prints them all.  The F15 oracle
+`f15_brute_world_views` makes the selection of `f15_world_views` among the
+equilibria of this walk.
 
 The equilibria (`equilibrium_eht_models`, `f15_world_views`) are a
 selection over the G91 guess loop (`semantics.g91_reducts`), which groups

@@ -17,10 +17,10 @@ literals on U to truth constants, and each pair composes with ⊔.  G91 and
 C19 satisfy epistemic splitting, so `engine.solve` sends them to
 `component_world_views`, which composes one closed component at a time;
 `check_epistemic_splitting` composes the split it checks.  `elps split`
-takes its verdict from that check and prints the composition of the same
-split, whose solves the run memo answers.  A bottom and an unsimplified top
-keep the program's `Rule` objects, and with them the atom sets already
-computed.
+takes its verdict and the solutions it prints from one such check
+(`checked_composition`), so it composes its split once.  A bottom and an
+unsimplified top keep the program's `Rule` objects, and with them the atom
+sets already computed.
 
 Every property check here is an equation between two sets of world views.
 `equation_report` compares the two sides and keeps them, with the program
@@ -246,6 +246,15 @@ def check_epistemic_splitting(
     constraints on U are checked; pass an explicit placement to check a
     single decomposition.
     """
+    return checked_composition(program, U, semantics, placement)[0]
+
+
+def checked_composition(
+    program: Program, U, semantics: SemanticsId, placement: str | None = None
+) -> tuple[PropertyReport, dict[tuple[WorldView, Program, WorldView], WorldView]]:
+    """`check_epistemic_splitting`'s report, with the composition its `rhs`
+    was read from: the first placement's that differs from the direct world
+    views, else the last placement's."""
     U = frozenset(U)
     if placement is None:
         dual = any(r.atoms <= U and not (r.objective_atoms & U) for r in program.rules)
@@ -254,10 +263,10 @@ def check_epistemic_splitting(
         placements = (placement,)
     lhs = engine.compute_world_views(program, semantics)
     for place in placements:
-        rhs = frozenset(compose(engine.once(epistemic_split, program, U, place), semantics).values())
-        if rhs != lhs:
+        composed = compose(engine.once(epistemic_split, program, U, place), semantics)
+        if frozenset(composed.values()) != lhs:
             break
-    return equation_report("epistemic_splitting", semantics, program, lhs, rhs, U)
+    return equation_report("epistemic_splitting", semantics, program, lhs, composed.values(), U), composed
 
 
 def check_constraint_monotonicity(program: Program, constraint: Rule, semantics: SemanticsId) -> PropertyReport:

@@ -148,7 +148,7 @@ def test_eliminate_m_flag(capsys, tmp_path):
 
 
 def test_explain_unfounded_certificate(capsys, fx):
-    code, out, _ = run(capsys, "solve", fx("ka"), "--semantics", "c19", "--explain-unfounded", "--json")
+    code, out, _ = run(capsys, "solve", fx("ka"), "--semantics", "c19", "--explain", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["world_views"] == [[[]]]
@@ -158,7 +158,7 @@ def test_explain_unfounded_certificate(capsys, fx):
 
 
 def test_explain_unfounded_text(capsys, fx):
-    code, out, err = run(capsys, "solve", fx("ka"), "--semantics", "c19", "--explain-unfounded")
+    code, out, err = run(capsys, "solve", fx("ka"), "--semantics", "c19", "--explain")
     assert (code, err) == (0, "")
     assert out == "[[]]\nunfounded [[a]]:\n  X=[a] I=[a]\n"
 
@@ -171,19 +171,15 @@ FOUNDEDNESS_CAP = "13 atoms exceed the foundedness cap of 12"
 def test_explain_unfounded_over_the_cap_still_solves(capsys, tmp_path):
     path = tmp_path / "facts13.elp"
     path.write_text(FACTS13, encoding="utf-8")
-    code, out, err = run(capsys, "solve", str(path), "--explain-unfounded")
-    assert code == 0
-    assert out == "[[" + ",".join(FACTS13_WV) + "]]\n"
-    assert err == f"unfounded certificates skipped: {FOUNDEDNESS_CAP}\n"
     # C19 checks foundedness per component: 13 facts are 13 one-atom components
-    code, out, err = run(capsys, "solve", str(path), "--explain-unfounded", "--semantics", "c19")
+    code, out, err = run(capsys, "solve", str(path), "--explain", "--semantics", "c19")
     assert code == 0
     assert out == "[[" + ",".join(FACTS13_WV) + "]]\n"
     assert err == f"unfounded certificates skipped: {FOUNDEDNESS_CAP}\n"
     # a 13-atom chain is one component, so C19 needs foundedness over all 13 atoms
     chain = tmp_path / "chain13.elp"
     chain.write_text(CHAIN13, encoding="utf-8")
-    code, out, err = run(capsys, "solve", str(chain), "--explain-unfounded", "--semantics", "c19")
+    code, out, err = run(capsys, "solve", str(chain), "--explain", "--semantics", "c19")
     assert (code, out, err) == (2, "", f"error: {FOUNDEDNESS_CAP}\n")
 
 
@@ -192,7 +188,7 @@ def test_explain_unfounded_solves_g91_by_components(capsys, tmp_path):
     # stop at the foundedness cap over all 16 atoms, not at the guess cap
     path = tmp_path / "blocks8.elp"
     path.write_text("".join(f"a{i} :- not K b{i}. b{i} :- not K a{i}.\n" for i in range(8)), encoding="utf-8")
-    code, out, err = run(capsys, "solve", str(path), "--explain-unfounded", "--semantics", "c19")
+    code, out, err = run(capsys, "solve", str(path), "--explain", "--semantics", "c19")
     assert code == 0
     assert len(out.splitlines()) == 256
     assert err == "unfounded certificates skipped: 16 atoms exceed the foundedness cap of 12\n"
@@ -201,11 +197,11 @@ def test_explain_unfounded_solves_g91_by_components(capsys, tmp_path):
 COLLEGE_OUT = "[[eligible(mike),high(mike),interview(mike)],[fair(mike),interview(mike)]]\n"
 
 
-@pytest.mark.parametrize("semantics", ["g91", "c19"])
+@pytest.mark.parametrize("semantics", ["c19"])
 def test_explain_unfounded_reuses_the_g91_views(capsys, fx, guess_loops, semantics):
-    """The certificates read the G91 views of the solve: under g91 its own,
-    under c19 the G91 base of each of college's 2 components."""
-    code, out, err = run(capsys, "solve", fx("college"), "--semantics", semantics, "--explain-unfounded")
+    """The certificates read the G91 views of the solve: the G91 base of
+    each of college's 2 components."""
+    code, out, err = run(capsys, "solve", fx("college"), "--semantics", semantics, "--explain")
     assert (code, out, err) == (0, COLLEGE_OUT, "")
     assert sum(guess_loops.values()) == 2
 
@@ -213,7 +209,7 @@ def test_explain_unfounded_reuses_the_g91_views(capsys, fx, guess_loops, semanti
 def test_explain_unfounded_over_the_cap_json(capsys, tmp_path):
     path = tmp_path / "facts13.elp"
     path.write_text(FACTS13, encoding="utf-8")
-    code, out, err = run(capsys, "solve", str(path), "--explain-unfounded", "--json")
+    code, out, err = run(capsys, "solve", str(path), "--explain", "--semantics", "c19", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["world_views"] == [[FACTS13_WV]]
@@ -223,7 +219,7 @@ def test_explain_unfounded_over_the_cap_json(capsys, tmp_path):
 
 
 def test_trace_eht(capsys, fx):
-    code, out, _ = run(capsys, "solve", fx("ab"), "--semantics", "f15", "--trace-eht", "--json")
+    code, out, _ = run(capsys, "solve", fx("ab"), "--semantics", "f15", "--explain", "--json")
     assert code == 0
     payload = json.loads(out)
     equilibria = [t["world_view"] for t in payload["eht_traces"] if t["equilibrium"]]
@@ -235,7 +231,7 @@ def test_trace_eht(capsys, fx):
 
 
 def test_trace_eht_text(capsys, fx):
-    code, out, err = run(capsys, "solve", fx("ab"), "--semantics", "f15", "--trace-eht")
+    code, out, err = run(capsys, "solve", fx("ab"), "--semantics", "f15", "--explain")
     assert (code, err) == (0, "")
     assert out.splitlines() == [
         "[[a],[b]]",
@@ -256,18 +252,18 @@ COLLEGE_U = "U=high(mike),fair(mike),eligible(mike),minority(mike),-eligible(mik
     "golden, argv",
     [
         (
-            f"solve_{name}_f15_trace_eht.json",
-            ["solve", f"{name}.elp", "--semantics", "f15", "--trace-eht", "--json"],
+            f"solve_{name}_f15_explain.json",
+            ["solve", f"{name}.elp", "--semantics", "f15", "--explain", "--json"],
         )
         for name in ("ab", "ka", "ce1a")
     ]
-    + [("split_college_enumerate.json", ["split", "college.elp", "--enumerate-splits", "--json"])]
+    + [("split_college_enumerate.json", ["split", "college.elp", "--json"])]
     + [("properties_seed7_count3.json", ["properties", "--json", "--seed", "7", "--count", "3"])]
     # the fixtures where f15 departs from g91
     + [
         (
-            f"solve_{name}_f15_trace_eht.json",
-            ["solve", f"{name}.elp", "--semantics", "f15", "--trace-eht", "--json"],
+            f"solve_{name}_f15_explain.json",
+            ["solve", f"{name}.elp", "--semantics", "f15", "--explain", "--json"],
         )
         for name in ("ce1b", "ce2")
     ]
@@ -295,25 +291,17 @@ def test_split_mismatch_matches_golden(capsys, monkeypatch, corpus_dir, ext, fla
     assert out == (GOLDEN / f"split_ce1b_g11.{ext}").read_text(encoding="utf-8")
 
 
-def test_trace_eht_over_the_cap_still_solves(capsys, fx):
-    code, out, err = run(capsys, "solve", fx("pi1"), "--trace-eht")
-    assert code == 0
-    assert out.strip() == "[[a,d],[b,c],[b,d]]"
-    assert err == "eht trace skipped: 4 atoms exceed the EHT cap of 3\n"
-
-
-def test_trace_eht_over_the_cap_json(capsys, fx):
-    code, out, err = run(capsys, "solve", fx("pi1"), "--trace-eht", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["world_views"] == [[["a", "d"], ["b", "c"], ["b", "d"]]]
-    assert payload["eht_traces"] is None
-    assert payload["eht_trace_skipped"] == "4 atoms exceed the EHT cap of 3"
-    assert err == "eht trace skipped: 4 atoms exceed the EHT cap of 3\n"
+@pytest.mark.parametrize("semantics", ["g91", "g11", "k15", "s17"])
+def test_explain_under_another_semantics_exits_2_before_loading(capsys, semantics):
+    """Only c19 and f15 have evidence to print; the refusal comes before the
+    program file is read, so a missing file is not what it reports."""
+    code, out, err = run(capsys, "solve", "no-such-file.elp", "--semantics", semantics, "--explain")
+    assert (code, out, err) == (2, "", f"error: --explain takes --semantics c19 or f15, not {semantics}\n")
 
 
 def test_trace_eht_over_the_cap_f15_refuses(capsys, fx):
-    code, out, err = run(capsys, "solve", fx("pi1"), "--semantics", "f15", "--trace-eht")
+    """The F15 solve refuses a program past the EHT cap before any trace."""
+    code, out, err = run(capsys, "solve", fx("pi1"), "--semantics", "f15", "--explain")
     assert code == 2
     assert out == ""
     assert err == "error: 4 atoms exceed the EHT cap of 3\n"
@@ -338,21 +326,35 @@ def test_split_college_match(capsys, fx):
 def test_split_builds_the_solutions_once(capsys, fx, monkeypatch):
     """`split` prints the solutions and checks them, and the direct world
     views' component solver may split at the same U: one partition serves
-    them all."""
+    them all.  The solutions printed are the check's composition, so the
+    command's split is composed once by the check and, under g91, once more
+    by the component solver for the direct side."""
     calls = Counter()
-    real = splitting.epistemic_split
+    splits = []
+    real_split, real_compose = splitting.epistemic_split, splitting.compose
 
     def epistemic_split(program, at, placement="bottom"):
         calls[frozenset(at), placement] += 1
-        return real(program, at, placement)
+        splits.append(real_split(program, at, placement))
+        return splits[-1]
+
+    def compose(split, semantics):
+        calls[id(split)] += 1
+        return real_compose(split, semantics)
 
     for module in (cli, splitting):
         monkeypatch.setattr(module, "epistemic_split", epistemic_split)
-    for name, split, semantics, expected in [("college3", COLLEGE_U, "g91", 0), ("ce1b", "U=a,b", "g11", 1)]:
+    monkeypatch.setattr(splitting, "compose", compose)
+    cases = [("college3", COLLEGE_U, "g91", 0, 2), ("college", COLLEGE_U, "g91", 0, 2), ("ce1b", "U=a,b", "g11", 1, 1)]
+    for name, split, semantics, expected, composed in cases:
         calls.clear()
+        splits.clear()
         code, _, err = run(capsys, "split", fx(name), "--split", split, "--semantics", semantics)
         assert (code, err) == (expected, "")
-        assert calls[cli._parse_atom_set(split.removeprefix("U=")), "bottom"] == 1
+        U = cli._parse_atom_set(split.removeprefix("U="))
+        assert calls[U, "bottom"] == 1
+        (own,) = [s for s in splits if s.U == U]
+        assert calls[id(own)] == composed, name
 
 
 def test_split_past_the_guess_cap_exits_2(capsys, tmp_path, monkeypatch):
@@ -398,7 +400,7 @@ def test_split_reads_atoms_with_several_arguments(capsys, tmp_path):
 
 
 def test_split_enumerate(capsys, fx):
-    code, out, _ = run(capsys, "split", fx("ce1a"), "--enumerate-splits")
+    code, out, _ = run(capsys, "split", fx("ce1a"))
     assert code == 0
     assert out.strip() == "{a,b}"
 
@@ -454,19 +456,11 @@ def test_properties_rejects_max_atoms_and_corpus(capsys, option):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["split", "ce1b"], "provide --split U=a,b,... or --enumerate-splits"),
-        (["conformant", "lamps", "--goal", "light"], "provide --plan a,b (repeatable) or --generate --actions ..."),
-        (["conformant", "lamps", "--goal", "light", "--generate"], "--generate requires --actions"),
-        (["split", "ce1b", "--enumerate-splits", "--split", "U=a"], "--enumerate-splits takes no --split"),
-        (["conformant", "lamps", "--goal", "light", "--generate", "--plan", "x"], "--generate takes no --plan"),
+        (["conformant", "lamps", "--goal", "light"], "provide --plan a,b (repeatable) or --actions a,b"),
         (["conformant", "lamps", "--goal", "light", "--plan", "x", "--actions", "y"], "--plan takes no --actions"),
     ],
     ids=[
-        "split-missing",
         "conformant-missing",
-        "generate-missing",
-        "enumerate-with-split",
-        "generate-with-plan",
         "plan-with-actions",
     ],
 )
@@ -515,7 +509,7 @@ def test_conformant_check(capsys, fx):
 def test_conformant_generate(capsys, fx):
     code, out, _ = run(
         capsys, "conformant", fx("lamps"), "--goal", "light",
-        "--generate", "--actions", "toggle(l1),toggle(l2)", "--json",
+        "--actions", "toggle(l1),toggle(l2)", "--json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -542,7 +536,7 @@ def test_conformant_generate(capsys, fx):
     ],
 )
 def test_conformant_generate_text(capsys, fx, actions, expected, exit_code):
-    code, out, _ = run(capsys, "conformant", fx("lamps"), "--goal", "light", "--generate", "--actions", actions)
+    code, out, _ = run(capsys, "conformant", fx("lamps"), "--goal", "light", "--actions", actions)
     assert (code, out) == (exit_code, expected)
 
 
@@ -631,7 +625,9 @@ def test_help_screens(capsys):
 
 def test_readme_synopsis_names_every_option():
     """Each long option of a subcommand appears in that subcommand's lines
-    of the README's CLI synopsis."""
+    of the README's CLI synopsis, and every `--flag` the README names
+    anywhere, prose included, is an option of some subcommand (or of the
+    `pip` line that installs the package)."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     synopsis = text.split("## CLI", 1)[1].split("```")[1]
     lines: dict[str, str] = {}
@@ -643,6 +639,7 @@ def test_readme_synopsis_names_every_option():
             lines[command] = lines.get(command, "") + line + "\n"
     (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(lines) == set(subparsers.choices)
+    every = set()
     for command, parser in subparsers.choices.items():
         options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
         missing = sorted(o for o in options if o not in lines[command])
@@ -650,6 +647,9 @@ def test_readme_synopsis_names_every_option():
         # and every option the synopsis names exists, so a removed one cannot linger
         named = set(re.findall(r"--[a-z][a-z-]*", lines[command]))
         assert named <= options, (command, sorted(named - options))
+        every |= options
+    named = {o for line in text.splitlines() if not line.startswith("pip ") for o in re.findall(r"--[a-z][a-z-]*", line)}
+    assert named <= every, sorted(named - every)
 
 
 SOLVE_GOLDEN = GOLDEN / "solve_fixtures.json"
@@ -659,13 +659,13 @@ FIXTURE_NAMES = ("ab", "ce1a", "ce1b", "ce2", "college", "college3", "ka", "lamp
 def solve_runs() -> list[list[str]]:
     """argv of every `elps solve` run the golden records, after the fixture
     path: each fixture under each semantics, plain and as JSON, and with
-    unfounded certificates under the two semantics that read them."""
+    c19's unfounded certificates (f15's traces have goldens of their own)."""
     runs = [
         ["--semantics", column.value, *flags]
         for column in SEMANTICS_COLUMNS
         for flags in ([], ["--json"])
     ]
-    runs += [["--semantics", sem, "--explain-unfounded", "--json"] for sem in ("g91", "c19")]
+    runs.append(["--semantics", "c19", "--explain", "--json"])
     return [[f"{name}.elp", *argv] for name in FIXTURE_NAMES for argv in runs]
 
 
